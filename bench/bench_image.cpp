@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "provenance.hpp"
 #include "data/synthetic.hpp"
 #include "eval/trainer.hpp"
 #include "models/small_cnn.hpp"
@@ -123,19 +124,6 @@ bool logits_equal(const std::vector<float>& a, const std::vector<float>& b) {
     if (a[i] != b[i]) return false;  // bit-exact, no tolerance
   }
   return true;
-}
-
-std::string git_describe() {
-  FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[128] = {0};
-  std::string out;
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-  pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
 }
 
 }  // namespace
@@ -233,6 +221,7 @@ int main(int argc, char** argv) {
             << "cold start to ready plan: streaming " << plan_stream_ms
             << " ms, mmap " << plan_mmap_ms << " ms\n";
 
+  const std::string provenance = bench::provenance_members();
   std::filesystem::path out_file(out_path);
   if (out_file.has_parent_path()) {
     std::filesystem::create_directories(out_file.parent_path());
@@ -242,15 +231,10 @@ int main(int argc, char** argv) {
     std::cerr << "bench_image: cannot write " << out_path << "\n";
     return 1;
   }
-  const std::string git = git_describe();
-  const bool git_dirty =
-      git.size() >= 6 && git.compare(git.size() - 6, 6, "-dirty") == 0;
   os << "{\n"
      << "  \"workload\": \"" << kWorkload << "\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"git\": \"" << git << "\",\n"
-     << "  \"git_dirty\": " << (git_dirty ? "true" : "false") << ",\n"
-     << "  \"format_version\": " << stats.version << ",\n"
+     << provenance << "  \"format_version\": " << stats.version << ",\n"
      << "  \"image_bytes_raw\": " << raw_bytes << ",\n"
      << "  \"image_bytes_compressed\": " << v2_bytes << ",\n"
      << "  \"compression_ratio\": " << ratio << ",\n"

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "provenance.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/profiler.hpp"
@@ -114,22 +115,6 @@ bool logits_equal(const std::vector<float>& a, const std::vector<float>& b) {
     if (a[i] != b[i]) return false;  // bit-exact, no tolerance
   }
   return true;
-}
-
-/// `git describe --always --dirty` of the working tree, "unknown" when git
-/// or the repository is unavailable (e.g. running from an exported
-/// tarball).
-std::string git_describe() {
-  FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[128] = {0};
-  std::string out;
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-  pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
 }
 
 struct ThroughputPoint {
@@ -267,6 +252,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "batch bit-exactness check passed (all thread counts)\n";
 
+  const std::string provenance = bench::provenance_members();
   std::filesystem::path out_file(out_path);
   if (out_file.has_parent_path()) {
     std::filesystem::create_directories(out_file.parent_path());
@@ -276,25 +262,16 @@ int main(int argc, char** argv) {
     std::cerr << "bench_runtime: cannot write " << out_path << "\n";
     return 1;
   }
-  const std::string git = git_describe();
-  const bool git_dirty =
-      git.size() >= 6 && git.compare(git.size() - 6, 6, "-dirty") == 0;
   os << "{\n"
      << "  \"workload\": \"mobilenet-class 48x48x3, mixed 2/4/8-bit, "
         "PC+ICN\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
      << "  \"iters\": " << iters << ",\n"
-     << "  \"git\": \"" << git << "\",\n"
-     // Provenance: numbers from a dirty tree are not attributable to the
-     // recorded revision; the regression checker warns when a committed
-     // baseline carries this flag.
-     << "  \"git_dirty\": " << (git_dirty ? "true" : "false") << ",\n"
-     << "  \"simd\": {\"compiled\": \"" << simd::compiled_isa()
+     << provenance << "  \"simd\": {\"compiled\": \"" << simd::compiled_isa()
      << "\", \"active\": \"" << simd::active_isa()
      << "\", \"vnni_host\": " << (simd::vnni_enabled() ? "true" : "false")
      << ", \"vnni_kernels\": "
      << (simd::vnni_compiled() ? "true" : "false") << "},\n"
-     << "  \"threads_available\": " << ThreadPool::hardware_lanes() << ",\n"
      << "  \"total_macs\": " << prof.total_macs << ",\n"
      << "  \"end_to_end\": {\n"
      << "    \"reference_ns\": " << ref_ns << ",\n"

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "provenance.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
 #include "serve/registry.hpp"
@@ -645,6 +646,7 @@ int main(int argc, char** argv) {
 #endif  // !_WIN32
 
   if (!out_path.empty()) {
+    const std::string provenance = bench::provenance_members();
     std::filesystem::path out_file(out_path);
     if (out_file.has_parent_path()) {
       std::filesystem::create_directories(out_file.parent_path());
@@ -654,8 +656,8 @@ int main(int argc, char** argv) {
       std::cerr << "bench_serve: cannot write " << out_path << "\n";
       return 1;
     }
-    os << "{\n  \"requests\": " << n_requests
-       << ",\n  \"threads_available\": " << hw << ",\n  \"engine_sweep\": [\n";
+    os << "{\n  \"requests\": " << n_requests << ",\n"
+       << provenance << "  \"engine_sweep\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       const SweepPoint& pt = points[i];
       os << "    {\"max_batch\": " << pt.max_batch

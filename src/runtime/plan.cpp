@@ -603,12 +603,14 @@ void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
 }
 
 /// Narrow GEMM over rows [m0, m1), dispatched on the layer's plan-time
-/// kernel tier: the VNNI panel (vpdpbusd, no pair bound), the AVX2-era s8
-/// panel (i16-pair bound proven), or the u8 x s16 widening kernels. All
-/// tiers honour the autotuned K/N cache blocking (pl.tile.kb / pl.tile.nb;
-/// 0 = unblocked): K-blocks accumulate exact i32 partial sums, N-blocks
-/// requantize each channel chunk as soon as its accumulators complete, so
-/// blocking is bit-exact with the single-pass GEMM.
+/// kernel tier: the VNNI panel (vpdpbusd, no pair bound; zero-point split
+/// layers add (128 - Zw[oc]) * rowsum once a channel chunk's K loop is
+/// done), the AVX2-era s8 panel (i16-pair bound proven), or the u8 x s16
+/// widening kernels. All tiers honour the autotuned K/N cache blocking
+/// (pl.tile.kb / pl.tile.nb; 0 = unblocked): K-blocks accumulate exact i32
+/// partial sums, N-blocks requantize each channel chunk as soon as its
+/// accumulators complete, so blocking is bit-exact with the single-pass
+/// GEMM.
 /// `A` rows are `lda` bytes apart and must be readable for kp bytes each
 /// (arena slack / col8 padding guarantee it; padded weights are zero, so
 /// the extra products vanish exactly).
@@ -626,10 +628,25 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
     const bool vnni = pl.tier == KernelTier::kVnni;
     const std::int64_t ocb = vnni ? simd::vnni_ocb() : simd::gemm_u8s8_ocb();
     const std::int8_t* panel = pl.w8.data();
+    // Row sums over the K real taps only: the direct 1x1 path's rows are
+    // lda = K apart, so the bytes in [K, kp) belong to the next row.
+    const std::int32_t* split =
+        pl.zp_split.empty() ? nullptr : pl.zp_split.data();
+    const std::int64_t K = pl.layer->wshape.per_channel();
+    const auto row_sum = [&](const std::uint8_t* a) {
+      return split != nullptr ? simd::vnni_row_sum_u8(a, K) : 0;
+    };
+    const auto add_split = [&](std::int32_t* acc, std::int32_t sum,
+                               std::int64_t c0, std::int64_t len) {
+      if (split == nullptr) return;
+      for (std::int64_t j = c0; j < c0 + len; ++j) acc[j] += split[j] * sum;
+    };
     std::int64_t m = m0;
     for (; m + 2 <= m1; m += 2) {
       const std::uint8_t* a0 = A + m * lda;
       const std::uint8_t* a1 = a0 + lda;
+      const std::int32_t s0 = row_sum(a0);
+      const std::int32_t s1 = row_sum(a1);
       for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
         const std::int64_t c1 = std::min(co_pad, c0 + nb);
         for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
@@ -648,6 +665,8 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
         }
         const std::int64_t len = std::min(c1, co) - c0;
         if (len > 0) {
+          add_split(row_acc, s0, c0, len);
+          add_split(row_acc + co_pad, s1, c0, len);
           requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
           requant_chunk(pl, row_acc + co_pad + c0, out + (m + 1) * co + c0,
                         c0, len);
@@ -656,6 +675,7 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
     }
     for (; m < m1; ++m) {
       const std::uint8_t* a = A + m * lda;
+      const std::int32_t sa = row_sum(a);
       for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
         const std::int64_t c1 = std::min(co_pad, c0 + nb);
         for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
@@ -673,6 +693,7 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
         }
         const std::int64_t len = std::min(c1, co) - c0;
         if (len > 0) {
+          add_split(row_acc, sa, c0, len);
           requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
         }
       }
@@ -1056,11 +1077,12 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         pl.tier = vnni_want ? KernelTier::kVnni : KernelTier::kU8S16;
       } else {
         // Conv (any kernel size, via u8 im2col) and linear run as GEMM.
-        // VNNI tier: weights fit int8 -- vpdpbusd accumulates u8 x s8
-        // straight into i32, so no i16 pair-sum bound applies.
-        // s8 panel tier: weights fit int8 AND the widening MAC's i16 pair
-        // sums are proven exact: max (|w[2k]| + |w[2k+1]|) * amax <= 32767
-        // over every adjacent pair of the panel's 4-byte K groups.
+        // VNNI tier: every layer -- vpdpbusd accumulates u8 x s8 straight
+        // into i32, so no i16 pair-sum bound applies (offsets outside s8
+        // take the zero-point split below).
+        // s8 panel tier (no VNNI): weights fit int8 AND the widening MAC's
+        // i16 pair sums are proven exact: max (|w[2k]| + |w[2k+1]|) * amax
+        // <= 32767 over every adjacent pair of the panel's 4-byte K groups.
         const std::int64_t amax = core::qmax(l.qx);
         std::int64_t wmin = 0, wmax = 0, pair_max = 0;
         for (std::int64_t oc = 0; oc < co; ++oc) {
@@ -1076,7 +1098,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           }
         }
         const bool fits_s8 = wmin >= -128 && wmax <= 127;
-        if (fits_s8 && vnni_want) {
+        if (vnni_want) {
           pl.tier = KernelTier::kVnni;
         } else if (fits_s8 && pair_max * amax <= 32767) {
           pl.tier = KernelTier::kS8Panel;
@@ -1085,11 +1107,27 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         }
         pl.i8_panel = pl.tier == KernelTier::kS8Panel;
         if (pl.tier == KernelTier::kVnni) {
+          if (!fits_s8) {
+            // Zero-point split (gemmlowp): (w - Zw) = (w - 128) + (128 - Zw).
+            // Offsets outside s8 need 8-bit codes, and code - 128 always
+            // fits s8, so the panel holds code - 128 and gemm8_rows adds
+            // c[oc] * S_m, c = 128 - Zw and S_m = sum_k a_m[k], giving
+            // sum_k a[k] (code[k] - Zw) exactly. Exact in i32 with no new
+            // bound: qmax(qw) = 255, so acc32 proved K * qmax(qx) * 255 <=
+            // 2^30, while each part is at most K * qmax(qx) * 128 (|c| <= 128
+            // for Zw in [0, 255]) and their sum is the unchanged accumulator.
+            pl.zp_split.resize(static_cast<std::size_t>(co));
+            for (std::int64_t oc = 0; oc < co; ++oc) {
+              pl.zp_split[static_cast<std::size_t>(oc)] = 128 - l.zw_of(oc);
+            }
+          }
           pl.kp = simd::vnni_kp(per);
           pl.co_pad = simd::round_up(co, simd::vnni_ocb());
           pl.w8.resize(
               static_cast<std::size_t>(simd::vnni_panel_elems(co, per)));
-          simd::vnni_pack(pl.w.data(), co, per, pl.w8.data());
+          simd::vnni_pack(pl.w.data(), co, per, pl.w8.data(),
+                          pl.zp_split.empty() ? nullptr
+                                              : pl.zp_split.data());
         } else if (pl.tier == KernelTier::kS8Panel) {
           pl.kp = simd::gemm_u8s8_kp(per);
           pl.co_pad = simd::round_up(co, simd::gemm_u8s8_ocb());

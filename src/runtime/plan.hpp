@@ -17,7 +17,11 @@
 //     * 32-bit accumulation is overflow-free (phi_bound < 2^30, the same
 //       bound the INT32 SIMD path uses) and the vector requantization
 //       chain is exact (RequantTable usable);
-//     * weights: zero-point-offset weights always fit i16; when they also
+//     * weights: on a VNNI host every conv/linear GEMM runs the vpdpbusd
+//       panel -- offsets w - Zw that fit s8 pack directly, Q8 offsets go
+//       through the zero-point split (panel of code - 128, plus
+//       (128 - Zw) * row sum before requantization). Without VNNI:
+//       zero-point-offset weights always fit i16; when they also
 //       fit s8 AND every adjacent-pair magnitude satisfies
 //       max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 the layer's GEMM runs
 //       through the cache-blocked s8 panel (vpmaddubsw -> vpmaddwd, 32
@@ -82,12 +86,15 @@ inline const char* domain_name(ExecDomain d) {
 }
 
 /// MAC kernel tier of one narrow-domain layer, fixed at plan compile time:
-///   s8-panel -- AVX2-era u8 x s8 panel (vpmaddubsw -> vpmaddwd), requires
-///               weights in int8 AND the i16 pair-sum bound;
-///   u8s16    -- u8 x s16 widening kernels, always exact;
 ///   vnni     -- AVX-512 VNNI (vpdpbusd panel / vpdpwssd depthwise):
-///               accumulates straight into i32, so only the int8 weight
-///               fit is required -- the pair-sum bound vanishes.
+///               accumulates straight into i32, so no pair-sum bound; every
+///               narrow layer takes it on a VNNI host (offsets outside s8
+///               via the zero-point split, PlannedLayer::zp_split);
+///   s8-panel -- AVX2-era u8 x s8 panel (vpmaddubsw -> vpmaddwd) for hosts
+///               without VNNI, requires weights in int8 AND the i16
+///               pair-sum bound;
+///   u8s16    -- u8 x s16 widening kernels, always exact (the other
+///               fallback for hosts without VNNI).
 /// Wide-domain layers and layers without a requantizing MAC kernel of
 /// their own (pool, raw-logits head) carry kNone.
 enum class KernelTier : std::uint8_t { kNone, kS8Panel, kU8S16, kVnni };
@@ -168,7 +175,10 @@ struct PlannedLayer {
   bool i8_panel{false}; ///< tier == kS8Panel (kept for compat/asserts)
   std::int64_t kp{0};   ///< padded GEMM depth (panel: 4-aligned; s16: 16)
   std::int64_t co_pad{0};             ///< co rounded to the panel block
-  std::vector<std::int8_t> w8;        ///< s8 GEMM panel (i8_panel)
+  std::vector<std::int8_t> w8;        ///< s8 GEMM panel (vnni, s8-panel)
+  /// vnni tier, offsets outside s8: the zero-point split correction
+  /// 128 - Zw[oc] per channel (w8 then holds code - 128); empty otherwise.
+  std::vector<std::int32_t> zp_split;
   std::vector<std::int16_t> w16;      ///< s16 GEMM rows, co x kp (!i8_panel)
   std::vector<std::int16_t> wt16;     ///< depthwise tap-major s16 (border)
   std::vector<std::int16_t> wt16p;    ///< depthwise pair-interleaved s16

@@ -67,12 +67,14 @@ std::int64_t vnni_index(std::int64_t kp, std::int64_t oc, std::int64_t k) {
 }
 
 void vnni_pack(const std::int32_t* w, std::int64_t co, std::int64_t K,
-               std::int8_t* panel) {
+               std::int8_t* panel, const std::int32_t* sub) {
   const std::int64_t kp = vnni_kp(K);
   std::fill(panel, panel + vnni_panel_elems(co, K), std::int8_t{0});
   for (std::int64_t oc = 0; oc < co; ++oc) {
+    const std::int32_t s = sub != nullptr ? sub[oc] : 0;
     for (std::int64_t k = 0; k < K; ++k) {
-      panel[vnni_index(kp, oc, k)] = static_cast<std::int8_t>(w[oc * K + k]);
+      panel[vnni_index(kp, oc, k)] =
+          static_cast<std::int8_t>(w[oc * K + k] - s);
     }
   }
 }

@@ -109,6 +109,23 @@ void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
   _mm512_storeu_si512(acc1, q);
 }
 
+std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n) {
+  // vpsadbw against zero sums each 8-byte group into a u64 lane; the tail
+  // is a masked load, which never touches the bytes past a + n.
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i s = zero;
+  std::int64_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    s = _mm512_add_epi64(s, _mm512_sad_epu8(_mm512_loadu_si512(a + i), zero));
+  }
+  if (i < n) {
+    const __mmask64 m = (std::uint64_t{1} << (n - i)) - 1;
+    s = _mm512_add_epi64(s, _mm512_sad_epu8(_mm512_maskz_loadu_epi8(m, a + i),
+                                            zero));
+  }
+  return static_cast<std::int32_t>(_mm512_reduce_add_epi64(s));
+}
+
 void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
                         const std::int16_t* wtp, std::int64_t taps,
                         std::int64_t C, std::int32_t* acc) {
@@ -253,6 +270,12 @@ void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
                   std::int32_t* acc0, std::int32_t* acc1, int accumulate) {
   vnni_gemm_x1(a0, block, klen, acc0, accumulate);
   vnni_gemm_x1(a1, block, klen, acc1, accumulate);
+}
+
+std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n) {
+  std::int32_t s = 0;
+  for (std::int64_t k = 0; k < n; ++k) s += a[k];
+  return s;
 }
 
 void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,

@@ -4,10 +4,14 @@
 // MACs per instruction, accumulating straight into i32 lanes -- no
 // intermediate i16 pair sums, so the AVX2 panel's
 // max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 eligibility bound does not
-// apply), a vpdpwssd depthwise variant over the same pair-interleaved s16
-// bank the AVX2 kernel uses, elementwise/dot u8 x s16 variants for the
-// depthwise border path, and an exact-arithmetic-shift requantizer
-// (vpsravq needs no unsigned bias trick).
+// apply), a vpsadbw row sum that carries the zero-point split (a panel of
+// code - 128 plus a per-row correction (128 - Zw) * sum_k a[k], so Q8
+// weights whose offsets w - Zw leave s8 ride the same panel), a vpdpwssd
+// depthwise variant over the same pair-interleaved s16 bank the AVX2
+// kernel uses, elementwise/dot u8 x s16 variants for the depthwise border
+// path, and an exact-arithmetic-shift requantizer (vpsravq needs no
+// unsigned bias trick). On a VNNI host every narrow conv/linear layer
+// runs this panel.
 //
 // ODR / miscompile isolation: this header carries DECLARATIONS ONLY -- no
 // inline kernels. The implementations live in simd_vnni.cpp, the one
@@ -65,10 +69,12 @@ std::int64_t vnni_panel_elems(std::int64_t co, std::int64_t K);
 /// Byte index of weight (oc, k) inside the packed panel.
 std::int64_t vnni_index(std::int64_t kp, std::int64_t oc, std::int64_t k);
 
-/// Pack offset int32 weights (co rows of K, row-major; caller proved they
-/// fit int8) into the 16-lane panel. Pad lanes/groups are zero.
+/// Pack offset int32 weights (co rows of K, row-major) into the 16-lane
+/// panel, each row minus sub[oc] when `sub` is non-null (the zero-point
+/// split packs (w - Zw) - (128 - Zw) = code - 128). The caller proved the
+/// packed values fit int8. Pad lanes/groups are zero.
 void vnni_pack(const std::int32_t* w, std::int64_t co, std::int64_t K,
-               std::int8_t* panel);
+               std::int8_t* panel, const std::int32_t* sub = nullptr);
 
 // ---------------------------------------------------------------------------
 // Kernels. `klen` is a 4-aligned K range; `block` points at the panel
@@ -85,6 +91,10 @@ void vnni_gemm_x1(const std::uint8_t* a, const std::int8_t* block,
 void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
                   const std::int8_t* block, std::int64_t klen,
                   std::int32_t* acc0, std::int32_t* acc1, int accumulate);
+
+/// Row sum sum_k a[k] over exactly n bytes (no over-read: the direct 1x1
+/// path's rows are packed back to back). Exact for n < 2^23.
+std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n);
 
 /// Depthwise interior: acc[c] = sum_t x[toff[t] + c] * w[t][c] over the
 /// pair-interleaved i16 bank from dw_pack_u8s16 (32 channels per

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "runtime/executor.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/plan.hpp"
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
@@ -47,6 +49,61 @@ QuantizedNet small_net() {
   QLayer head = make_conv_family_layer(QLayerKind::kLinear, s, 4, 1, 1, 0,
                                        qx, BitWidth::kQ8, BitWidth::kQ8,
                                        Scheme::kPCICN, rng);
+  head.raw_logits = true;
+  for (int c = 0; c < 4; ++c) head.out_mult.push_back(0.01f);
+  net.layers.push_back(std::move(head));
+  net.validate();
+  return net;
+}
+
+/// Pins weight zero-points to 0, 255 and a random value on alternate
+/// channels and plants the code that maximises |w - Zw| on the first two,
+/// so the offset weights span [-255, 255]: outside s8, the zero-point
+/// split's domain.
+void pin_q8_extremes(QLayer& l) {
+  const std::int64_t per = l.wshape.per_channel();
+  for (std::int64_t oc = 0; oc < l.wshape.co; ++oc) {
+    std::int32_t& zw = l.zw[static_cast<std::size_t>(oc)];
+    if (oc % 3 == 0) {
+      zw = 0;
+      l.weights.set(oc * per, 255);
+    } else if (oc % 3 == 1) {
+      zw = 255;
+      l.weights.set(oc * per, 0);
+    }
+  }
+}
+
+/// Q8-weight GEMM stack: a 3x3 stem with Cin=3, a direct 1x1 conv, a
+/// strided 1x1 conv, a non-head linear layer and the head. Odd channel
+/// counts leave co_pad > co; each conv is large enough (>= 16384 MACs) for
+/// intra-layer row partitioning.
+QuantizedNet q8_net() {
+  Rng rng(0x5EED8);
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  Shape s(1, 16, 16, 3);
+  const BitWidth q8 = BitWidth::kQ8;
+  const auto push = [&](QLayerKind kind, std::int64_t co, std::int64_t k,
+                        std::int64_t stride, std::int64_t pad) {
+    // |phi| reaches ~K * 128^2: multipliers near 1 / (128 K) keep output
+    // codes spread instead of clamped, so an error upstream stays visible.
+    const double fan_in = kind == QLayerKind::kLinear
+                              ? static_cast<double>(s.h * s.w * s.c)
+                              : static_cast<double>(k * k * s.c);
+    const double m_hi = 1.0 / (128.0 * fan_in);
+    QLayer l = make_conv_family_layer(kind, s, co, k, stride, pad, q8, q8,
+                                      q8, Scheme::kPCICN, rng, m_hi / 4, m_hi);
+    pin_q8_extremes(l);
+    s = l.out_shape;
+    net.layers.push_back(std::move(l));
+  };
+  push(QLayerKind::kConv, 17, 3, 2, 1);  // stem, 8x8x17
+  push(QLayerKind::kConv, 31, 1, 1, 0);  // direct 1x1
+  push(QLayerKind::kConv, 35, 1, 2, 0);  // strided 1x1, 4x4x35
+  push(QLayerKind::kLinear, 19, 1, 1, 0);
+  QLayer head = make_conv_family_layer(QLayerKind::kLinear, s, 4, 1, 1, 0,
+                                       q8, q8, q8, Scheme::kPCICN, rng);
   head.raw_logits = true;
   for (int c = 0; c < 4; ++c) head.out_mult.push_back(0.01f);
   net.layers.push_back(std::move(head));
@@ -187,21 +244,29 @@ TEST(Autotune, TierSelectionHonoursVnniOff) {
 }
 
 TEST(Autotune, TierSelectionHonoursVnniForce) {
-  const QuantizedNet net = small_net();
-  PlanOptions opts;
-  opts.vnni = PlanOptions::Vnni::kForce;
-  const ExecutionPlan plan(net, opts);
-  // Every narrow requantizing MAC layer must ride the VNNI tier; the pool
-  // and the raw-logits head have no tiered kernel.
-  for (std::size_t i = 0; i < plan.layers().size(); ++i) {
-    const PlannedLayer& pl = plan.layers()[i];
-    const QLayer& l = net.layers[i];
-    if (pl.domain != ExecDomain::kI8 ||
-        l.kind == QLayerKind::kGlobalAvgPool || l.raw_logits) {
-      continue;
+  for (const bool q8 : {false, true}) {
+    const QuantizedNet net = q8 ? q8_net() : small_net();
+    PlanOptions opts;
+    opts.vnni = PlanOptions::Vnni::kForce;
+    const ExecutionPlan plan(net, opts);
+    // Every narrow requantizing MAC layer must ride the VNNI tier; the pool
+    // and the raw-logits head have no tiered kernel. The Q8 net's offsets
+    // leave s8, so each of its GEMM layers must take the zero-point split.
+    for (std::size_t i = 0; i < plan.layers().size(); ++i) {
+      const PlannedLayer& pl = plan.layers()[i];
+      const QLayer& l = net.layers[i];
+      if (pl.domain != ExecDomain::kI8 ||
+          l.kind == QLayerKind::kGlobalAvgPool || l.raw_logits) {
+        continue;
+      }
+      EXPECT_EQ(pl.tier, KernelTier::kVnni) << "q8=" << q8 << " layer " << i;
+      EXPECT_FALSE(pl.i8_panel) << "q8=" << q8 << " layer " << i;
+      if (q8) {
+        EXPECT_EQ(pl.zp_split.size(), static_cast<std::size_t>(l.wshape.co))
+            << "layer " << i;
+        EXPECT_GT(pl.co_pad, l.wshape.co) << "layer " << i;
+      }
     }
-    EXPECT_EQ(pl.tier, KernelTier::kVnni) << "layer " << i;
-    EXPECT_FALSE(pl.i8_panel) << "layer " << i;
   }
 }
 
@@ -247,30 +312,63 @@ TEST(Autotune, FixedModeUsesCallerTileAndLegacyDefault) {
 /// Forced-VNNI plans must stay bit-exact with the reference executor
 /// wherever the kernels can run (portable fallback build, or a real VNNI
 /// host). Only a native-VNNI binary on a non-VNNI CPU cannot execute them.
+/// The Q8 net also runs a small fixed tile (odd im2col rows, K- and
+/// N-blocked, so the split correction lands per channel chunk after a
+/// blocked K loop) and the row-partitioned pool path at 2 and 4 lanes.
 TEST(Autotune, ForcedVnniPlanIsBitExactWithReference) {
   if (simd::vnni_compiled() && !simd::vnni_cpu()) {
     GTEST_SKIP() << "native AVX-512 VNNI build on a host without the "
                     "instructions";
   }
-  const QuantizedNet net = small_net();
-  Executor exec(net);
-  Rng rng(99);
-  FloatTensor img(net.layers.front().in_shape);
-  rng.fill_uniform(img.vec(), -0.2, 1.2);
-  const QInferenceResult ref = exec.run(img);
+  for (const bool q8 : {false, true}) {
+    const QuantizedNet net = q8 ? q8_net() : small_net();
+    Executor exec(net);
+    Rng rng(99);
+    FloatTensor img(net.layers.front().in_shape);
+    rng.fill_uniform(img.vec(), -0.2, 1.2);
+    const QInferenceResult ref = exec.run(img);
+    const auto expect_ref = [&](const std::vector<float>& logits,
+                                const char* what) {
+      ASSERT_EQ(logits.size(), ref.logits.size()) << what;
+      for (std::size_t i = 0; i < logits.size(); ++i) {
+        ASSERT_EQ(logits[i], ref.logits[i])
+            << "q8=" << q8 << " " << what << " logit " << i;
+      }
+    };
 
-  PlanOptions opts;
-  opts.vnni = PlanOptions::Vnni::kForce;
-  for (const auto autotune :
-       {PlanOptions::Autotune::kAnalytic, PlanOptions::Autotune::kProbe,
-        PlanOptions::Autotune::kFixed}) {
-    opts.autotune = autotune;
+    PlanOptions opts;
+    opts.vnni = PlanOptions::Vnni::kForce;
+    for (const auto autotune :
+         {PlanOptions::Autotune::kAnalytic, PlanOptions::Autotune::kProbe,
+          PlanOptions::Autotune::kFixed}) {
+      opts.autotune = autotune;
+      const ExecutionPlan plan(net, opts);
+      expect_ref(plan.run_into(img.data()),
+                 autotune == PlanOptions::Autotune::kAnalytic ? "analytic"
+                 : autotune == PlanOptions::Autotune::kProbe  ? "probe"
+                                                              : "fixed");
+    }
+    if (!q8) continue;
+
+    opts.autotune = PlanOptions::Autotune::kFixed;
+    opts.fixed_tile = TileConfig{5, 8, 16};
+    const ExecutionPlan blocked(net, opts);
+    bool k_blocked = false, n_blocked = false;
+    for (const PlannedLayer& pl : blocked.layers()) {
+      k_blocked = k_blocked || (pl.tile.kb > 0 && pl.tile.kb < pl.kp);
+      n_blocked = n_blocked || (pl.tile.nb > 0 && pl.tile.nb < pl.co_pad);
+    }
+    EXPECT_TRUE(k_blocked);
+    EXPECT_TRUE(n_blocked);
+    expect_ref(blocked.run_into(img.data()), "fixed kb/nb-blocked tile");
+
+    opts.autotune = PlanOptions::Autotune::kAnalytic;
     const ExecutionPlan plan(net, opts);
-    const std::vector<float>& logits = plan.run_into(img.data());
-    ASSERT_EQ(logits.size(), ref.logits.size());
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      ASSERT_EQ(logits[i], ref.logits[i])
-          << "mode " << static_cast<int>(autotune) << " logit " << i;
+    for (const int lanes : {2, 4}) {
+      ThreadPool pool(lanes);
+      PlanArenas arenas(plan, lanes);
+      expect_ref(plan.run_into(img.data(), arenas, pool),
+                 lanes == 2 ? "pool 2 lanes" : "pool 4 lanes");
     }
   }
 }

@@ -185,6 +185,59 @@ TEST(SimdVnni, KBlockedAccumulationMatchesSinglePass) {
 }
 
 // ---------------------------------------------------------------------------
+// Row sum (the zero-point split's per-row correction) vs scalar.
+// ---------------------------------------------------------------------------
+
+TEST(SimdVnni, RowSumMatchesScalarAcrossLengthsAndOffsets) {
+  SKIP_IF_NOT_RUNNABLE();
+  Rng rng(17);
+  const std::vector<std::uint8_t> noise = random_u8(rng, 300);
+  const std::vector<std::uint8_t> ones(300, 0xFF);
+  for (const auto* buf : {&noise, &ones}) {
+    // Unaligned starts, and lengths across the 64-byte body / masked-tail
+    // split; bytes past the row differ from it, so an over-read shows.
+    for (const std::int64_t start : {std::int64_t{0}, std::int64_t{1},
+                                     std::int64_t{3}, std::int64_t{63}}) {
+      for (std::int64_t n = 0; n <= 200; ++n) {
+        const std::uint8_t* a = buf->data() + start;
+        std::int32_t expect = 0;
+        for (std::int64_t k = 0; k < n; ++k) expect += a[k];
+        ASSERT_EQ(simd::vnni_row_sum_u8(a, n), expect)
+            << "start=" << start << " n=" << n
+            << (buf == &ones ? " all-0xFF" : " random");
+      }
+    }
+  }
+}
+
+TEST(SimdVnni, PackSubtractsPerRowOffset) {
+  const std::int64_t co = 5, K = 6;
+  const std::int64_t kp = simd::vnni_kp(K);
+  std::vector<std::int32_t> w(static_cast<std::size_t>(co * K));
+  std::vector<std::int32_t> sub(static_cast<std::size_t>(co));
+  for (std::int64_t oc = 0; oc < co; ++oc) {
+    sub[static_cast<std::size_t>(oc)] = 128 - static_cast<std::int32_t>(
+                                                  oc * 63);  // 128 - Zw
+    for (std::int64_t k = 0; k < K; ++k) {
+      // Offsets w - Zw for codes spanning [0, 255]: outside s8.
+      const std::int32_t code = static_cast<std::int32_t>((k * 51) % 256);
+      w[static_cast<std::size_t>(oc * K + k)] =
+          code - static_cast<std::int32_t>(oc * 63);
+    }
+  }
+  std::vector<std::int8_t> panel(
+      static_cast<std::size_t>(simd::vnni_panel_elems(co, K)));
+  simd::vnni_pack(w.data(), co, K, panel.data(), sub.data());
+  for (std::int64_t oc = 0; oc < co; ++oc) {
+    for (std::int64_t k = 0; k < K; ++k) {
+      EXPECT_EQ(panel[static_cast<std::size_t>(simd::vnni_index(kp, oc, k))],
+                (k * 51) % 256 - 128)
+          << "oc=" << oc << " k=" << k;  // code - 128
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Depthwise + elementwise kernels vs scalar.
 // ---------------------------------------------------------------------------
 

@@ -13,7 +13,9 @@ Diffs a freshly measured BENCH_runtime.json against the committed baseline:
     non-zero on them.)
   * WARN ONLY on timing -- CI runners are too noisy for wall-clock hard
     gates. A planned-path slowdown beyond --warn-pct emits a GitHub
-    ::warning annotation and a table, but exits 0. The batch-throughput
+    ::warning annotation and a table, but exits 0; so does any layer whose
+    macs_per_ns fell by more than --warn-pct (named by index, kind and
+    tier, so the warning points at the row that moved). The batch-throughput
     sweep's thread-scaling comparison is skipped entirely (not warned)
     when either measurement is flagged "limited_by_host": a 1-vCPU runner
     cannot demonstrate scaling, and warning about it is noise.
@@ -39,6 +41,11 @@ its place in the format is a tracked claim, not a hope. Load times are
 warn-only: a compressed-mmap cold start slower than the raw streaming
 load gets a ::warning, never a failure.
 
+Every input that git tracks is a committed baseline and must record clean
+provenance (git_dirty: false): numbers measured from a dirty tree are not
+attributable to any revision, so such a baseline HARD FAILS. Fresh runs
+outside the repository are not checked.
+
 usage: check_bench_regression.py BASELINE FRESH [--warn-pct 30]
        check_bench_regression.py [BASELINE FRESH] --serve BENCH_serve.json
        check_bench_regression.py [BASELINE FRESH] --image BENCH_image.json
@@ -46,6 +53,8 @@ usage: check_bench_regression.py BASELINE FRESH [--warn-pct 30]
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 
 
@@ -54,10 +63,30 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
+def load(path: str) -> dict:
+    """Reads a bench JSON; a committed one must carry clean provenance."""
+    with open(path) as f:
+        doc = json.load(f)
+    try:
+        tracked = subprocess.run(
+            ["git", "ls-files", "--error-unmatch", "--",
+             os.path.basename(path)],
+            cwd=os.path.dirname(os.path.abspath(path)),
+            capture_output=True).returncode == 0
+    except OSError:  # no git: nothing here can be a committed baseline
+        tracked = False
+    if tracked and doc.get("git_dirty") is not False:
+        fail(f"{path}: committed baseline records git="
+             f"{doc.get('git', '?')!r} git_dirty={doc.get('git_dirty')}; "
+             f"numbers from a dirty (or unrecorded) tree are not "
+             f"attributable -- re-measure from a clean checkout of the code "
+             f"commit and commit the refresh")
+    return doc
+
+
 def check_serve(path: str) -> None:
     """Hard-gate the bench_serve saturation section's schema + invariants."""
-    with open(path) as f:
-        serve = json.load(f)
+    serve = load(path)
     sat = serve.get("saturation")
     if not isinstance(sat, list) or not sat:
         fail(f"{path}: missing or empty \"saturation\" section -- the "
@@ -147,8 +176,7 @@ def check_serve(path: str) -> None:
 
 def check_image(path: str, min_ratio: float) -> None:
     """Hard-gate a bench_image JSON: schema, bit-exactness, ratio floor."""
-    with open(path) as f:
-        img = json.load(f)
+    img = load(path)
     required = ("workload", "format_version", "image_bytes_raw",
                 "image_bytes_compressed", "compression_ratio",
                 "weight_raw_bytes", "weight_stored_bytes", "coded_layers",
@@ -224,10 +252,8 @@ def main() -> None:
     if args.baseline is None or args.fresh is None:
         ap.error("BASELINE and FRESH must be given together")
 
-    with open(args.baseline) as f:
-        base = json.load(f)
-    with open(args.fresh) as f:
-        fresh = json.load(f)
+    base = load(args.baseline)
+    fresh = load(args.fresh)
 
     # --- hard gates: the benchmark must still measure the same work -----
     if base["workload"] != fresh["workload"]:
@@ -284,15 +310,6 @@ def main() -> None:
     print(f"MAC accounting unchanged: {fresh['total_macs']} MACs over "
           f"{len(fresh_layers)} layers ({n_i8} in the i8 domain)")
 
-    # --- provenance: a dirty-tree baseline is not attributable ----------
-    base_dirty = base.get("git_dirty", str(base.get("git", "")).endswith(
-        "-dirty"))
-    if base_dirty:
-        print("::warning::committed baseline was measured from a dirty "
-              "working tree; its numbers are not attributable to the "
-              "recorded revision -- re-measure from a clean checkout and "
-              "commit the refresh")
-
     # --- timing: report, warn past threshold, never fail ----------------
     rows = []
     for key in ("reference_ns", "fast_ns", "planned_ns"):
@@ -324,6 +341,24 @@ def main() -> None:
         print(f"planned-path timing within budget "
               f"({planned_delta:+.1f}% vs baseline, warn at "
               f"+{args.warn_pct:.0f}%)")
+
+    # --- per-layer throughput: warn-only, names the row that moved ------
+    if base_isa == fresh_isa:
+        slowed = 0
+        for i, (bl, fl) in enumerate(zip(base_layers, fresh_layers)):
+            b, fr = bl.get("macs_per_ns", 0.0), fl.get("macs_per_ns", 0.0)
+            if b <= 0 or (b - fr) / b * 100.0 <= args.warn_pct:
+                continue
+            slowed += 1
+            bt, ft = bl.get("tier", "-"), fl.get("tier", "-")
+            tier = bt if bt == ft else f"{bt} -> {ft}"
+            print(f"::warning::layer {i} ({fl['kind']}, tier {tier}) fell "
+                  f"from {b:.2f} to {fr:.2f} MACs/ns "
+                  f"({(fr - b) / b * 100.0:+.1f}%, warn at "
+                  f"-{args.warn_pct:.0f}%); timing is warn-only")
+        if slowed == 0:
+            print(f"per-layer MACs/ns within budget ({len(fresh_layers)} "
+                  f"layers, warn at -{args.warn_pct:.0f}%)")
 
     # --- batch-throughput thread scaling: warn-only, host-aware --------
     base_bt = base.get("batch_throughput", {})
