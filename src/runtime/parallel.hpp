@@ -6,6 +6,8 @@
 // lane 0) and blocks until every chunk is done. Static partitioning keeps
 // work assignment deterministic, and because every mixq kernel writes only
 // its own output range, results are bit-identical for every lane count.
+// parallel_for_dynamic(n, fn) instead hands out single items to whichever
+// lane is free, for coarse independent items (whole samples of a batch).
 //
 // Dispatch allocates nothing: the callable is passed by pointer, workers
 // are woken through one condition variable, and completion is a counted
@@ -14,6 +16,8 @@
 // a pool must not be driven from two threads at once.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -63,6 +67,27 @@ class ThreadPool {
           (*static_cast<Fn*>(ctx))(lane, b, e);
         },
         const_cast<void*>(static_cast<const void*>(&fn)), use_lanes);
+  }
+
+  /// Run fn(lane, i) once for every i in [0, n), handing indices out one
+  /// at a time to whichever of the first min(n, lanes()) lanes is free.
+  /// For coarse independent items such as the samples of a batch: a lane
+  /// whose CPU is slowed (a busy host) then delays the call by at most the
+  /// item it holds, where a static split stretches the call to that lane's
+  /// whole share. Which lane runs an item varies between calls, so fn must
+  /// write only item i's output (per-lane scratch is fine); n == 1 runs on
+  /// the caller without waking a worker.
+  template <typename F>
+  void parallel_for_dynamic(std::int64_t n, F&& fn) {
+    if (n <= 0) return;
+    const int use = static_cast<int>(std::min<std::int64_t>(n, lanes_));
+    std::atomic<std::int64_t> next{0};
+    parallel_for_lanes(use, use, [&](int lane, std::int64_t, std::int64_t) {
+      for (std::int64_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(lane, i);
+      }
+    });
   }
 
  private:

@@ -394,11 +394,9 @@ void ModelRegistry::infer_batch(const ServableModel& m,
                                 std::vector<runtime::QInferenceResult>& out) {
   out.resize(batch.size());
   const auto n = static_cast<std::int64_t>(batch.size());
-  pool_->parallel_for(n, [&](int lane, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      out[static_cast<std::size_t>(i)] = m.plan->run_sample(
-          batch[static_cast<std::size_t>(i)].input.data(), *m.arenas[lane]);
-    }
+  pool_->parallel_for_dynamic(n, [&](int lane, std::int64_t i) {
+    out[static_cast<std::size_t>(i)] = m.plan->run_sample(
+        batch[static_cast<std::size_t>(i)].input.data(), *m.arenas[lane]);
   });
 }
 
@@ -407,11 +405,9 @@ void ModelRegistry::infer_indices(const ServableModel& m,
                                   const std::vector<std::size_t>& idx,
                                   std::vector<runtime::QInferenceResult>& out) {
   const auto n = static_cast<std::int64_t>(idx.size());
-  pool_->parallel_for(n, [&](int lane, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const std::size_t k = idx[static_cast<std::size_t>(i)];
-      out[k] = m.plan->run_sample(batch[k].input.data(), *m.arenas[lane]);
-    }
+  pool_->parallel_for_dynamic(n, [&](int lane, std::int64_t i) {
+    const std::size_t k = idx[static_cast<std::size_t>(i)];
+    out[k] = m.plan->run_sample(batch[k].input.data(), *m.arenas[lane]);
   });
 }
 

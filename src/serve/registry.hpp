@@ -168,9 +168,10 @@ class ModelRegistry {
   ReloadResult reload(const std::string& name, const std::string& path = {},
                       const runtime::FlashLoadLimits& limits = {});
 
-  /// Run `batch` against pinned generation `m` across the pool's lanes.
-  /// Bit-exact with a serial Executor::run_planned. Single-caller (the
-  /// batch worker), like InferenceSession::infer_batch.
+  /// Run `batch` against pinned generation `m` across the pool's lanes,
+  /// each free lane taking the next request. Bit-exact with a serial
+  /// Executor::run_planned. Single-caller (the batch worker), like
+  /// InferenceSession::infer_batch.
   void infer_batch(const ServableModel& m, const std::vector<Request>& batch,
                    std::vector<runtime::QInferenceResult>& out);
 

@@ -68,11 +68,9 @@ void InferenceSession::infer_batch(
     std::vector<runtime::QInferenceResult>& out) {
   out.resize(batch.size());
   const auto n = static_cast<std::int64_t>(batch.size());
-  pool_->parallel_for(n, [&](int lane, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      out[static_cast<std::size_t>(i)] = plan_->run_sample(
-          batch[static_cast<std::size_t>(i)].input.data(), *arenas_[lane]);
-    }
+  pool_->parallel_for_dynamic(n, [&](int lane, std::int64_t i) {
+    out[static_cast<std::size_t>(i)] = plan_->run_sample(
+        batch[static_cast<std::size_t>(i)].input.data(), *arenas_[lane]);
   });
 }
 

@@ -25,7 +25,7 @@
 // Threading contract (see also Executor::plan() in runtime/executor.hpp):
 //   * InferenceSession::infer_batch may be called from ONE thread at a
 //     time (the batch worker); parallelism lives inside the call, which
-//     partitions the batch across the pool's lanes.
+//     hands the batch's requests one at a time to the pool's free lanes.
 //   * The ExecutionPlan is compiled once in the constructor (warm-up), so
 //     the first request pays no compilation latency.
 //   * StreamServer::serve runs the protocol reader on the calling thread
@@ -64,8 +64,9 @@ class InferenceSession {
   InferenceSession& operator=(const InferenceSession&) = delete;
 
   /// Run `batch.size()` requests, writing one result per request into
-  /// `out` (resized). Requests are partitioned contiguously across the
-  /// lanes; results are bit-exact with the serial planned path.
+  /// `out` (resized). Each free lane takes the next request
+  /// (ThreadPool::parallel_for_dynamic); results are bit-exact with the
+  /// serial planned path whichever lane runs a request.
   void infer_batch(const std::vector<Request>& batch,
                    std::vector<runtime::QInferenceResult>& out);
 

@@ -9,7 +9,9 @@
 //     allocator, as in plan_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -189,6 +191,86 @@ TEST(ThreadPool, WorkerExceptionPropagatesToCaller) {
   pool.parallel_for(8, [&](int, std::int64_t b, std::int64_t e) {
     count.fetch_add(e - b);
   });
+  EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, DynamicHandOutVisitsEveryIndexOnce) {
+  for (const int lanes : {1, 2, 3, 4}) {
+    ThreadPool pool(lanes);
+    for (const std::int64_t n : {0, 1, 2, 3, 7, 100}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      for (auto& h : hits) h.store(0);
+      std::atomic<int> max_lane{-1};
+      pool.parallel_for_dynamic(n, [&](int lane, std::int64_t i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+        int cur = max_lane.load();
+        while (lane > cur && !max_lane.compare_exchange_weak(cur, lane)) {
+        }
+      });
+      for (std::int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+            << "lanes=" << lanes << " n=" << n << " index " << i;
+      }
+      // Only the first min(n, lanes) lanes take part.
+      EXPECT_LT(max_lane.load(), static_cast<int>(std::min<std::int64_t>(
+                                     n, static_cast<std::int64_t>(lanes))))
+          << "lanes=" << lanes << " n=" << n;
+    }
+  }
+}
+
+TEST(ThreadPool, DynamicHandOutSingleItemRunsOnCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran;
+  int lane_seen = -1;
+  pool.parallel_for_dynamic(1, [&](int lane, std::int64_t) {
+    ran = std::this_thread::get_id();
+    lane_seen = lane;
+  });
+  EXPECT_TRUE(ran == caller);
+  EXPECT_EQ(lane_seen, 0);
+}
+
+TEST(ThreadPool, DynamicHandOutRoutesAroundAStalledLane) {
+  // Whichever lane takes item 0 holds it until every other item is done.
+  // A static split would leave half the items queued behind the stall (and
+  // time out here); the hand-out lets the other lane run all of them.
+  ThreadPool pool(2);
+  const std::int64_t n = 8;
+  std::atomic<std::int64_t> done{0};
+  std::atomic<int> stalled_lane{-1};
+  std::vector<int> lane_of(static_cast<std::size_t>(n), -1);
+  pool.parallel_for_dynamic(n, [&](int lane, std::int64_t i) {
+    lane_of[static_cast<std::size_t>(i)] = lane;
+    if (i == 0) {
+      stalled_lane.store(lane);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (done.load() < n - 1 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      return;
+    }
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), n - 1);
+  for (std::int64_t i = 1; i < n; ++i) {
+    EXPECT_NE(lane_of[static_cast<std::size_t>(i)], stalled_lane.load())
+        << "item " << i;
+  }
+}
+
+TEST(ThreadPool, DynamicHandOutExceptionPropagatesToCaller) {
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.parallel_for_dynamic(
+                   8,
+                   [&](int, std::int64_t i) {
+                     if (i == 5) throw std::runtime_error("boom");
+                   }),
+               std::runtime_error);
+  std::atomic<std::int64_t> count{0};
+  pool.parallel_for_dynamic(8, [&](int, std::int64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
 }
 

@@ -7,6 +7,7 @@
 // {"cmd":"health"} / {"cmd":"stats"} / {"cmd":"info"}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -166,6 +167,42 @@ TEST(ModelRegistry, InferBatchBitExactWithSerialExecutor) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].predicted, expect[i].predicted);
     EXPECT_EQ(got[i].logits, expect[i].logits) << "sample " << i;
+  }
+}
+
+TEST(ModelRegistry, InferIndicesAcrossLanesBitExactWhicheverLaneRuns) {
+  // Requests go to whichever lane is free, so repeated calls run a request
+  // on different lanes' arenas; every call must match the reference, and
+  // slots outside `idx` must stay untouched.
+  const QuantizedNet net = make_net(8);
+  ModelRegistry reg(3);
+  reg.add_model("m", net);
+  const auto m = reg.resolve("m");
+  std::vector<Request> batch;
+  std::vector<QInferenceResult> expect;
+  for (std::size_t i = 0; i < 7; ++i) {
+    auto s = make_sample(net, 300 + i);
+    expect.push_back(reference_result(net, s));
+    batch.push_back(make_request(static_cast<std::int64_t>(i), std::move(s)));
+  }
+  const std::vector<std::size_t> idx = {6, 0, 3, 4, 1};
+  for (int round = 0; round < 10; ++round) {
+    std::vector<QInferenceResult> got(batch.size());
+    reg.infer_indices(*m, batch, idx, got);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const bool selected = std::find(idx.begin(), idx.end(), i) != idx.end();
+      if (selected) {
+        EXPECT_EQ(got[i].logits, expect[i].logits)
+            << "round " << round << " slot " << i;
+      } else {
+        EXPECT_TRUE(got[i].logits.empty()) << "round " << round << " slot " << i;
+      }
+    }
+    reg.infer_batch(*m, batch, got);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].logits, expect[i].logits)
+          << "round " << round << " sample " << i;
+    }
   }
 }
 
