@@ -3,9 +3,9 @@
 // Drives the serve subsystem in-process on a MobileNet-class mixed-precision
 // workload, two ways:
 //
-//   * engine level: RequestQueue + MicroBatcher + InferenceSession, swept
-//     over (max_batch, threads) configurations -- the serving fabric with
-//     protocol costs excluded;
+//   * engine level: RequestQueue + MicroBatcher + ModelRegistry::infer_batch,
+//     swept over (max_batch, threads) configurations -- the serving fabric
+//     with protocol costs excluded;
 //   * protocol level: the full StreamServer over preformatted ndjson, so
 //     JSON parse/format overhead is measured once against the engine
 //     numbers.
@@ -41,6 +41,7 @@
 #include "provenance.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
+#include "serve/batcher.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "support/random_qlayer.hpp"
@@ -245,7 +246,9 @@ int main(int argc, char** argv) {
   for (const auto& [max_batch, threads] : configs) {
     RequestQueue queue;
     MicroBatcher batcher(queue, {max_batch, /*max_wait_us=*/200});
-    InferenceSession session(net, threads);
+    ModelRegistry reg(threads);
+    reg.add_model("default", net);
+    const auto model = reg.default_model();
 
     std::vector<QInferenceResult> got(inputs.size());
     std::int64_t batches = 0;
@@ -257,7 +260,7 @@ int main(int argc, char** argv) {
       std::vector<Request> batch;
       std::vector<QInferenceResult> out;
       while (batcher.next_batch(batch)) {
-        session.infer_batch(batch, out);
+        reg.infer_batch(*model, batch, out);
         const auto done = Clock::now();
         ++batches;
         for (std::size_t i = 0; i < batch.size(); ++i) {

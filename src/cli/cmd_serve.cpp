@@ -1,8 +1,8 @@
 // `mixq serve` -- the batch inference daemon. Stdio by default (requests
-// on stdin, responses on stdout, stats on stderr), a unix-domain socket
-// with --socket, or the fault-tolerant epoll front-end with --tcp (which
-// may also carry --socket as a second listener). Protocol and threading
-// contract: serve/server.hpp; event-loop semantics: serve/net/.
+// on stdin, responses on stdout, stats on stderr), or the fault-tolerant
+// epoll socket transport with --tcp and/or --socket (both listeners on one
+// event loop). Protocol and threading contract: serve/server.hpp;
+// event-loop semantics: serve/net/.
 #include <cstdio>
 #include <iostream>
 
@@ -30,9 +30,9 @@ constexpr const char* kUsage =
     "  --threads N         worker lanes (default 1, 0 = hardware)\n"
     "  --max-batch N       micro-batch coalescing limit (default 8)\n"
     "  --max-wait-us N     batch window after the first request (default 2000)\n"
-    "  --socket PATH       serve a unix-domain socket\n"
-    "  --tcp PORT          serve TCP on the epoll front-end (0 = ephemeral;\n"
-    "                      combines with --socket for both transports)\n"
+    "  --socket PATH       serve a unix-domain socket on the epoll loop\n"
+    "  --tcp PORT          serve TCP on the epoll loop (0 = ephemeral;\n"
+    "                      combines with --socket for both listeners)\n"
     "  --tcp-bind ADDR     TCP bind address (default 127.0.0.1)\n"
     "  --max-conns N       connection cap; excess accepts are answered\n"
     "                      `overloaded` and closed (default 256)\n"
@@ -110,10 +110,10 @@ int cmd_serve(Args& args) {
     registry.add_model(spec.substr(0, eq), spec.substr(eq + 1));
   }
 
-  serve::ServeStats stats;
-  if (tcp_port >= 0) {
+  if (tcp_port >= 0 || socket_path) {
 #ifdef _WIN32
-    throw std::runtime_error("--tcp is not supported on this platform");
+    throw std::runtime_error("--tcp/--socket are not supported on this "
+                             "platform");
 #else
     serve::NetConfig ncfg;
     ncfg.engine = cfg;
@@ -133,17 +133,8 @@ int cmd_serve(Args& args) {
     return 0;
 #endif
   }
-  if (socket_path) {
-#ifdef _WIN32
-    throw std::runtime_error("--socket is not supported on this platform");
-#else
-    stats = serve::serve_unix_socket(registry, cfg, *socket_path,
-                                     quiet ? nullptr : &std::cerr);
-#endif
-  } else {
-    serve::StreamServer server(registry, cfg);
-    stats = server.serve(std::cin, std::cout);
-  }
+  serve::StreamServer server(registry, cfg);
+  const serve::ServeStats stats = server.serve(std::cin, std::cout);
   if (!quiet) std::fputs(stats.str().c_str(), stderr);
   return 0;
 }

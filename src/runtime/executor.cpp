@@ -218,6 +218,15 @@ void QuantizedNet::validate() const {
   if (input_qp.scale <= 0.0f) {
     throw std::runtime_error("QuantizedNet::validate: bad input scale");
   }
+  // Every zero-point is a code of its own bit width: the plan's acc32
+  // bounds and the zero-point split's corrections assume z in [0, qmax(q)].
+  const auto zero_ok = [](std::int32_t z, BitWidth q) {
+    return z >= 0 && z <= core::qmax(q);
+  };
+  if (!zero_ok(input_qp.zero, input_qp.q)) {
+    throw std::runtime_error("QuantizedNet::validate: input zero-point out "
+                             "of range");
+  }
   Shape prev_out = layers.front().in_shape;
   BitWidth prev_q = input_qp.q;
   for (std::size_t i = 0; i < layers.size(); ++i) {
@@ -226,6 +235,8 @@ void QuantizedNet::validate() const {
     if (l.in_shape != prev_out) fail(i, "input shape breaks the chain");
     if (l.qx != prev_q) fail(i, "input precision breaks the chain");
     if (l.raw_logits && i + 1 != layers.size()) fail(i, "head not last");
+    if (!zero_ok(l.zx, l.qx)) fail(i, "zx out of range");
+    if (!zero_ok(l.zy, l.qy)) fail(i, "zy out of range");
 
     switch (l.kind) {
       case QLayerKind::kConv:
@@ -277,6 +288,9 @@ void QuantizedNet::validate() const {
       if (l.weights_bitwidth() != l.qw) fail(i, "weight bitwidth mismatch");
       if (l.zw.size() != 1 && l.zw.size() != static_cast<std::size_t>(co)) {
         fail(i, "zw count");
+      }
+      for (const std::int32_t z : l.zw) {
+        if (!zero_ok(z, l.qw)) fail(i, "zw out of range");
       }
       if (l.scheme == Scheme::kPCThresholds && !l.raw_logits) {
         if (l.thresholds.size() != static_cast<std::size_t>(co)) {

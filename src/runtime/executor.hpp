@@ -23,12 +23,13 @@
 //     mutable scratch (and one cached pool), so they are NOT safe to call
 //     concurrently on one Executor instance -- parallelism lives *inside*
 //     run_batch, not across calls.
-//   * The serving daemon (serve/server.hpp) follows the same discipline:
-//     one batch worker drives serve::InferenceSession::infer_batch, which
-//     partitions each micro-batch across pool lanes with one PlanArenas
-//     per lane over the shared immutable plan. Served results are
-//     therefore bit-identical to a serial run_planned() for every lane
-//     count and every batch composition.
+//   * The serving daemon follows the same discipline: the one batch
+//     worker of serve::Dispatcher (serve/dispatcher.hpp) drives
+//     serve::ModelRegistry::infer_indices, which hands each micro-batch's
+//     requests to the pool's free lanes, one PlanArenas per lane over the
+//     shared immutable plan. Served results are therefore bit-identical
+//     to a serial run_planned() for every lane count and every batch
+//     composition.
 #pragma once
 
 #include <memory>
@@ -61,10 +62,6 @@ class Executor {
   /// The compiled plan for this network. Lazily built exactly once and
   /// cached; concurrent callers all block until it is ready (thread-safe).
   const ExecutionPlan& plan() const;
-
-  /// Deployment warm-up: compile the plan now (alias of plan()) so the
-  /// first request a daemon serves pays no compilation latency.
-  void warm_up() const { (void)plan(); }
 
   [[nodiscard]] const QuantizedNet& net() const { return *net_; }
 

@@ -144,8 +144,9 @@ struct QuantizedNet {
   [[nodiscard]] std::int64_t rw_peak_bytes() const;
 
   /// Structural validation: shapes chain, weight banks match their layer
-  /// geometry, per-channel vectors have cO entries, the head (if any) is
-  /// terminal. Throws std::runtime_error with a description on the first
+  /// geometry, per-channel vectors have cO entries, every zero-point lies
+  /// in [0, qmax] of its own bit width, the head (if any) is terminal.
+  /// Throws std::runtime_error with a description on the first
   /// inconsistency. Called by the flash-image loader so corrupted-but-
   /// parseable images can never reach the kernels.
   void validate() const;

@@ -28,10 +28,8 @@
 #include <utility>
 #include <vector>
 
-#include "serve/batcher.hpp"
-#include "serve/json.hpp"
+#include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
-#include "serve/queue.hpp"
 #include "serve/registry.hpp"
 
 namespace mixq::serve {
@@ -78,14 +76,11 @@ constexpr std::uint64_t kTagDrain = 4;
 constexpr std::uint64_t kTagReloadSig = 5;
 constexpr int kFirstConnId = 16;
 
-/// Mailbox sentinels (Outbound::conn values below 0): thread-exit
+/// Mailbox sentinels (Reply::client values below 0): thread-exit
 /// notifications and results with no client to answer.
 constexpr int kConnWorkerDone = -1;   ///< batch worker exited
 constexpr int kConnControlDone = -2;  ///< reload control thread exited
 constexpr int kConnLogOnly = -3;      ///< SIGHUP reload result -> the log
-
-/// Ring cap on recorded latencies (matches the stdio engine).
-constexpr std::size_t kMaxLatencySamples = 1u << 16;
 
 void close_if_open(int& fd) {
   if (fd >= 0) {
@@ -297,30 +292,13 @@ NetStats EpollServer::run(std::ostream* log) {
   im.ran = true;
   const NetConfig& cfg = im.cfg;
 
-  // -- engine fabric -------------------------------------------------------
   ModelRegistry& reg = *im.reg;
   reg.set_fault_injector(&im.injector);  // arms the rtrunc/rexecerr/rdelay sites
-  RequestQueue queue;
-  MicroBatcher batcher(queue,
-                       BatcherConfig{cfg.engine.max_batch,
-                                     cfg.engine.max_wait_us});
-  const std::int64_t input_numel = reg.default_model()->input_numel();
-  const std::size_t max_line_bytes =
-      256 + 32 * static_cast<std::size_t>(reg.max_input_numel());
 
-  std::mutex stats_mu;
-  NetStats stats;
-  std::size_t latency_ring_next = 0;
-
-  // -- worker -> loop response mailbox -------------------------------------
-  struct Outbound {
-    int conn{-1};                   ///< -1 = worker-done sentinel
-    std::string line;
-    bool completes_request{false};  ///< decrements the conn's in-flight
-  };
+  // -- worker/control -> loop mailbox ----------------------------------------
   std::mutex mailbox_mu;
-  std::vector<Outbound> mailbox;
-  const auto post_batch = [&](std::vector<Outbound>& items) {
+  std::vector<Reply> mailbox;
+  const auto post = [&](std::vector<Reply>& items) {
     {
       std::lock_guard<std::mutex> lock(mailbox_mu);
       for (auto& it : items) mailbox.push_back(std::move(it));
@@ -330,115 +308,17 @@ NetStats EpollServer::run(std::ostream* log) {
     [[maybe_unused]] const auto r =
         ::write(im.mailbox_efd, &one, sizeof(one));
   };
+  const auto post_one = [&](int conn, std::string line) {
+    std::vector<Reply> one;
+    one.push_back({conn, std::move(line)});
+    post(one);
+  };
 
-  // -- batch worker ---------------------------------------------------------
-  // Identical contract to the stdio engine's worker: deadline-expired
-  // requests are answered `timeout` BEFORE inference, injected executor
-  // faults become retryable `internal` errors, and everything else runs
-  // through InferenceSession bit-exactly.
-  std::thread worker([&] {
-    std::vector<Request> batch;
-    std::vector<Request> live;
-    std::vector<runtime::QInferenceResult> results;
-    std::vector<std::size_t> group;
-    std::vector<Outbound> out;
-    while (batcher.next_batch(batch)) {
-      im.injector.maybe_delay_flush();
-      const auto now = Clock::now();
-      live.clear();
-      std::int64_t expired = 0;
-      std::int64_t injected = 0;
-      for (auto& r : batch) {
-        if (r.expired(now)) {
-          out.push_back({r.client,
-                         format_error_line(
-                             ErrCode::kTimeout,
-                             "deadline expired before execution", &r.id),
-                         true});
-          reg.record_timeout(*r.route);
-          ++expired;
-        } else if (im.injector.should_fail_exec()) {
-          out.push_back({r.client,
-                         format_error_line(
-                             ErrCode::kInternal,
-                             "injected transient executor fault", &r.id),
-                         true});
-          reg.record_error(*r.route);
-          ++injected;
-        } else {
-          live.push_back(std::move(r));
-        }
-      }
-      if (!live.empty()) {
-        try {
-          // A micro-batch may mix models (and generations mid-reload):
-          // execute group by group against each request's PINNED route,
-          // results staying in admission order.
-          results.clear();
-          results.resize(live.size());
-          std::vector<const ServableModel*> ran;
-          for (std::size_t i = 0; i < live.size(); ++i) {
-            const ServableModel* m = live[i].route.get();
-            if (std::find(ran.begin(), ran.end(), m) != ran.end()) continue;
-            ran.push_back(m);
-            group.clear();
-            for (std::size_t j = i; j < live.size(); ++j) {
-              if (live[j].route.get() == m) group.push_back(j);
-            }
-            reg.infer_indices(*m, live, group, results);
-          }
-        } catch (const std::exception& e) {
-          // A real executor failure: answer every request retryably
-          // rather than taking the daemon down mid-drain.
-          for (const Request& r : live) {
-            out.push_back({r.client,
-                           format_error_line(ErrCode::kInternal, e.what(),
-                                             &r.id),
-                           true});
-            reg.record_error(*r.route);
-            ++injected;
-          }
-          live.clear();
-        }
-      }
-      const auto done = Clock::now();
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        out.push_back(
-            {live[i].client, format_result_line(live[i].id, results[i]),
-             true});
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        stats.engine.timeouts += expired;
-        stats.engine.errors += injected;
-        if (!live.empty()) {
-          ++stats.engine.batches;
-          stats.engine.responses += static_cast<std::int64_t>(live.size());
-          stats.engine.max_batch_fill =
-              std::max(stats.engine.max_batch_fill,
-                       static_cast<std::int64_t>(live.size()));
-          for (const Request& r : live) {
-            const double us =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    done - r.enqueued)
-                    .count() /
-                1e3;
-            reg.record_response(*r.route, us);
-            if (stats.engine.latency_us.size() < kMaxLatencySamples) {
-              stats.engine.latency_us.push_back(us);
-            } else {
-              stats.engine.latency_us[latency_ring_next] = us;
-              latency_ring_next = (latency_ring_next + 1) % kMaxLatencySamples;
-            }
-          }
-        }
-      }
-      post_batch(out);
-    }
-    std::vector<Outbound> done_sentinel;
-    done_sentinel.push_back({kConnWorkerDone, std::string(), false});
-    post_batch(done_sentinel);
-  });
+  // -- the serving core: admission + batch worker ----------------------------
+  // Each batch's replies reach the loop in one mailbox post.
+  Dispatcher core(reg, cfg.engine, cfg.queue_depth, cfg.retry_after_ms,
+                  &im.injector, post);
+  core.start([&] { post_one(kConnWorkerDone, {}); });
 
   // -- reload control thread ------------------------------------------------
   // {"cmd":"reload"} and SIGHUP run validate-then-swap OFF the event loop:
@@ -464,6 +344,13 @@ NetStats EpollServer::run(std::ostream* log) {
     }
     ctl_cv.notify_one();
   };
+  const auto stop_control = [&] {
+    {
+      std::lock_guard<std::mutex> lock(ctl_mu);
+      ctl_stop = true;
+    }
+    ctl_cv.notify_one();
+  };
   std::thread control([&] {
     while (true) {
       CtlJob job;
@@ -474,35 +361,24 @@ NetStats EpollServer::run(std::ostream* log) {
         job = std::move(ctl_jobs.front());
         ctl_jobs.pop_front();
       }
-      const ReloadResult rr = reg.reload(job.model, job.path);
-      std::string line;
-      if (rr.ok) {
-        line = "{\"ok\":\"reload\",\"model\":";
-        append_json_string(line, rr.model);
-        line += ",\"generation\":" + std::to_string(rr.generation);
-        line += ",\"format_version\":" + std::to_string(rr.format_version);
-        line += "}";
-      } else {
-        line = format_error_line(
-            rr.not_found ? ErrCode::kNotFound : ErrCode::kReloadFailed,
-            rr.error, nullptr);
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.engine.errors;
-      }
-      std::vector<Outbound> out;
-      out.push_back({job.conn, std::move(line), job.conn >= 0});
-      post_batch(out);
+      post_one(job.conn, core.reload(job.model, job.path));
     }
-    std::vector<Outbound> done_sentinel;
-    done_sentinel.push_back({kConnControlDone, std::string(), false});
-    post_batch(done_sentinel);
+    post_one(kConnControlDone, {});
   });
+
+  // Connection-lifecycle counters: loop thread only, so no lock.
+  NetStats net;
+  const auto snapshot = [&] {
+    NetStats s = net;
+    s.engine = core.stats();
+    s.engine.shed += s.rejected_conns;  // refused at the door
+    return s;
+  };
 
   // -- connection table -----------------------------------------------------
   struct Conn {
     int fd{-1};
     int id{-1};
-    bool unix_domain{false};
     enum class State { kReading, kDraining } state{State::kReading};
     std::string rdbuf;
     std::size_t rd_off{0};
@@ -554,8 +430,7 @@ NetStats EpollServer::run(std::ostream* log) {
           arm(c);
           return true;
         }
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.dropped_conns;
+        ++net.dropped_conns;
         return false;  // EPIPE / ECONNRESET: peer is gone
       }
       c.wr_off += static_cast<std::size_t>(n);
@@ -591,10 +466,7 @@ NetStats EpollServer::run(std::ostream* log) {
   // closed by the attempt.
   const auto queue_line = [&](Conn& c, const std::string& line) -> bool {
     if (c.outbox_bytes + line.size() + 1 > cfg.max_outbox_bytes) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.overflow_closed;
-      }
+      ++net.overflow_closed;
       close_conn(c.id);
       return false;
     }
@@ -611,28 +483,6 @@ NetStats EpollServer::run(std::ostream* log) {
       return false;
     }
     return true;
-  };
-
-  const auto info_line = [&]() {
-    // Legacy top-level fields describe the DEFAULT model; "models" carries
-    // per-model metadata (format version, codec summary, generation).
-    const std::shared_ptr<const ServableModel> def = reg.default_model();
-    const runtime::QuantizedNet& net = def->net;
-    const Shape& in = net.layers.front().in_shape;
-    std::string line = "{\"info\":{\"layers\":";
-    line += std::to_string(net.layers.size());
-    line += ",\"input\":[" + std::to_string(in.h) + "," +
-            std::to_string(in.w) + "," + std::to_string(in.c) + "]";
-    line += ",\"classes\":" + std::to_string(net.layers.back().out_shape.c);
-    line += ",\"ro_bytes\":" + std::to_string(net.ro_bytes());
-    line += ",\"rw_peak_bytes\":" + std::to_string(net.rw_peak_bytes());
-    line += ",\"lanes\":" + std::to_string(reg.lanes());
-    line += ",\"format_version\":" + std::to_string(def->image.version);
-    line += ",\"default\":";
-    append_json_string(line, reg.default_name());
-    line += ",\"models\":" + reg.models_info_json();
-    line += "}}";
-    return line;
   };
 
   // Graceful drain: stop accepting, stop reading, answer what was
@@ -652,120 +502,36 @@ NetStats EpollServer::run(std::ostream* log) {
         arm(c);
       }
     }
-    queue.close();  // the worker drains every admitted request, then exits
-    {
-      // The control thread answers every already-submitted reload, then
-      // exits; new reloads are refused at admission once draining is set.
-      std::lock_guard<std::mutex> lock(ctl_mu);
-      ctl_stop = true;
-    }
-    ctl_cv.notify_one();
+    // The worker drains every admitted request and the control thread
+    // every submitted reload, then both exit; new requests and reloads are
+    // refused `shutting_down` from here on.
+    core.close();
+    stop_control();
   };
 
-  // One parsed protocol line from connection `c`. Returns false when the
+  // One protocol line from connection `c`. Returns false when the
   // connection was closed while answering.
   const auto handle_line = [&](Conn& c, std::string_view line) -> bool {
-    ParsedLine p = parse_protocol_line(line, input_numel, max_line_bytes,
-                                       cfg.engine.default_deadline_ms,
-                                       &reg.directory());
-    switch (p.kind) {
-      case ParsedLine::Kind::kBlank:
+    Dispatcher::Handled h = core.handle_line(c.id, line);
+    switch (h.action) {
+      case Dispatcher::Action::kNone:
         return true;
-      case ParsedLine::Kind::kError: {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          ++stats.engine.errors;
-        }
-        return queue_line(c, p.error_line());
-      }
-      case ParsedLine::Kind::kStats: {
-        NetStats snapshot;
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          snapshot = stats;
-        }
-        // The engine-wide object plus the per-model breakdown.
-        std::string s = snapshot.json();
-        s.pop_back();
-        s += ",\"models\":" + reg.stats_json() + "}";
-        return queue_line(c, "{\"stats\":" + s + "}");
-      }
-      case ParsedLine::Kind::kInfo:
-        return queue_line(c, info_line());
-      case ParsedLine::Kind::kHealth:
-        return queue_line(c, "{\"health\":" + reg.health_json() + "}");
-      case ParsedLine::Kind::kReload: {
-        if (draining) {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          ++stats.engine.errors;
-          return queue_line(c,
-                            format_error_line(ErrCode::kShuttingDown,
-                                              "server is draining", nullptr));
-        }
+      case Dispatcher::Action::kReply:
+        return queue_line(c, h.reply);
+      case Dispatcher::Action::kQueued:
+        ++c.in_flight;
+        return true;
+      case Dispatcher::Action::kStats:
+        return queue_line(c, core.stats_line(snapshot().json()));
+      case Dispatcher::Action::kReload:
         // Handed to the control thread; the response arrives through the
         // mailbox. The in-flight slot makes graceful drain wait for it.
         ++c.in_flight;
-        submit_reload(c.id, std::move(p.reload_model),
-                      std::move(p.reload_path));
+        submit_reload(c.id, std::move(h.model), std::move(h.path));
         return true;
-      }
-      case ParsedLine::Kind::kShutdown:
+      case Dispatcher::Action::kShutdown:
         start_drain(c.id);
         return true;
-      case ParsedLine::Kind::kRequest:
-        break;
-    }
-    Request r = std::move(p.request);
-    const std::int64_t rid = r.id;
-    r.client = c.id;
-    // Pin the CURRENT generation at admission: the batch worker executes
-    // against exactly this plan even if a reload swaps the slot later.
-    r.route = reg.resolve(r.model);
-    if (r.route == nullptr) {
-      std::lock_guard<std::mutex> lock(stats_mu);
-      ++stats.engine.errors;
-      return queue_line(c, format_error_line(ErrCode::kNotFound,
-                                             "unknown model \"" + r.model +
-                                                 "\"",
-                                             &rid));
-    }
-    if (draining) {
-      std::lock_guard<std::mutex> lock(stats_mu);
-      ++stats.engine.errors;
-      return queue_line(c, format_error_line(ErrCode::kShuttingDown,
-                                             "server is draining", &rid));
-    }
-    reg.record_admitted(*r.route);
-    const std::shared_ptr<const ServableModel> route = r.route;
-    switch (queue.push_bounded(std::move(r), cfg.queue_depth)) {
-      case PushResult::kOk: {
-        ++c.in_flight;
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.engine.requests;
-        return true;
-      }
-      case PushResult::kOverflow: {
-        reg.record_shed(*route);
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          ++stats.engine.shed;
-        }
-        // Load shedding: a bounded queue answers `overloaded` with a
-        // backoff hint instead of stalling the accept path.
-        return queue_line(
-            c, format_error_line(
-                   ErrCode::kOverloaded,
-                   "queue depth " + std::to_string(cfg.queue_depth) +
-                       " reached",
-                   &rid, cfg.retry_after_ms));
-      }
-      case PushResult::kClosed: {
-        reg.record_shed(*route);
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.engine.errors;
-        return queue_line(c, format_error_line(ErrCode::kShuttingDown,
-                                               "server is draining", &rid));
-      }
     }
     return true;
   };
@@ -776,15 +542,8 @@ NetStats EpollServer::run(std::ostream* log) {
     while (true) {
       const std::size_t nl = c.rdbuf.find('\n', c.rd_off);
       if (nl == std::string::npos) {
-        if (c.rdbuf.size() - c.rd_off > max_line_bytes) {
-          {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats.engine.errors;
-          }
-          if (!queue_line(c, format_error_line(ErrCode::kMalformed,
-                                               "request line too long"))) {
-            return false;
-          }
+        if (c.rdbuf.size() - c.rd_off > core.max_line_bytes()) {
+          if (!queue_line(c, core.line_too_long())) return false;
           // Framing lost: answer what is in flight, then close.
           c.state = Conn::State::kDraining;
           c.reading_armed = false;
@@ -836,9 +595,7 @@ NetStats EpollServer::run(std::ostream* log) {
         [[maybe_unused]] const auto r =
             ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
         ::close(fd);
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.rejected_conns;
-        ++stats.engine.shed;
+        ++net.rejected_conns;
         continue;
       }
       if (!unix_domain) {
@@ -853,7 +610,6 @@ NetStats EpollServer::run(std::ostream* log) {
       Conn c;
       c.fd = fd;
       c.id = id;
-      c.unix_domain = unix_domain;
       c.last_active = Clock::now();
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLRDHUP;
@@ -863,10 +619,9 @@ NetStats EpollServer::run(std::ostream* log) {
         continue;
       }
       conns.emplace(id, std::move(c));
-      std::lock_guard<std::mutex> lock(stats_mu);
-      ++stats.accepted_conns;
-      stats.peak_conns = std::max(
-          stats.peak_conns, static_cast<std::int64_t>(conns.size()));
+      ++net.accepted_conns;
+      net.peak_conns = std::max(net.peak_conns,
+                                static_cast<std::int64_t>(conns.size()));
     }
   };
 
@@ -975,21 +730,21 @@ NetStats EpollServer::run(std::ostream* log) {
       }
       if (tag == kTagMailbox) {
         drain_eventfd(im.mailbox_efd);
-        std::vector<Outbound> batch;
+        std::vector<Reply> batch;
         {
           std::lock_guard<std::mutex> lock(mailbox_mu);
           batch.swap(mailbox);
         }
-        for (Outbound& o : batch) {
-          if (o.conn == kConnWorkerDone) {
+        for (Reply& o : batch) {
+          if (o.client == kConnWorkerDone) {
             worker_done = true;
             continue;
           }
-          if (o.conn == kConnControlDone) {
+          if (o.client == kConnControlDone) {
             control_done = true;
             continue;
           }
-          if (o.conn == kConnLogOnly) {
+          if (o.client == kConnLogOnly) {
             // A SIGHUP-initiated reload has no client; its outcome goes to
             // the operator log.
             if (log != nullptr) {
@@ -998,10 +753,12 @@ NetStats EpollServer::run(std::ostream* log) {
             }
             continue;
           }
-          const auto it = conns.find(o.conn);
+          // Every reply to a client completes one in-flight request or
+          // reload on its connection.
+          const auto it = conns.find(o.client);
           if (it == conns.end()) continue;  // client went away; dropped
           Conn& c = it->second;
-          if (o.completes_request) --c.in_flight;
+          --c.in_flight;
           if (!queue_line(c, o.line)) continue;  // closed while flushing
         }
         continue;
@@ -1028,10 +785,7 @@ NetStats EpollServer::run(std::ostream* log) {
         if (im.injector.should_drop_conn()) {
           // Injected mid-frame drop: the client sees a reset; the server
           // must shed all per-connection state without leaking.
-          {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats.dropped_conns;
-          }
+          ++net.dropped_conns;
           close_conn(c.id);
           continue;
         }
@@ -1064,19 +818,13 @@ NetStats EpollServer::run(std::ostream* log) {
         if (conn_dead) continue;  // close_conn already ran (or will not
                                   // find the id again)
         if (peer_closed) {
-          if (c.in_flight > 0) {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++stats.dropped_conns;
-          }
+          if (c.in_flight > 0) ++net.dropped_conns;
           close_conn(c.id);
           continue;
         }
       } else if ((ev & (EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0 &&
                  c.outbox.empty()) {
-        if (c.in_flight > 0) {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          ++stats.dropped_conns;
-        }
+        if (c.in_flight > 0) ++net.dropped_conns;
         close_conn(c.id);
         continue;
       }
@@ -1096,22 +844,14 @@ NetStats EpollServer::run(std::ostream* log) {
           scratch_ids.push_back(id);
         }
       }
-      for (const int id : scratch_ids) {
-        close_conn(id);
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.idle_reaped;
-      }
+      for (const int id : scratch_ids) close_conn(id);
+      net.idle_reaped += static_cast<std::int64_t>(scratch_ids.size());
     }
   }
 
   // -- teardown -------------------------------------------------------------
-  queue.close();  // idempotent; covers abnormal exits from the loop
-  worker.join();
-  {
-    std::lock_guard<std::mutex> lock(ctl_mu);
-    ctl_stop = true;
-  }
-  ctl_cv.notify_one();
+  core.drain();  // idempotent; covers abnormal exits from the loop
+  stop_control();
   control.join();
   for (auto& [id, c] : conns) ::close(c.fd);
   conns.clear();
@@ -1122,11 +862,7 @@ NetStats EpollServer::run(std::ostream* log) {
     im.unix_path_bound.clear();
   }
 
-  NetStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    out = stats;
-  }
+  const NetStats out = snapshot();
   if (log != nullptr) {
     *log << "mixq serve: drained (" << out.engine.responses
          << " responses, " << out.engine.timeouts << " timeouts, "

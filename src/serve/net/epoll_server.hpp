@@ -1,9 +1,12 @@
 // mixq/serve/net/epoll_server.hpp
 //
-// Non-blocking TCP + unix-socket serving front-end: one epoll event loop
-// thread owning every socket, layered over the same RequestQueue /
-// MicroBatcher / InferenceSession fabric the stdio daemon uses -- built
-// around failure as the common case.
+// The socket transport behind `mixq serve --tcp` and/or `--socket`: one
+// epoll event loop thread owning every TCP and unix-domain socket, over
+// the same serve::Dispatcher (serve/dispatcher.hpp) the stdio transport
+// uses -- parsing, admission, the batch worker and the engine stats live
+// there; sockets, outboxes, drain, idle reaping, the reload control
+// thread and the connection counters live here. Built around failure as
+// the common case.
 //
 // Each connection is an explicit state machine:
 //
@@ -20,7 +23,7 @@
 //     outbox overflows and the connection is closed, and never stalls
 //     the batch worker or any other client;
 //   * admission control sits in FRONT of the queue: past `queue_depth`
-//     the request is answered `overloaded` with a retry_after_ms hint
+//     the Dispatcher answers `overloaded` with a retry_after_ms hint
 //     instead of queueing unboundedly, and past `max_conns` the accept
 //     itself is answered `overloaded` and closed;
 //   * per-request deadlines ("deadline_ms", or the configured default)
@@ -56,8 +59,9 @@ namespace mixq::serve {
 // Stats.
 // ---------------------------------------------------------------------------
 
-/// ServeStats (requests/responses/errors/timeouts/shed/latency) plus the
-/// connection-lifecycle counters only a socket front-end has.
+/// The Dispatcher's ServeStats (requests/responses/errors/timeouts/shed/
+/// latency; `shed` also counts connections refused at accept) plus the
+/// connection-lifecycle counters only a socket transport has.
 struct NetStats {
   ServeStats engine;
   std::int64_t accepted_conns{0};
@@ -79,7 +83,7 @@ struct NetConfig {
   ServeConfig engine;            ///< lanes, batching, max_conns, deadlines
   int tcp_port{-1};              ///< >= 0: listen on TCP (0 = ephemeral)
   std::string tcp_bind{"127.0.0.1"};
-  std::string unix_path;         ///< non-empty: also listen on AF_UNIX
+  std::string unix_path;         ///< non-empty: listen on AF_UNIX
   std::size_t queue_depth{256};  ///< admission bound in front of the queue
   std::int64_t retry_after_ms{50};      ///< backoff hint on `overloaded`
   std::int64_t idle_timeout_ms{60'000}; ///< 0 = never reap

@@ -49,10 +49,6 @@ std::string format_error_line(ErrCode code, std::string_view message,
   return line;
 }
 
-std::string ParsedLine::error_line() const {
-  return format_error_line(code, error, has_id ? &id : nullptr);
-}
-
 namespace {
 
 ParsedLine make_error(std::string message, const JsonValue* id,

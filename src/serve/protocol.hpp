@@ -1,11 +1,11 @@
 // mixq/serve/protocol.hpp
 //
 // The one place the serving wire protocol is parsed and its errors are
-// formatted. Every front-end -- the stdio StreamServer, the classic
-// thread-per-connection unix-socket daemon, and the epoll event loop in
-// serve/net/ -- feeds raw request lines through parse_protocol_line and
-// emits failures through format_error_line, so the three transports
-// cannot drift apart in what they accept or how they refuse.
+// formatted. Both transports -- the stdio StreamServer and the epoll
+// event loop in serve/net/ (TCP and unix sockets) -- hand raw request
+// lines to the one serve::Dispatcher, which parses them here and refuses
+// through format_error_line, so the two cannot drift apart in what they
+// accept or how they refuse.
 //
 // Request lines (newline-delimited JSON):
 //   {"id":N,"input":[...H*W*C floats...]}            inference request
@@ -125,9 +125,6 @@ struct ParsedLine {
   std::string error;
   bool has_id{false};
   std::int64_t id{0};
-
-  /// The error response for a kError parse (uses the echoed id if any).
-  [[nodiscard]] std::string error_line() const;
 };
 
 /// Parse one protocol line. `input_numel` is the DEFAULT model's required

@@ -14,7 +14,7 @@ namespace mixq::serve {
 namespace {
 
 /// Ring cap on per-model recorded latencies: smaller than the engine-wide
-/// 64K ring because each model keeps its own.
+/// ring because each model keeps its own.
 constexpr std::size_t kModelLatencySamples = 1u << 13;
 
 /// The pinned probe input a candidate model must survive before it may be
@@ -115,7 +115,6 @@ struct ModelRegistry::Slot {
   std::int64_t reloads_failed{0};
 
   ServeStats stats;
-  std::size_t latency_ring_next{0};
   std::int64_t queued{0};  ///< admitted, not yet answered
 };
 
@@ -131,7 +130,16 @@ ModelRegistry::ModelRegistry(int threads) {
 
 ModelRegistry::~ModelRegistry() = default;
 
-void ModelRegistry::probe_model(ServableModel& m, bool allow_faults) const {
+void ModelRegistry::compile_and_probe(ServableModel& m,
+                                      bool allow_faults) const {
+  // Plan compilation decodes every entropy-coded section (deferred by the
+  // mmap loader), so a corrupt v2 stream surfaces HERE, inside
+  // validate-then-swap, never on the serving thread.
+  m.plan = std::make_unique<runtime::ExecutionPlan>(m.net);
+  m.arenas.reserve(static_cast<std::size_t>(pool_->lanes()));
+  for (int i = 0; i < pool_->lanes(); ++i) {
+    m.arenas.push_back(std::make_unique<runtime::PlanArenas>(*m.plan));
+  }
   FaultInjector* inj = injector_.load(std::memory_order_acquire);
   if (allow_faults && inj != nullptr && inj->should_fail_reload_exec()) {
     throw std::runtime_error("injected reload validation fault");
@@ -179,69 +187,41 @@ std::shared_ptr<const ServableModel> ModelRegistry::build_model(
     // mapping lives exactly as long as some generation references it.
     m->net = runtime::load_flash_image_mmap(path, limits, &m->image);
   }
-  // Plan compilation decodes every entropy-coded section (deferred by the
-  // mmap loader), so a corrupt v2 stream surfaces HERE, inside
-  // validate-then-swap, never on the serving thread.
-  m->plan = std::make_unique<runtime::ExecutionPlan>(m->net);
-  m->arenas.reserve(static_cast<std::size_t>(pool_->lanes()));
-  for (int i = 0; i < pool_->lanes(); ++i) {
-    m->arenas.push_back(std::make_unique<runtime::PlanArenas>(*m->plan));
-  }
-  probe_model(*m, allow_faults);
-  return m;
-}
-
-std::shared_ptr<const ServableModel> ModelRegistry::build_from_net(
-    const std::string& name, const runtime::QuantizedNet& net) {
-  auto m = std::make_shared<ServableModel>();
-  m->name = name;
-  m->net = net;  // copy; the caller's net stays theirs
-  m->image.version = 0;  // no backing image
-  m->plan = std::make_unique<runtime::ExecutionPlan>(m->net);
-  m->arenas.reserve(static_cast<std::size_t>(pool_->lanes()));
-  for (int i = 0; i < pool_->lanes(); ++i) {
-    m->arenas.push_back(std::make_unique<runtime::PlanArenas>(*m->plan));
-  }
-  probe_model(*m, /*allow_faults=*/false);
+  compile_and_probe(*m, allow_faults);
   return m;
 }
 
 void ModelRegistry::add_model(const std::string& name, const std::string& path,
                               const runtime::FlashLoadLimits& limits) {
-  if (name.empty()) {
-    throw std::runtime_error("registry: model name must be non-empty");
-  }
-  if (find(name) != nullptr) {
-    throw std::runtime_error("registry: duplicate model name \"" + name +
-                             "\"");
-  }
-  std::shared_ptr<const ServableModel> m =
-      build_model(name, path, limits, /*allow_faults=*/false);
-  auto slot = std::make_unique<Slot>();
-  slot->name = name;
-  slot->path = path;
-  slot->limits = limits;
-  slot->current.store(m);
-  directory_.numels.emplace_back(name, m->input_numel());
-  if (slots_.empty()) default_name_ = name;
-  slots_.push_back(std::move(slot));
+  add_slot(build_model(name, path, limits, /*allow_faults=*/false), limits);
 }
 
 void ModelRegistry::add_model(const std::string& name,
                               const runtime::QuantizedNet& net) {
-  if (name.empty()) {
+  auto m = std::make_shared<ServableModel>();
+  m->name = name;
+  m->net = net;  // copy; the caller's net stays theirs
+  m->image.version = 0;  // no backing image
+  compile_and_probe(*m, /*allow_faults=*/false);
+  add_slot(std::move(m), {});
+}
+
+void ModelRegistry::add_slot(std::shared_ptr<const ServableModel> m,
+                             const runtime::FlashLoadLimits& limits) {
+  if (m->name.empty()) {
     throw std::runtime_error("registry: model name must be non-empty");
   }
-  if (find(name) != nullptr) {
-    throw std::runtime_error("registry: duplicate model name \"" + name +
+  if (find(m->name) != nullptr) {
+    throw std::runtime_error("registry: duplicate model name \"" + m->name +
                              "\"");
   }
-  std::shared_ptr<const ServableModel> m = build_from_net(name, net);
   auto slot = std::make_unique<Slot>();
-  slot->name = name;
-  slot->current.store(m);
-  directory_.numels.emplace_back(name, m->input_numel());
-  if (slots_.empty()) default_name_ = name;
+  slot->name = m->name;
+  slot->path = m->path;
+  slot->limits = limits;
+  directory_.numels.emplace_back(m->name, m->input_numel());
+  if (slots_.empty()) default_name_ = m->name;
+  slot->current.store(std::move(m));
   slots_.push_back(std::move(slot));
 }
 
@@ -439,12 +419,7 @@ void ModelRegistry::record_response(const ServableModel& m,
   std::lock_guard<std::mutex> lock(mu_);
   ++s->stats.responses;
   --s->queued;
-  if (s->stats.latency_us.size() < kModelLatencySamples) {
-    s->stats.latency_us.push_back(latency_us);
-  } else {
-    s->stats.latency_us[s->latency_ring_next] = latency_us;
-    s->latency_ring_next = (s->latency_ring_next + 1) % kModelLatencySamples;
-  }
+  s->stats.record_latency(latency_us, kModelLatencySamples);
 }
 
 void ModelRegistry::record_timeout(const ServableModel& m) {

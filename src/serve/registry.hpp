@@ -41,8 +41,8 @@
 //   * resolve()/default_model() are safe from any thread, any time.
 //   * reload() is safe from any thread; concurrent reloads of one model
 //     serialize (each validates and swaps in turn).
-//   * infer_batch()/infer_indices() keep InferenceSession's contract:
-//     ONE caller thread at a time (the batch worker) -- parallelism lives
+//   * infer_batch()/infer_indices() take ONE caller thread at a time (the
+//     Dispatcher's batch worker, or `mixq run`) -- parallelism lives
 //     inside, across the shared pool's lanes. Validation inference during
 //     reload does NOT use the pool, so it never contends with serving.
 //   * record_*()/health_json()/stats_json()/models_info_json() are safe
@@ -170,8 +170,7 @@ class ModelRegistry {
 
   /// Run `batch` against pinned generation `m` across the pool's lanes,
   /// each free lane taking the next request. Bit-exact with a serial
-  /// Executor::run_planned. Single-caller (the batch worker), like
-  /// InferenceSession::infer_batch.
+  /// Executor::run_planned. Single-caller (see the thread contract above).
   void infer_batch(const ServableModel& m, const std::vector<Request>& batch,
                    std::vector<runtime::QInferenceResult>& out);
 
@@ -212,9 +211,11 @@ class ModelRegistry {
   std::shared_ptr<const ServableModel> build_model(
       const std::string& name, const std::string& path,
       const runtime::FlashLoadLimits& limits, bool allow_faults);
-  std::shared_ptr<const ServableModel> build_from_net(
-      const std::string& name, const runtime::QuantizedNet& net);
-  void probe_model(ServableModel& m, bool allow_faults) const;
+  /// Compile the plan, warm per-lane arenas, smoke-infer the pinned probe.
+  void compile_and_probe(ServableModel& m, bool allow_faults) const;
+  /// Startup-only: publish `m` as a new slot (the first is the default).
+  void add_slot(std::shared_ptr<const ServableModel> m,
+                const runtime::FlashLoadLimits& limits);
 
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::vector<std::unique_ptr<Slot>> slots_;

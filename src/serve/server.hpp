@@ -1,16 +1,20 @@
 // mixq/serve/server.hpp
 //
-// The batch inference daemon behind `mixq serve`: a request queue fed by
-// one or more protocol readers, a micro-batcher (batcher.hpp) coalescing
-// requests, and an InferenceSession executing each batch across worker
-// lanes of the PR 3 ThreadPool -- every lane running the shared read-only
-// ExecutionPlan through its own PlanArenas, so served results are
-// bit-identical to a serial Executor::run_planned() for every lane count
-// and every batch composition.
+// The batch inference daemon behind `mixq serve`, and the stdio transport.
+// Every transport feeds complete request lines to one serve::Dispatcher
+// (serve/dispatcher.hpp), which owns parsing, admission, the micro-batching
+// worker and the stats; a transport only frames lines and writes replies:
+//   * StreamServer (here): an istream/ostream pair -- `mixq serve` on
+//     stdin/stdout, and in-process callers;
+//   * EpollServer (serve/net/epoll_server.hpp): TCP and unix sockets on one
+//     event loop -- `mixq serve --tcp` and/or `--socket`.
+// Each batch runs across the ModelRegistry's worker lanes, every lane
+// running the shared read-only ExecutionPlan through its own PlanArenas, so
+// served results are bit-identical to a serial Executor::run_planned() for
+// every lane count and every batch composition.
 //
 // Protocol (newline-delimited JSON, one request/response per line; the
-// parser and error taxonomy live in serve/protocol.hpp, shared with the
-// epoll front-end in serve/net/):
+// parser and error taxonomy live in serve/protocol.hpp):
 //   {"id": 7, "input": [f0, f1, ...]}   -> {"id":7,"predicted":3,"logits":[...]}
 //   {"id": 7, "input": [...], "deadline_ms": 50}
 //       -> the response, or {"error":...,"code":"timeout",...} if still
@@ -22,68 +26,26 @@
 // and never kill the daemon. `input` length must equal the model's H*W*C.
 // Responses to one client's valid requests are emitted in request order.
 //
-// Threading contract (see also Executor::plan() in runtime/executor.hpp):
-//   * InferenceSession::infer_batch may be called from ONE thread at a
-//     time (the batch worker); parallelism lives inside the call, which
-//     hands the batch's requests one at a time to the pool's free lanes.
-//   * The ExecutionPlan is compiled once in the constructor (warm-up), so
-//     the first request pays no compilation latency.
-//   * StreamServer::serve runs the protocol reader on the calling thread
-//     and the batch worker on an internal thread; response writes are
-//     serialized through one mutex. On EOF or {"cmd":"shutdown"} the
-//     queue is closed, already-accepted requests are drained and answered,
-//     then serve() returns the final stats.
+// StreamServer threading: serve() runs the reader on the calling thread
+// and the Dispatcher's batch worker on its own thread; writes to the one
+// output stream are serialized through one mutex. Admission is unbounded,
+// and a {"cmd":"reload"} runs inline on the reader, so every later line
+// sees the new generation. On EOF or {"cmd":"shutdown"} admission closes,
+// already-accepted requests are drained and answered, then serve()
+// returns the final stats.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "runtime/executor.hpp"
-#include "serve/batcher.hpp"
-#include "serve/queue.hpp"
+#include "runtime/qgraph.hpp"
 
 namespace mixq::serve {
 
 class ModelRegistry;  // serve/registry.hpp: multi-model hot-swap registry
-
-// ---------------------------------------------------------------------------
-// Inference engine shared by `mixq run` and `mixq serve`.
-// ---------------------------------------------------------------------------
-
-class InferenceSession {
- public:
-  /// Compiles the plan (warm-up) and spawns a pool of `threads` worker
-  /// lanes (0 = hardware concurrency) with one PlanArenas each.
-  InferenceSession(const runtime::QuantizedNet& net, int threads);
-  ~InferenceSession();
-  InferenceSession(const InferenceSession&) = delete;
-  InferenceSession& operator=(const InferenceSession&) = delete;
-
-  /// Run `batch.size()` requests, writing one result per request into
-  /// `out` (resized). Each free lane takes the next request
-  /// (ThreadPool::parallel_for_dynamic); results are bit-exact with the
-  /// serial planned path whichever lane runs a request.
-  void infer_batch(const std::vector<Request>& batch,
-                   std::vector<runtime::QInferenceResult>& out);
-
-  /// Serial convenience (lane 0's arenas).
-  runtime::QInferenceResult infer(const float* sample);
-
-  [[nodiscard]] const runtime::QuantizedNet& net() const;
-  [[nodiscard]] const Shape& input_shape() const;
-  [[nodiscard]] std::int64_t input_numel() const;
-  [[nodiscard]] int lanes() const;
-
- private:
-  runtime::Executor exec_;
-  const runtime::ExecutionPlan* plan_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::vector<std::unique_ptr<runtime::PlanArenas>> arenas_;
-};
 
 /// The shared response formatting: `{"id":N,"predicted":K,"logits":[...]}`.
 /// Both `mixq run --ndjson` and the daemon emit exactly this line, which is
@@ -108,7 +70,8 @@ struct ServeStats {
   std::int64_t shed{0};       ///< requests/connections refused `overloaded`
   std::int64_t batches{0};    ///< micro-batches executed
   std::int64_t max_batch_fill{0};
-  std::vector<double> latency_us;  ///< per-request enqueue -> response
+  std::vector<double> latency_us;  ///< enqueue -> response, a ring
+  std::size_t latency_next{0};     ///< the ring's oldest sample once full
 
   [[nodiscard]] double mean_batch_fill() const {
     return batches > 0 ? static_cast<double>(responses) /
@@ -119,6 +82,11 @@ struct ServeStats {
   [[nodiscard]] double latency_percentile_us(double p) const;
   [[nodiscard]] double latency_mean_us() const;
 
+  /// Record one request's enqueue -> response latency in a ring of the
+  /// most recent `cap` samples, so percentiles track the current window
+  /// and a snapshot copies a bounded vector.
+  void record_latency(double us, std::size_t cap = std::size_t{1} << 16);
+
   /// One-line JSON object (the {"cmd":"stats"} payload).
   [[nodiscard]] std::string json() const;
   /// Multi-line human-readable summary.
@@ -126,17 +94,16 @@ struct ServeStats {
 };
 
 // ---------------------------------------------------------------------------
-// Stream (stdio / in-process) server.
+// Configuration shared by both transports, and the stdio transport.
 // ---------------------------------------------------------------------------
 
 struct ServeConfig {
   int threads{1};                  ///< worker lanes (0 = hardware)
   int max_batch{8};
   std::int64_t max_wait_us{2000};
-  /// Concurrent-connection cap of the socket front-ends. The classic
-  /// unix daemon answers the excess connection with a structured
-  /// `overloaded` error and closes it instead of spawning an unbounded
-  /// reader thread per accept.
+  /// Concurrent-connection cap of the socket transport: the excess
+  /// connection is answered with a structured `overloaded` error and
+  /// closed.
   int max_conns{256};
   /// Deadline stamped on requests that carry no "deadline_ms" field
   /// (<= 0 = none). An accepted request still unexecuted past its
@@ -170,22 +137,5 @@ class StreamServer {
   std::unique_ptr<ModelRegistry> owned_;  ///< set by the net-based ctor
   ServeConfig cfg_;
 };
-
-#ifndef _WIN32
-/// AF_UNIX daemon: listens on `socket_path` (replacing any stale socket
-/// file), serves any number of concurrent client connections feeding one
-/// shared queue/batcher, and returns the final stats after a client sends
-/// {"cmd":"shutdown"}. Responses are routed back to the originating
-/// connection. Throws std::runtime_error on socket setup failure.
-ServeStats serve_unix_socket(const runtime::QuantizedNet& net,
-                             const ServeConfig& cfg,
-                             const std::string& socket_path,
-                             std::ostream* log = nullptr);
-
-/// Multi-model form of the AF_UNIX daemon (see StreamServer).
-ServeStats serve_unix_socket(ModelRegistry& registry, const ServeConfig& cfg,
-                             const std::string& socket_path,
-                             std::ostream* log = nullptr);
-#endif
 
 }  // namespace mixq::serve

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
@@ -224,14 +225,23 @@ std::vector<std::uint8_t> wrap_payload(const std::vector<std::uint8_t>& p,
   return blob;
 }
 
-/// One conv layer whose fixed fields are sane; `wnumel` and the trailing
-/// weight bytes are the caller's to corrupt.
+/// The zero-points of a crafted single-conv image (all 8-bit codes).
+struct CraftedZeros {
+  std::int32_t input{0};
+  std::int32_t zx{0};
+  std::int32_t zy{0};
+  std::int32_t zw{0};
+};
+
+/// One conv layer whose fixed fields are sane; `wnumel`, the trailing
+/// weight bytes and the zero-points are the caller's to corrupt.
 std::vector<std::uint8_t> craft_single_conv_payload(std::int64_t wnumel,
                                                     std::int64_t weight_bytes,
-                                                    std::uint32_t icn_count) {
+                                                    std::uint32_t icn_count,
+                                                    const CraftedZeros& z = {}) {
   RawWriter w;
   w.put<float>(0.05f);          // input scale
-  w.put<std::int32_t>(0);       // input zero
+  w.put<std::int32_t>(z.input); // input zero
   w.put<std::uint8_t>(8);       // input bits
   w.put<std::uint32_t>(1);      // layer count
   w.put<std::uint8_t>(0);       // kind = conv
@@ -249,11 +259,11 @@ std::vector<std::uint8_t> craft_single_conv_payload(std::int64_t wnumel,
   w.put<std::int64_t>(1);       // wshape kh
   w.put<std::int64_t>(1);       // wshape kw
   w.put<std::int64_t>(1);       // wshape ci
-  w.put<std::int32_t>(0);       // zx
-  w.put<std::int32_t>(0);       // zy
+  w.put<std::int32_t>(z.zx);    // zx
+  w.put<std::int32_t>(z.zy);    // zy
   w.put<std::uint8_t>(0);       // raw_logits
   w.put<std::uint32_t>(1);      // zw count
-  w.put<std::int32_t>(0);       // zw[0]
+  w.put<std::int32_t>(z.zw);    // zw[0]
   w.put<std::uint32_t>(icn_count);
   for (std::uint32_t i = 0; i < std::min<std::uint32_t>(icn_count, 1); ++i) {
     w.put<std::int32_t>(0);           // bq
@@ -274,6 +284,53 @@ TEST(FlashImage, SaneCraftedPayloadLoads) {
   const QuantizedNet net = load_flash_image(blob);
   ASSERT_EQ(net.layers.size(), 1u);
   EXPECT_EQ(net.layers[0].weights.numel(), 1);
+}
+
+/// How many of the two loaders (streaming, mmap) accept `blob`.
+int loaders_accepting(const std::vector<std::uint8_t>& blob) {
+  int accepted = 0;
+  try {
+    (void)load_flash_image(blob);
+    ++accepted;
+  } catch (const std::runtime_error&) {
+  }
+  const std::string path = "/tmp/mixq_flash_crafted.img";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(blob.data()),
+            static_cast<std::streamsize>(blob.size()));
+  }
+  try {
+    (void)load_flash_image_mmap(path);
+    ++accepted;
+  } catch (const std::runtime_error&) {
+  }
+  std::remove(path.c_str());
+  return accepted;
+}
+
+TEST(FlashImage, RejectsZeroPointsOutsideTheirBitWidth) {
+  // A CRC-valid image whose zero-points are not codes of their own bit
+  // width: the plan's acc32 bounds assume z in [0, qmax], and INT32_MIN
+  // would overflow the weight offsetting while the plan compiles.
+  for (const std::int32_t bad :
+       {std::int32_t{-1}, std::int32_t{256},
+        std::numeric_limits<std::int32_t>::min()}) {
+    for (int site = 0; site < 4; ++site) {
+      CraftedZeros z;
+      std::int32_t* fields[] = {&z.input, &z.zx, &z.zy, &z.zw};
+      *fields[site] = bad;
+      EXPECT_EQ(loaders_accepting(
+                    wrap_payload(craft_single_conv_payload(1, 1, 1, z))),
+                0)
+          << "zero-point " << bad << " at site " << site;
+    }
+  }
+  // qmax(8 bit) = 255 is the top of the legal range at every site.
+  const CraftedZeros top{255, 255, 255, 255};
+  EXPECT_EQ(loaders_accepting(
+                wrap_payload(craft_single_conv_payload(1, 1, 1, top))),
+            2);
 }
 
 TEST(FlashImage, RejectsWeightCountExceedingPayload) {

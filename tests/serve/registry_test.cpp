@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -343,6 +345,44 @@ TEST(ModelRegistry, FailedReloadKeepsOldGenerationServing) {
   const std::string health = reg.health_json();
   EXPECT_NE(health.find("\"reloads_failed\":3"), std::string::npos) << health;
   EXPECT_NE(health.find("\"last_error\""), std::string::npos) << health;
+}
+
+TEST(ModelRegistry, ReloadRefusesOutOfRangeZeroPoints) {
+  // CRC-valid replacements whose weight zero-points are no Q4 code: 16
+  // breaks the plan's acc32 proof, INT32_MIN would overflow compiling it.
+  const QuantizedNet net = make_net(19);
+  const TempImage img(net, "zp_old");
+  ModelRegistry reg(1);
+  reg.add_model("m", img.path());
+  const auto before = reg.resolve("m");
+  const std::vector<float> sample = make_sample(net, 7);
+
+  for (const std::int32_t zw : {16, std::numeric_limits<std::int32_t>::min()}) {
+    QuantizedNet bad = make_net(20);
+    ASSERT_EQ(bad.layers[0].qw, core::BitWidth::kQ4);
+    bad.layers[0].zw.assign(bad.layers[0].zw.size(), zw);
+    const TempImage bad_img(bad, "zp_bad");
+
+    std::istringstream in(
+        "{\"cmd\":\"reload\",\"model\":\"m\",\"path\":\"" +
+        bad_img.path() + "\"}\n" +
+        format_request_line(1, sample.data(),
+                            static_cast<std::int64_t>(sample.size())) +
+        "\n");
+    std::ostringstream out;
+    StreamServer(reg, ServeConfig{}).serve(in, out);
+    EXPECT_NE(out.str().find("\"code\":\"reload_failed\""),
+              std::string::npos)
+        << out.str();
+    EXPECT_NE(out.str().find("zw out of range"), std::string::npos)
+        << out.str();
+    // The old generation answered the request that followed the refusal.
+    EXPECT_NE(out.str().find(
+                  format_result_line(1, reference_result(net, sample))),
+              std::string::npos)
+        << out.str();
+    EXPECT_EQ(reg.resolve("m"), before);
+  }
 }
 
 TEST(ModelRegistry, InjectedReloadFaultsAreContained) {

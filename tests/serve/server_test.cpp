@@ -1,9 +1,11 @@
 // End-to-end tests of the batch inference daemon: protocol round trips,
 // bit-exactness of served results against the serial planned engine,
-// concurrent clients, graceful shutdown with in-flight requests, and a
-// malformed-request fuzz pass.
+// concurrent clients, graceful shutdown with in-flight requests, a
+// malformed-request fuzz pass, and reply parity of the stdio and
+// unix-socket transports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -14,11 +16,15 @@
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
+#include "serve/batcher.hpp"
 #include "serve/json.hpp"
+#include "serve/net/epoll_server.hpp"
+#include "serve/registry.hpp"
 #include "serve/server.hpp"
 
 #ifndef _WIN32
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 #endif
@@ -228,7 +234,7 @@ TEST(StreamServer, MalformedRequestFuzzNeverKillsTheDaemon) {
   EXPECT_EQ(lines.back(), format_result_line(7, expect));
 }
 
-TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
+TEST(RegistryInferBatch, ConcurrentClientsBitExactWithSerialPlanned) {
   const QuantizedNet net = make_net(5);
   constexpr int kClients = 4;
   constexpr int kPerClient = 8;
@@ -236,7 +242,9 @@ TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
 
   RequestQueue queue;
   MicroBatcher batcher(queue, {/*max_batch=*/5, /*max_wait_us=*/500});
-  InferenceSession session(net, /*threads=*/3);
+  ModelRegistry reg(/*threads=*/3);
+  reg.add_model("default", net);
+  const auto model = reg.default_model();
 
   std::mutex results_mu;
   std::map<std::int64_t, QInferenceResult> results;
@@ -244,7 +252,7 @@ TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
     std::vector<Request> batch;
     std::vector<QInferenceResult> out;
     while (batcher.next_batch(batch)) {
-      session.infer_batch(batch, out);
+      reg.infer_batch(*model, batch, out);
       std::lock_guard<std::mutex> lock(results_mu);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         results[batch[i].id] = out[i];
@@ -287,7 +295,7 @@ TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
 }
 
 #ifndef _WIN32
-TEST(UnixSocketServer, RoundTripAndShutdown) {
+TEST(EpollServer, UnixSocketRoundTripAndShutdown) {
   const QuantizedNet net = make_net(6);
   const auto samples = make_samples(net, 3, 31);
   const std::string path =
@@ -297,10 +305,12 @@ TEST(UnixSocketServer, RoundTripAndShutdown) {
   std::string server_error;
   std::thread server([&] {
     try {
-      ServeConfig cfg;
-      cfg.max_batch = 2;
-      cfg.max_wait_us = 500;
-      stats = serve_unix_socket(net, cfg, path, nullptr);
+      NetConfig cfg;
+      cfg.engine.max_batch = 2;
+      cfg.engine.max_wait_us = 500;
+      cfg.unix_path = path;
+      EpollServer epoll(net, cfg);
+      stats = epoll.run(nullptr).engine;
     } catch (const std::exception& e) {
       server_error = e.what();
     }
@@ -384,6 +394,125 @@ TEST(UnixSocketServer, RoundTripAndShutdown) {
   }
   EXPECT_EQ(lines.back(), "{\"ok\":\"shutdown\"}");
   EXPECT_EQ(stats.responses, static_cast<std::int64_t>(samples.size()));
+}
+
+/// Removes the one `{"stats":...}` line from `lines` and returns it parsed.
+JsonValue take_stats_line(std::vector<std::string>& lines) {
+  const auto it = std::find_if(lines.begin(), lines.end(), [](const auto& l) {
+    return l.rfind("{\"stats\":", 0) == 0;
+  });
+  if (it == lines.end()) return JsonValue{};
+  const JsonValue v = parse_json(*it);
+  lines.erase(it);
+  return v;
+}
+
+TEST(TransportParity, StdioAndUnixSocketAnswerAlike) {
+  // One script through both transports of the one Dispatcher. info and
+  // health come first, so no request is queued when health reports.
+  const QuantizedNet net = make_net(7);
+  const auto samples = make_samples(net, 5, 41);
+  const std::int64_t numel = net.layers.front().in_shape.numel();
+  std::vector<std::string> script = {
+      "{\"cmd\":\"info\"}",
+      "{\"cmd\":\"health\"}",
+      "this is not json",
+      "{\"id\":90,\"model\":\"nope\",\"input\":[1]}",
+  };
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    script.push_back(format_request_line(static_cast<std::int64_t>(i),
+                                         samples[i].data(), numel));
+  }
+  script.push_back("{\"cmd\":\"stats\"}");
+  ServeConfig cfg;
+  cfg.threads = 2;
+  cfg.max_batch = 2;
+  cfg.max_wait_us = 500;
+
+  std::string text;
+  for (const auto& line : script) text += line + "\n";
+  std::istringstream in(text);
+  std::ostringstream out;
+  const ServeStats stdio = StreamServer(net, cfg).serve(in, out);
+  std::vector<std::string> stdio_lines = split_lines(out.str());
+
+  const std::string path =
+      "/tmp/mixq_parity_test_" + std::to_string(::getpid()) + ".sock";
+  NetConfig ncfg;
+  ncfg.engine = cfg;
+  ncfg.unix_path = path;
+  EpollServer epoll(net, ncfg);  // bound and listening from here on
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  path.copy(addr.sun_path, path.size());
+  timeval timeout{};
+  timeout.tv_sec = 30;  // a lost reply fails the test, never hangs it
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  NetStats socket;
+  std::thread loop([&] { socket = epoll.run(nullptr); });
+  std::string received;
+  const auto read_lines = [&](std::size_t want) {
+    char buf[4096];
+    while (static_cast<std::size_t>(std::count(
+               received.begin(), received.end(), '\n')) < want) {
+      const auto n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      received.append(buf, static_cast<std::size_t>(n));
+    }
+  };
+  const std::string wire = text + "{\"cmd\":\"shutdown\"}\n";
+  const bool sent =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0 &&
+      ::send(fd, wire.data(), wire.size(), 0) ==
+          static_cast<ssize_t>(wire.size());
+  if (sent) {
+    read_lines(script.size() + 1);
+  } else {
+    epoll.request_drain();
+  }
+  ::close(fd);
+  loop.join();
+  ASSERT_TRUE(sent);
+  std::vector<std::string> socket_lines = split_lines(received);
+  ASSERT_EQ(socket_lines.size(), script.size() + 1);
+  EXPECT_EQ(socket_lines.back(), "{\"ok\":\"shutdown\"}");
+  socket_lines.pop_back();
+
+  // The stats shapes differ on purpose: stdio is flat, the socket
+  // transport nests the engine beside its connection counters.
+  const JsonValue flat = take_stats_line(stdio_lines);
+  const JsonValue* fs = flat.find("stats");
+  ASSERT_TRUE(fs != nullptr && fs->is_object());
+  EXPECT_TRUE(fs->find("requests") != nullptr &&
+              fs->find("requests")->is_number());
+  EXPECT_TRUE(fs->find("models") != nullptr && fs->find("models")->is_object());
+  EXPECT_EQ(fs->find("engine"), nullptr);
+  const JsonValue nested = take_stats_line(socket_lines);
+  const JsonValue* ns = nested.find("stats");
+  ASSERT_TRUE(ns != nullptr && ns->is_object());
+  const JsonValue* engine = ns->find("engine");
+  ASSERT_TRUE(engine != nullptr && engine->is_object());
+  for (const char* key : {"requests", "mean_batch_fill", "latency_p50_us",
+                          "shed"}) {
+    EXPECT_TRUE(engine->find(key) != nullptr && engine->find(key)->is_number())
+        << key;
+  }
+  EXPECT_TRUE(ns->find("models") != nullptr && ns->find("models")->is_object());
+
+  // Everything else is the same multiset of reply lines.
+  ASSERT_EQ(stdio_lines.size(), script.size() - 1);
+  std::sort(stdio_lines.begin(), stdio_lines.end());
+  std::sort(socket_lines.begin(), socket_lines.end());
+  EXPECT_EQ(stdio_lines, socket_lines);
+  EXPECT_EQ(stdio.requests, static_cast<std::int64_t>(samples.size()));
+  EXPECT_EQ(stdio.responses, static_cast<std::int64_t>(samples.size()));
+  EXPECT_EQ(stdio.errors, 2);
+  EXPECT_EQ(socket.engine.requests, stdio.requests);
+  EXPECT_EQ(socket.engine.responses, stdio.responses);
+  EXPECT_EQ(socket.engine.errors, stdio.errors);
 }
 #endif  // !_WIN32
 

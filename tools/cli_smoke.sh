@@ -225,8 +225,50 @@ PYEOF
   fi
   wait "$SRV"
   cmp "$DIR/run.ndjson" "$DIR/tcp_term.ndjson"
+
+  echo "== serve --socket (unix socket, epoll loop): byte-identical to run"
+  SOCK="$DIR/serve.sock"
+  "$MIXQ" serve "$DIR/model.img" --socket "$SOCK" --max-batch 4 \
+    --max-wait-us 500 2> "$DIR/unix.log" &
+  SRV=$!
+  for _ in $(seq 1 100); do
+    grep -qF "listening on unix $SOCK" "$DIR/unix.log" && break
+    sleep 0.1
+  done
+  grep -qF "listening on unix $SOCK" "$DIR/unix.log"
+  PY_RC=0
+  python3 - "$SOCK" "$DIR/requests.ndjson" "$DIR/unix.ndjson" <<'PYEOF' || PY_RC=$?
+import socket, sys
+path, req_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+reqs = open(req_path, "rb").read().splitlines()[:4]
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(30)
+s.connect(path)
+f = s.makefile("rwb")
+for r in reqs:
+    f.write(r + b"\n")
+f.flush()
+with open(out_path, "wb") as out:
+    for _ in reqs:
+        line = f.readline()
+        assert b'"predicted"' in line, line
+        out.write(line)
+f.write(b'{"cmd":"shutdown"}\n')
+f.flush()
+ack = f.readline()
+assert ack == b'{"ok":"shutdown"}\n', ack
+s.close()
+PYEOF
+  if [ "$PY_RC" -ne 0 ]; then
+    kill "$SRV" 2>/dev/null || true
+    wait "$SRV" 2>/dev/null || true
+    exit "$PY_RC"
+  fi
+  wait "$SRV"  # exit status 0, or set -e fails the smoke
+  head -n 4 "$DIR/run.ndjson" | cmp - "$DIR/unix.ndjson"
+  test ! -e "$SOCK"  # the drained daemon removed its socket file
 else
-  echo "== serve --tcp smoke skipped: python3 not available"
+  echo "== serve --tcp/--socket smoke skipped: python3 not available"
 fi
 
 echo "== train a second model (different seed) for the hot-swap round trip"
