@@ -134,6 +134,9 @@ int cmd_serve(Args& args) {
 #endif
   }
   serve::StreamServer server(registry, cfg);
+  // Unsynced, std::cin reads stdin in buffered runs; synced with C stdio
+  // it hands the line reader one byte per call.
+  std::ios::sync_with_stdio(false);
   const serve::ServeStats stats = server.serve(std::cin, std::cout);
   if (!quiet) std::fputs(stats.str().c_str(), stderr);
   return 0;

@@ -79,7 +79,9 @@ class Reader {
   }
   void get_bytes(std::uint8_t* dst, std::size_t n) {
     if (pos_ + n > size_) fail("truncated byte array");
-    std::memcpy(dst, data_ + pos_, n);
+    // A zero-weight (pool) layer has no buffer: memcpy to null is UB even
+    // for n == 0.
+    if (n > 0) std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
   }
   /// Pointer to the next unread byte (zero-copy weight views).
@@ -535,8 +537,10 @@ QuantizedNet parse_image(const std::uint8_t* data, std::size_t size,
           l.weights_backing = backing;
         } else {
           l.weights = PackedBuffer(s.wnumel, s.q);
-          std::memcpy(l.weights.data(), payload + s.off,
-                      static_cast<std::size_t>(s.len));
+          if (s.len > 0) {
+            std::memcpy(l.weights.data(), payload + s.off,
+                        static_cast<std::size_t>(s.len));
+          }
         }
       } else {
         attach_huffman_section(payload, s, name.c_str(), l, backing);

@@ -98,8 +98,9 @@ class Dispatcher {
   void drain();
 
   /// Longest acceptable request line: a well-formed request is at most
-  /// ~17 bytes per float plus punctuation, and the parse tree amplifies
-  /// its input ~40x, so anything longer is refused unparsed.
+  /// ~17 bytes per float plus punctuation, so anything longer is refused
+  /// unscanned. It bounds each transport's read buffer, and with it what
+  /// the scanner may reserve for a line's "input".
   [[nodiscard]] std::size_t max_line_bytes() const { return max_line_bytes_; }
 
   /// Handle one complete line from `client` (see Action).

@@ -382,6 +382,7 @@ NetStats EpollServer::run(std::ostream* log) {
     enum class State { kReading, kDraining } state{State::kReading};
     std::string rdbuf;
     std::size_t rd_off{0};
+    std::size_t scan_off{0};  ///< where the search for '\n' resumes
     std::deque<std::string> outbox;
     std::size_t outbox_bytes{0};
     std::size_t wr_off{0};  ///< sent prefix of outbox.front()
@@ -454,10 +455,12 @@ NetStats EpollServer::run(std::ostream* log) {
   };
 
   /// True when a draining connection has answered everything and owes the
-  /// client no more bytes.
+  /// client no more bytes. One that lost its framing closes on its own; in
+  /// a server-wide drain they close once the worker and control thread are
+  /// done (the shutdown ack is still owed to one of them until then).
   const auto drained_idle = [&](const Conn& c) {
     return c.state == Conn::State::kDraining && c.outbox.empty() &&
-           c.in_flight == 0 && worker_done && control_done;
+           c.in_flight == 0 && (!draining || (worker_done && control_done));
   };
 
   // Queue one response line on a connection (bounded outbox -> a slow
@@ -540,8 +543,11 @@ NetStats EpollServer::run(std::ostream* log) {
   // streaming-style (framing is lost past it, so the connection drains).
   const auto process_rdbuf = [&](Conn& c) -> bool {
     while (true) {
-      const std::size_t nl = c.rdbuf.find('\n', c.rd_off);
+      // Resume where the last search stopped: a long line arrives in many
+      // recv()s, and rescanning its prefix each time would be quadratic.
+      const std::size_t nl = c.rdbuf.find('\n', c.scan_off);
       if (nl == std::string::npos) {
+        c.scan_off = c.rdbuf.size();
         if (c.rdbuf.size() - c.rd_off > core.max_line_bytes()) {
           if (!queue_line(c, core.line_too_long())) return false;
           // Framing lost: answer what is in flight, then close.
@@ -556,12 +562,14 @@ NetStats EpollServer::run(std::ostream* log) {
         }
         if (c.rd_off > 0) {
           c.rdbuf.erase(0, c.rd_off);
+          c.scan_off -= c.rd_off;
           c.rd_off = 0;
         }
         return true;
       }
       const std::string_view line(c.rdbuf.data() + c.rd_off, nl - c.rd_off);
       c.rd_off = nl + 1;
+      c.scan_off = c.rd_off;
       if (!handle_line(c, line)) return false;
       const auto it = conns.find(c.id);
       if (it == conns.end()) return false;  // closed while answering

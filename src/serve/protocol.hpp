@@ -87,6 +87,10 @@ enum class ErrCode : std::uint8_t {
 /// bound keeps now+deadline arithmetic overflow-free.
 inline constexpr std::int64_t kMaxDeadlineMs = 3'600'000;  // one hour
 
+/// Maximum array/object nesting a request line may use. Deeper input is a
+/// protocol error, not a stack overflow.
+inline constexpr int kJsonMaxDepth = 64;
+
 /// Immutable name -> input-length directory of a multi-model daemon.
 /// Shapes are pinned for the daemon's lifetime (a reload that changes a
 /// model's input shape or class count is refused), so front-ends build
@@ -127,10 +131,14 @@ struct ParsedLine {
   std::int64_t id{0};
 };
 
-/// Parse one protocol line. `input_numel` is the DEFAULT model's required
-/// input length; `max_line_bytes` rejects oversized lines BEFORE JSON
-/// parsing can amplify them (the JsonValue tree costs ~40x its input
-/// bytes). A request naming a model is validated against `models`
+/// Parse one protocol line in a single pass that validates all of it as
+/// JSON (errors read "json: WHY at byte N"), captures the first
+/// occurrence of each protocol key and writes the "input" numbers
+/// straight into the request. `input_numel` is the DEFAULT model's
+/// required input length; `max_line_bytes` refuses oversized lines before
+/// the scan, and so also bounds what the scan reserves for "input" (never
+/// more than one float per two line bytes, nor more than the routed
+/// model's numel). A request naming a model is validated against `models`
 /// (kError/not_found when the name is unknown -- or always, for a
 /// single-model caller passing nullptr). A parsed request's absolute
 /// deadline is stamped from "deadline_ms" when present, else from

@@ -164,23 +164,33 @@ namespace {
 
 enum class LineRead { kOk, kTooLong, kEof };
 
-/// getline with a memory bound: past `cap` bytes the remainder of the
-/// line is discarded (bounded, streaming) instead of buffered -- the
-/// stdio analogue of the socket reader's pending-size cap.
+/// getline with a memory bound: at most `cap` bytes are buffered, and the
+/// rest of a longer line is read through its newline and discarded
+/// (bounded, streaming) -- the stdio analogue of the socket reader's
+/// pending-size cap. A final line without a newline is still returned.
 LineRead read_line_bounded(std::istream& in, std::string& line,
                            std::size_t cap) {
   line.clear();
-  int c;
-  while ((c = in.get()) != std::char_traits<char>::eof()) {
-    if (c == '\n') return LineRead::kOk;
-    if (line.size() >= cap) {
-      while ((c = in.get()) != std::char_traits<char>::eof() && c != '\n') {
-      }
-      return LineRead::kTooLong;
-    }
-    line.push_back(static_cast<char>(c));
+  std::size_t total = 0;
+  char chunk[16384];
+  std::ios::iostate state;
+  do {
+    // goodbit: the newline was consumed (and counted in gcount); failbit
+    // alone: the chunk filled mid-line; otherwise the stream ended.
+    in.getline(chunk, sizeof(chunk));
+    state = in.rdstate();
+    const std::size_t stored = static_cast<std::size_t>(in.gcount()) -
+                               (state == std::ios::goodbit ? 1 : 0);
+    total += stored;
+    if (total <= cap) line.append(chunk, stored);
+    if (state == std::ios::failbit) in.clear();
+  } while (state == std::ios::failbit);
+  if (total > cap) {
+    line.clear();
+    return LineRead::kTooLong;
   }
-  return line.empty() ? LineRead::kEof : LineRead::kOk;
+  return state != std::ios::goodbit && total == 0 ? LineRead::kEof
+                                                   : LineRead::kOk;
 }
 
 }  // namespace

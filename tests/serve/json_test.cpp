@@ -1,14 +1,35 @@
+// The JSON writers, checked through the request scanner the daemon reads
+// with (serve/protocol.hpp), and the tree parser the scanner is compared
+// against (support/json_dom.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
+#include "support/json_dom.hpp"
 #include "tensor/rng.hpp"
 
 namespace mixq::serve {
 namespace {
+
+/// `text` as the one "input" element of a request line, read back through
+/// parse_protocol_line. False (and `out` untouched) unless the line parses
+/// as a request.
+bool read_served_float(const std::string& text, float& out) {
+  const ParsedLine p = parse_protocol_line(
+      "{\"id\":0,\"input\":[" + text + "]}", 1, 4096, 0);
+  if (p.kind != ParsedLine::Kind::kRequest || p.request.input.size() != 1) {
+    return false;
+  }
+  out = p.request.input[0];
+  return true;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
 
 TEST(Json, ParsesScalars) {
   EXPECT_TRUE(parse_json("null").is_null());
@@ -78,8 +99,8 @@ TEST(Json, IsIntegerEdgeCases) {
 
 TEST(Json, FloatFormatRoundTripsBitExactly) {
   // The serving protocol's core float invariant: shortest round-trip
-  // formatting parses back to the identical value, for every float the
-  // pipeline can produce.
+  // formatting reads back through the request path to the identical
+  // value, for every float the pipeline can produce.
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {
     float v;
@@ -95,17 +116,21 @@ TEST(Json, FloatFormatRoundTripsBitExactly) {
     }
     std::string s;
     append_json_float(s, v);
-    const JsonValue back = parse_json(s);
-    ASSERT_TRUE(back.is_number());
-    ASSERT_EQ(static_cast<float>(back.number), v);
+    float back = std::nanf("");
+    ASSERT_TRUE(read_served_float(s, back)) << s;
+    ASSERT_TRUE(same_bits(back, v)) << s;
   }
-  // Denormals and exact zero too.
+  // Denormals, both zeros and the extremes too.
   for (const float v : {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                        -std::numeric_limits<float>::denorm_min(),
                         std::numeric_limits<float>::min(),
-                        std::numeric_limits<float>::max()}) {
+                        std::numeric_limits<float>::max(),
+                        std::numeric_limits<float>::lowest()}) {
     std::string s;
     append_json_float(s, v);
-    ASSERT_EQ(static_cast<float>(parse_json(s).number), v);
+    float back = std::nanf("");
+    ASSERT_TRUE(read_served_float(s, back)) << s;
+    ASSERT_TRUE(same_bits(back, v)) << s;
   }
 }
 
@@ -123,6 +148,11 @@ TEST(Json, EscapedStringsRoundTrip) {
   std::string s;
   append_json_string(s, nasty);
   EXPECT_EQ(parse_json(s).string, nasty);
+  // The request path decodes it the same way.
+  const ParsedLine p = parse_protocol_line(
+      "{\"cmd\":\"reload\",\"path\":" + s + "}", 1, 4096, 0);
+  ASSERT_EQ(p.kind, ParsedLine::Kind::kReload);
+  EXPECT_EQ(p.reload_path, nasty);
 }
 
 }  // namespace

@@ -31,7 +31,9 @@
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
+#include "serve/dispatcher.hpp"
 #include "serve/net/epoll_server.hpp"
+#include "serve/registry.hpp"
 #include "serve/server.hpp"
 
 namespace mixq::serve {
@@ -122,13 +124,14 @@ class Client {
 
   /// False when the peer reset/closed the connection (fine under chaos) or
   /// the send timed out; send_errno() tells which.
-  bool send_line(const std::string& line) {
-    std::string wire = line;
-    wire.push_back('\n');
+  bool send_line(const std::string& line) { return send_bytes(line + "\n"); }
+
+  /// send_line without the newline: `bytes` go out as they are.
+  bool send_bytes(const std::string& bytes) {
     std::size_t off = 0;
-    while (off < wire.size()) {
+    while (off < bytes.size()) {
       const auto n =
-          ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
+          ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         send_errno_ = errno;
@@ -308,6 +311,101 @@ TEST(EpollServer, UnixSocketThroughSameLoop) {
   const NetStats stats = h.stop();
   EXPECT_EQ(stats.engine.responses, 1);
   EXPECT_EQ(::access(path.c_str(), F_OK), -1) << "stale socket file left";
+}
+
+// ---------------------------------------------------------------------------
+// Framing: a line is a line however it arrives, and the line cap holds at
+// its exact bound.
+// ---------------------------------------------------------------------------
+
+/// The daemon's request-line cap for a server over `net`.
+std::size_t line_cap(const QuantizedNet& net) {
+  ModelRegistry reg(1);
+  reg.add_model("default", net);
+  return Dispatcher(reg, ServeConfig{}, kUnboundedQueue, -1, nullptr, {})
+      .max_line_bytes();
+}
+
+TEST(EpollServer, RequestInOddSizedPiecesGetsIdenticalReply) {
+  const QuantizedNet net = make_net(21);
+  const auto samples = make_samples(net, 3, 22);
+  const auto expect = expected_per_sample(net, samples);
+  const std::int64_t numel = net.layers.front().in_shape.numel();
+
+  NetConfig cfg;
+  cfg.tcp_port = 0;
+  Harness h(net, cfg);
+  Client c;
+  ASSERT_TRUE(c.connect_tcp(h.port()));
+  std::string wire;
+  for (std::int64_t id = 0; id < 3; ++id) {
+    wire += format_request_line(id, samples[static_cast<std::size_t>(id)].data(),
+                                numel) +
+            "\n";
+  }
+  // Pauses between pieces let the loop see (most of) them as separate
+  // reads; the replies must not depend on where the cuts fall.
+  const std::size_t pieces[] = {1, 7, 4097, 2, 13, 1, 509, 3};
+  std::size_t off = 0;
+  for (std::size_t i = 0; off < wire.size(); ++i) {
+    const std::size_t n = std::min(pieces[i % std::size(pieces)],
+                                   wire.size() - off);
+    ASSERT_TRUE(c.send_bytes(wire.substr(off, n)));
+    off += n;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::int64_t id = 0; id < 3; ++id) {
+    std::string line;
+    ASSERT_EQ(c.read_line(line), Client::Read::kLine);
+    EXPECT_EQ(line, with_id(id, expect[static_cast<std::size_t>(id)]));
+  }
+}
+
+TEST(EpollServer, UnterminatedLineOverTheCapIsRefusedAndDrained) {
+  const QuantizedNet net = make_net(23);
+  const std::size_t cap = line_cap(net);
+
+  NetConfig cfg;
+  cfg.tcp_port = 0;
+  Harness h(net, cfg);
+  Client c;
+  ASSERT_TRUE(c.connect_tcp(h.port()));
+  ASSERT_TRUE(c.send_bytes(std::string(cap + 1, '1')));
+  std::string line;
+  ASSERT_EQ(c.read_line(line), Client::Read::kLine);
+  EXPECT_EQ(line,
+            "{\"error\":\"request line too long\",\"code\":\"malformed\","
+            "\"retryable\":false}");
+  // Framing is lost past the cap, so the server closes the connection.
+  EXPECT_EQ(c.read_line(line), Client::Read::kEof);
+}
+
+TEST(EpollServer, LineOfExactlyTheCapIsServed) {
+  const QuantizedNet net = make_net(24);
+  const auto samples = make_samples(net, 2, 25);
+  const auto expect = expected_per_sample(net, samples);
+  const std::int64_t numel = net.layers.front().in_shape.numel();
+  const std::size_t cap = line_cap(net);
+
+  NetConfig cfg;
+  cfg.tcp_port = 0;
+  Harness h(net, cfg);
+  Client c;
+  ASSERT_TRUE(c.connect_tcp(h.port()));
+  std::string at_cap = format_request_line(5, samples[0].data(), numel);
+  ASSERT_LT(at_cap.size(), cap);
+  at_cap.resize(cap, ' ');  // JSON allows the trailing spaces
+  // The cap's worth of bytes first, unterminated, then the newline.
+  ASSERT_TRUE(c.send_bytes(at_cap));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(c.send_bytes("\n"));
+  std::string line;
+  ASSERT_EQ(c.read_line(line), Client::Read::kLine);
+  EXPECT_EQ(line, with_id(5, expect[0]));
+  // The connection still serves.
+  ASSERT_TRUE(c.send_line(format_request_line(6, samples[1].data(), numel)));
+  ASSERT_EQ(c.read_line(line), Client::Read::kLine);
+  EXPECT_EQ(line, with_id(6, expect[1]));
 }
 
 // ---------------------------------------------------------------------------

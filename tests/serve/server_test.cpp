@@ -17,10 +17,12 @@
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
 #include "serve/batcher.hpp"
+#include "serve/dispatcher.hpp"
 #include "serve/json.hpp"
 #include "serve/net/epoll_server.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
+#include "support/json_dom.hpp"
 
 #ifndef _WIN32
 #include <sys/socket.h>
@@ -36,17 +38,17 @@ using runtime::Executor;
 using runtime::QInferenceResult;
 using runtime::QuantizedNet;
 
-QuantizedNet make_net(std::uint64_t seed) {
+QuantizedNet make_net(std::uint64_t seed, int hw = 8) {
   Rng rng(seed);
   models::SmallCnnConfig cfg;
-  cfg.input_hw = 8;
+  cfg.input_hw = hw;
   cfg.base_channels = 4;
   cfg.num_blocks = 1;
   cfg.num_classes = 3;
   cfg.qw = core::BitWidth::kQ4;
   cfg.wgran = core::Granularity::kPerChannel;
   auto model = models::build_small_cnn(cfg, &rng);
-  return runtime::convert_qat_model(model, Shape(1, 8, 8, 3),
+  return runtime::convert_qat_model(model, Shape(1, hw, hw, 3),
                                     {core::Scheme::kPCICN});
 }
 
@@ -232,6 +234,53 @@ TEST(StreamServer, MalformedRequestFuzzNeverKillsTheDaemon) {
   }
   EXPECT_EQ(error_lines, static_cast<int>(bad.size()));
   EXPECT_EQ(lines.back(), format_result_line(7, expect));
+}
+
+TEST(StreamServer, LineCapBoundsOneLineOnly) {
+  // A 16x16x3 input makes the cap (and a line at it) span several of the
+  // reader's chunks.
+  const QuantizedNet net = make_net(31, 16);
+  const auto samples = make_samples(net, 2, 32);
+  const std::int64_t numel = net.layers.front().in_shape.numel();
+
+  ServeConfig cfg;
+  ModelRegistry registry(1);
+  registry.add_model("default", net);
+  const std::size_t cap =
+      Dispatcher(registry, cfg, kUnboundedQueue, -1, nullptr, {})
+          .max_line_bytes();
+  ASSERT_GT(cap, 16'384u);
+
+  const auto padded = [&](std::int64_t id, std::size_t bytes) {
+    std::string line = format_request_line(id, samples[0].data(), numel);
+    line.resize(bytes, ' ');
+    return line;
+  };
+  std::string in_text = padded(1, cap) + "\n";       // at the cap: served
+  in_text += padded(2, cap + 1) + "\n";              // one over: refused
+  in_text += std::string(3 * 16'384, 'x') + "\n";    // far over: refused
+  // The last line has no newline; it is still served.
+  in_text += format_request_line(3, samples[1].data(), numel);
+
+  std::istringstream in(in_text);
+  std::ostringstream out;
+  StreamServer server(registry, cfg);
+  const ServeStats stats = server.serve(in, out);
+
+  const std::string too_long =
+      "{\"error\":\"request line too long\",\"code\":\"malformed\","
+      "\"retryable\":false}";
+  const auto lines = split_lines(out.str());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), too_long), 2);
+  const std::string first =
+      format_result_line(1, run_planned_serial(net, samples[0]));
+  const std::string last =
+      format_result_line(3, run_planned_serial(net, samples[1]));
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), first), 1);
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), last), 1);
+  EXPECT_EQ(stats.responses, 2);
+  EXPECT_EQ(stats.errors, 2);
 }
 
 TEST(RegistryInferBatch, ConcurrentClientsBitExactWithSerialPlanned) {
