@@ -391,7 +391,8 @@ TEST(ProtocolScan, ExtremeFloatsKeepEveryBit) {
 
 TEST(ProtocolScan, DepthBombInsideAnUnknownKey) {
   const std::string tail = ",\"id\":1,\"input\":" + floats(4) + "}";
-  // The member value sits at depth 1, so 63 more levels are the limit.
+  // The member value sits at depth 1: 63 nested arrays put the 0 at
+  // depth 64, the limit, and 65 put a bracket past it.
   const Verdict deep = check("{\"x\":" + depth_bomb(kJsonMaxDepth + 1) + tail);
   EXPECT_EQ(deep.diff, "");
   EXPECT_EQ(deep.scanned.error.rfind("json: nesting too deep at byte ", 0), 0u)
