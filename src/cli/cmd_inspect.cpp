@@ -131,6 +131,8 @@ int cmd_inspect(Args& args) {
     out += runtime::simd::vnni_enabled() ? "true" : "false";
     out += ",\"arena_bytes\":" + std::to_string(plan.arena_bytes());
     out += ",\"arena_bytes_i32\":" + std::to_string(plan_i32.arena_bytes());
+    out += ",\"weight_bytes\":" + std::to_string(plan.weight_bytes());
+    out += ",\"weight_bytes_i32\":" + std::to_string(plan_i32.weight_bytes());
     out += "}";
     out += ",\"image\":{\"payload_bytes\":" +
            std::to_string(img.payload_bytes);
@@ -241,10 +243,14 @@ int cmd_inspect(Args& args) {
   }
   std::printf(
       "host executor: %lld/%zu layers in the i8 domain, activation arenas "
-      "%lld bytes (all-INT32 plan: %lld bytes, %.2fx larger)\n",
+      "%lld bytes (all-INT32 plan: %lld bytes, %.2fx larger), weights "
+      "%lld bytes (%.2fx the RO bytes; all-INT32 plan: %lld bytes)\n",
       (long long)plan.i8_layer_count(), net.layers.size(),
       (long long)plan.arena_bytes(), (long long)plan_i32.arena_bytes(),
-      (double)plan_i32.arena_bytes() / (double)plan.arena_bytes());
+      (double)plan_i32.arena_bytes() / (double)plan.arena_bytes(),
+      (long long)plan.weight_bytes(),
+      (double)plan.weight_bytes() / (double)prof.total_ro_bytes,
+      (long long)plan_i32.weight_bytes());
   if (device_name) {
     const mcu::DeviceSpec dev = parse_device(*device_name);
     const mcu::MemoryMap map = mcu::build_memory_map(net, dev);

@@ -59,6 +59,20 @@ void interior_bounds(std::int64_t in, std::int64_t k, std::int64_t stride,
   lo = std::min(lo, hi);
 }
 
+/// Tap-major transpose of a depthwise bank (C rows of `taps` weights):
+/// one contiguous channel row per tap, as the vectorized kernels read it.
+template <typename T>
+std::vector<T> tap_major(const std::int32_t* w, std::int64_t taps,
+                         std::int64_t C) {
+  std::vector<T> t(static_cast<std::size_t>(taps * C));
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (std::int64_t k = 0; k < taps; ++k) {
+      t[static_cast<std::size_t>(k * C + c)] = static_cast<T>(w[c * taps + k]);
+    }
+  }
+  return t;
+}
+
 /// Requantize the channel chunk [c0, c0 + len) of one output row of raw
 /// int32 accumulators (sum X*(W-Zw)): the vectorized table when provably
 /// exact (the VNNI requantizer on VNNI-tier layers, whose vpsravq needs no
@@ -335,51 +349,50 @@ void conv_rows_i64(const PlannedLayer& pl, const std::int32_t* x, OutT* y,
   }
 }
 
-/// Encodes a clamped depthwise tap window for the border-config lookup.
-/// Degenerate (empty) windows clamp to 0 so the encoding stays
-/// non-negative; both the plan builder and the kernel encode through here.
-inline std::int64_t border_cfg_key(std::int64_t ky0, std::int64_t ky1,
-                                   std::int64_t kx0, std::int64_t kx1) {
-  if (ky1 < 0) ky1 = 0;
-  if (kx1 < 0) kx1 = 0;
-  return (((ky0 << 8 | ky1) << 8 | kx0) << 8) | kx1;
+/// Clamped tap window of the depthwise output pixel whose kernel origin
+/// is (ih0, iw0); the plan builder and every kernel derive it here.
+inline TapWindow tap_window(const QLayer& l, std::int64_t ih0,
+                            std::int64_t iw0) {
+  return {ih0 < 0 ? -ih0 : 0,
+          std::min<std::int64_t>(l.spec.kh, l.in_shape.h - ih0),
+          iw0 < 0 ? -iw0 : 0,
+          std::min<std::int64_t>(l.spec.kw, l.in_shape.w - iw0)};
 }
 
 inline const std::int32_t* border_add_for(const PlannedLayer& pl,
-                                          std::int64_t key) {
+                                          const TapWindow& win) {
   for (std::size_t i = 0; i < pl.border_key.size(); ++i) {
-    if (pl.border_key[i] == key) return pl.border_add[i].data();
+    if (pl.border_key[i] == win) return pl.border_add[i].data();
   }
   return nullptr;
 }
 
 /// Depthwise border pixel: per-channel scalar taps over the clamped
-/// rectangle (shared by every depthwise kernel, both domains -- XT is the
-/// activation storage type, AccT the proven accumulator width).
-template <typename AccT, typename XT, typename OutT>
-void depthwise_border_pixel(const PlannedLayer& pl, const XT* x, OutT* o,
-                            std::int64_t ih0, std::int64_t iw0) {
+/// rectangle of the tap-major bank `wt` (taps x C: the INT32 transpose in
+/// the wide domain, the s16 bank in the narrow one). Shared by every
+/// depthwise kernel -- XT is the activation storage type, AccT the proven
+/// accumulator width.
+template <typename AccT, typename XT, typename WT, typename OutT>
+void depthwise_border_pixel(const PlannedLayer& pl, const XT* x,
+                            const WT* wt, OutT* o, std::int64_t ih0,
+                            std::int64_t iw0) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
   const std::int64_t C = is.c;
-  const std::int64_t kh = l.spec.kh;
   const std::int64_t kw = l.spec.kw;
   const std::int64_t row = is.w * C;
-  const std::int64_t per = kh * kw;
+  const std::int64_t per = l.spec.kh * kw;
   const std::int64_t zx = l.zx;
-  const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
-  const std::int64_t ky1 = std::min(kh, is.h - ih0);
-  const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
-  const std::int64_t kx1 = std::min(kw, is.w - iw0);
+  const TapWindow win = tap_window(l, ih0, iw0);
   for (std::int64_t c = 0; c < C; ++c) {
-    const std::int32_t* wch = pl.w.data() + c * per;
     const std::int64_t* ts = pl.tap_sum.data() + c * per;
     AccT acc = 0;
     std::int64_t svalid = 0;
-    for (std::int64_t ky = ky0; ky < ky1; ++ky) {
+    for (std::int64_t ky = win.ky0; ky < win.ky1; ++ky) {
       const XT* xr = x + (ih0 + ky) * row + c;
-      for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-        acc += static_cast<AccT>(xr[(iw0 + kx) * C]) * wch[ky * kw + kx];
+      for (std::int64_t kx = win.kx0; kx < win.kx1; ++kx) {
+        acc += static_cast<AccT>(xr[(iw0 + kx) * C]) *
+               wt[(ky * kw + kx) * C + c];
         svalid += ts[ky * kw + kx];
       }
     }
@@ -421,26 +434,22 @@ void depthwise_rows_i32(const PlannedLayer& pl, const std::int32_t* x,
       } else if (pl.rq.usable) {
         // Vector border: MAC the valid-tap rectangle across channels, then
         // requantize with this window's precomputed pre-add.
-        const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
-        const std::int64_t ky1 = std::min(kh, is.h - ih0);
-        const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
-        const std::int64_t kx1 = std::min(kw, is.w - iw0);
-        const std::int32_t* addv =
-            border_add_for(pl, border_cfg_key(ky0, ky1, kx0, kx1));
+        const TapWindow win = tap_window(l, ih0, iw0);
+        const std::int32_t* addv = border_add_for(pl, win);
         if (addv == nullptr) {
-          depthwise_border_pixel<std::int32_t>(pl, x, o, ih0, iw0);
+          depthwise_border_pixel<std::int32_t>(pl, x, wt, o, ih0, iw0);
           continue;
         }
         std::fill(acc, acc + C, 0);
-        for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-          for (std::int64_t kx = kx0; kx < kx1; ++kx) {
+        for (std::int64_t ky = win.ky0; ky < win.ky1; ++ky) {
+          for (std::int64_t kx = win.kx0; kx < win.kx1; ++kx) {
             simd::mac_i32(acc, x + (ih0 + ky) * row + (iw0 + kx) * C,
                           wt + (ky * kw + kx) * C, C);
           }
         }
         requant_border(pl, acc, addv, o, C);
       } else {
-        depthwise_border_pixel<std::int32_t>(pl, x, o, ih0, iw0);
+        depthwise_border_pixel<std::int32_t>(pl, x, wt, o, ih0, iw0);
       }
     }
   }
@@ -481,7 +490,8 @@ void depthwise_rows_i64(const PlannedLayer& pl, const std::int32_t* x,
               requantize(l, acc - zx * pl.wsum[c], c));
         }
       } else {
-        depthwise_border_pixel<std::int64_t>(pl, x, o, ih0, iw0);
+        depthwise_border_pixel<std::int64_t>(pl, x, pl.wt.data(), o, ih0,
+                                             iw0);
       }
     }
   }
@@ -602,22 +612,34 @@ void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
   }
 }
 
+/// gemm8_rows epilogue of a requantizing layer: output rows co apart.
+template <typename OutT>
+auto requant_to(const PlannedLayer& pl, OutT* out) {
+  const std::int64_t co = pl.layer->wshape.co;
+  return [&pl, out, co](const std::int32_t* acc, std::int64_t m,
+                        std::int64_t c0, std::int64_t len) {
+    requant_chunk(pl, acc, out + m * co + c0, c0, len);
+  };
+}
+
 /// Narrow GEMM over rows [m0, m1), dispatched on the layer's plan-time
 /// kernel tier: the VNNI panel (vpdpbusd, no pair bound; zero-point split
 /// layers add (128 - Zw[oc]) * rowsum once a channel chunk's K loop is
 /// done), the AVX2-era s8 panel (i16-pair bound proven), or the u8 x s16
 /// widening kernels. All tiers honour the autotuned K/N cache blocking
 /// (pl.tile.kb / pl.tile.nb; 0 = unblocked): K-blocks accumulate exact i32
-/// partial sums, N-blocks requantize each channel chunk as soon as its
-/// accumulators complete, so blocking is bit-exact with the single-pass
-/// GEMM.
+/// partial sums, N-blocks hand each channel chunk to the epilogue as soon
+/// as its accumulators complete, so blocking is bit-exact with the
+/// single-pass GEMM. `epilogue(acc, m, c0, len)` takes the exact sums
+/// sum_k a[k] * (w[k] - Zw) of channels [c0, c0 + len) of row m, `acc`
+/// pointing at channel c0 (requant_to, or the head's float logits).
 /// `A` rows are `lda` bytes apart and must be readable for kp bytes each
 /// (arena slack / col8 padding guarantee it; padded weights are zero, so
 /// the extra products vanish exactly).
-template <typename OutT>
+template <typename Epilogue>
 void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
                 std::int64_t lda, std::int64_t m0, std::int64_t m1,
-                OutT* out, std::int32_t* row_acc) {
+                std::int32_t* row_acc, const Epilogue& epilogue) {
   const std::int64_t co = pl.layer->wshape.co;
   const std::int64_t kp = pl.kp;
   const std::int64_t co_pad = pl.co_pad;
@@ -667,9 +689,8 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
         if (len > 0) {
           add_split(row_acc, s0, c0, len);
           add_split(row_acc + co_pad, s1, c0, len);
-          requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
-          requant_chunk(pl, row_acc + co_pad + c0, out + (m + 1) * co + c0,
-                        c0, len);
+          epilogue(row_acc + c0, m, c0, len);
+          epilogue(row_acc + co_pad + c0, m + 1, c0, len);
         }
       }
     }
@@ -694,7 +715,7 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
         const std::int64_t len = std::min(c1, co) - c0;
         if (len > 0) {
           add_split(row_acc, sa, c0, len);
-          requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
+          epilogue(row_acc + c0, m, c0, len);
         }
       }
     }
@@ -725,9 +746,8 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
           row_acc[co_pad + oc] += simd::dot_u8s16(a1 + k0, wr, klen);
         }
       }
-      requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, c1 - c0);
-      requant_chunk(pl, row_acc + co_pad + c0, out + (m + 1) * co + c0, c0,
-                    c1 - c0);
+      epilogue(row_acc + c0, m, c0, c1 - c0);
+      epilogue(row_acc + co_pad + c0, m + 1, c0, c1 - c0);
     }
   }
   for (; m < m1; ++m) {
@@ -747,7 +767,7 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
           row_acc[oc] += simd::dot_u8s16(a + k0, W + oc * kp + k0, klen);
         }
       }
-      requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, c1 - c0);
+      epilogue(row_acc + c0, m, c0, c1 - c0);
     }
   }
 }
@@ -791,19 +811,16 @@ void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
         }
         requant_row(pl, acc, o, C);
       } else {
-        const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
-        const std::int64_t ky1 = std::min(kh, is.h - ih0);
-        const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
-        const std::int64_t kx1 = std::min(kw, is.w - iw0);
-        const std::int32_t* addv =
-            border_add_for(pl, border_cfg_key(ky0, ky1, kx0, kx1));
+        const TapWindow win = tap_window(l, ih0, iw0);
+        const std::int32_t* addv = border_add_for(pl, win);
         if (addv == nullptr) {
-          depthwise_border_pixel<std::int32_t>(pl, x, o, ih0, iw0);
+          depthwise_border_pixel<std::int32_t>(pl, x, pl.wt16.data(), o, ih0,
+                                               iw0);
           continue;
         }
         std::fill(acc, acc + C, 0);
-        for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-          for (std::int64_t kx = kx0; kx < kx1; ++kx) {
+        for (std::int64_t ky = win.ky0; ky < win.ky1; ++ky) {
+          for (std::int64_t kx = win.kx0; kx < win.kx1; ++kx) {
             if (vnni) {
               simd::vnni_mac_u8s16(acc, x + (ih0 + ky) * row + (iw0 + kx) * C,
                                    pl.wt16.data() + (ky * kw + kx) * C, C);
@@ -879,6 +896,15 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       (opts.vnni == PlanOptions::Vnni::kAuto && simd::vnni_enabled());
   const CacheInfo caches = detect_caches();
 
+  // One zero-point-offset INT32 bank, sized for the largest layer and
+  // reused by all: each layer's sums, proofs and panels are built from it,
+  // and only kernels that read INT32 weights get a copy (w / wt).
+  std::int64_t wbuf_elems = 0;
+  for (const QLayer& l : net.layers) {
+    wbuf_elems = std::max(wbuf_elems, l.weights_numel());
+  }
+  std::vector<std::int32_t> wbuf(static_cast<std::size_t>(wbuf_elems));
+
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
     const QLayer& l = net.layers[i];
     PlannedLayer pl;
@@ -902,21 +928,20 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
     }
 
     if (l.kind != QLayerKind::kGlobalAvgPool) {
-      // Land the whole weight bank in the pre-unpacked INT32 panel in one
-      // sequential pass (rows are contiguous, so the bank-wide walk equals
-      // the per-channel row walks), then pre-subtract the per-channel
+      // Land the whole weight bank in the INT32 scratch in one sequential
+      // pass (rows are contiguous, so the bank-wide walk equals the
+      // per-channel row walks), then pre-subtract the per-channel
       // zero-point. weight_codes_to_i32 bulk-unpacks raw packed banks and
       // STREAMING-DECODES entropy-coded (mmap'ed, still-compressed) banks
-      // straight into the panel -- the unpacked image never exists
+      // straight into the scratch -- the unpacked image never exists
       // anywhere else.
       const std::int64_t per = l.wshape.per_channel();
       const std::int64_t co = l.wshape.co;
-      pl.w.resize(static_cast<std::size_t>(l.weights_numel()));
-      l.weight_codes_to_i32(pl.w.data());
+      l.weight_codes_to_i32(wbuf.data());
       for (std::int64_t oc = 0; oc < co; ++oc) {
         const std::int32_t zw = l.zw_of(oc);
         if (zw != 0) {
-          std::int32_t* wp = pl.w.data() + oc * per;
+          std::int32_t* wp = wbuf.data() + oc * per;
           for (std::int64_t k = 0; k < per; ++k) wp[k] -= zw;
         }
       }
@@ -930,7 +955,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       for (std::int64_t oc = 0; oc < co; ++oc) {
         for (std::int64_t t = 0; t < taps; ++t) {
           std::int64_t s = 0;
-          const std::int32_t* wp = pl.w.data() + oc * per + t * tap_ci;
+          const std::int32_t* wp = wbuf.data() + oc * per + t * tap_ci;
           for (std::int64_t k = 0; k < tap_ci; ++k) s += wp[k];
           pl.tap_sum[static_cast<std::size_t>(oc * taps + t)] = s;
           pl.wsum[static_cast<std::size_t>(oc)] += s;
@@ -990,15 +1015,6 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
                 (ky * l.in_shape.w + kx) * C;
           }
         }
-        // Tap-major transpose for the vectorized interior kernel: one
-        // contiguous channel row of weights per tap.
-        pl.wt.resize(static_cast<std::size_t>(taps * C));
-        for (std::int64_t c = 0; c < C; ++c) {
-          for (std::int64_t t = 0; t < taps; ++t) {
-            pl.wt[static_cast<std::size_t>(t * C + c)] =
-                pl.w[static_cast<std::size_t>(c * taps + t)];
-          }
-        }
         // Border requant configs: one pre-add vector (bq - Zx*svalid) per
         // distinct clamped tap window, so border pixels stay on the
         // vector path. Usability bounds: |svalid| is a tap subset of
@@ -1022,7 +1038,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           kxw.erase(std::unique(kxw.begin(), kxw.end()), kxw.end());
           for (const auto& [ky0, ky1] : kyw) {
             for (const auto& [kx0, kx1] : kxw) {
-              pl.border_key.push_back(border_cfg_key(ky0, ky1, kx0, kx1));
+              pl.border_key.push_back({ky0, ky1, kx0, kx1});
               std::vector<std::int32_t> add(static_cast<std::size_t>(C));
               for (std::int64_t c = 0; c < C; ++c) {
                 std::int64_t svalid = 0;
@@ -1052,11 +1068,13 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
     // -----------------------------------------------------------------
     // Narrow-domain eligibility prover + weight repacking.
     // -----------------------------------------------------------------
-    if (l.kind == QLayerKind::kGlobalAvgPool || l.raw_logits) {
-      // Pool and head carry no requantizing MAC kernel of their own; they
-      // read whatever codes arrive, so narrow storage is always exact.
+    if (l.kind == QLayerKind::kGlobalAvgPool ||
+        (l.raw_logits && !pl.acc32)) {
+      // Pool, and a head too wide for i32 sums, have no narrow MAC kernel;
+      // they read whatever codes arrive, so narrow storage is exact.
       pl.domain = opts.allow_i8 ? ExecDomain::kI8 : ExecDomain::kI32;
-    } else if (opts.allow_i8 && pl.acc32 && pl.rq.usable) {
+    } else if (opts.allow_i8 && pl.acc32 && (l.raw_logits || pl.rq.usable)) {
+      // The head's epilogue writes float logits: it needs only acc32.
       pl.domain = ExecDomain::kI8;
       const std::int64_t per = l.wshape.per_channel();
       const std::int64_t co = l.wshape.co;
@@ -1067,10 +1085,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         // consumes the same bank).
         const std::int64_t taps = l.spec.kh * l.spec.kw;
         const std::int64_t C = l.in_shape.c;
-        pl.wt16.resize(static_cast<std::size_t>(taps * C));
-        for (std::size_t k = 0; k < pl.wt.size(); ++k) {
-          pl.wt16[k] = static_cast<std::int16_t>(pl.wt[k]);
-        }
+        pl.wt16 = tap_major<std::int16_t>(wbuf.data(), taps, C);
         pl.wt16p.assign(
             static_cast<std::size_t>(simd::dw_pairs(taps) * 2 * C), 0);
         simd::dw_pack_u8s16(pl.wt16.data(), taps, C, pl.wt16p.data());
@@ -1083,18 +1098,20 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         // s8 panel tier (no VNNI): weights fit int8 AND the widening MAC's
         // i16 pair sums are proven exact: max (|w[2k]| + |w[2k+1]|) * amax
         // <= 32767 over every adjacent pair of the panel's 4-byte K groups.
+        // Offsets are within [-255, 255], so i32 pair sums are exact.
         const std::int64_t amax = core::qmax(l.qx);
-        std::int64_t wmin = 0, wmax = 0, pair_max = 0;
+        std::int32_t wmin = 0, wmax = 0, pair_max = 0;
         for (std::int64_t oc = 0; oc < co; ++oc) {
-          const std::int32_t* wr = pl.w.data() + oc * per;
-          for (std::int64_t k = 0; k < per; k += 2) {
-            const std::int64_t m0 = std::abs(wr[k]);
-            const std::int64_t m1 = k + 1 < per ? std::abs(wr[k + 1]) : 0;
-            pair_max = std::max(pair_max, m0 + m1);
+          const std::int32_t* wr = wbuf.data() + oc * per;
+          std::int64_t k = 0;
+          for (; k + 1 < per; k += 2) {
+            pair_max =
+                std::max(pair_max, std::abs(wr[k]) + std::abs(wr[k + 1]));
           }
-          for (std::int64_t k = 0; k < per; ++k) {
-            wmin = std::min<std::int64_t>(wmin, wr[k]);
-            wmax = std::max<std::int64_t>(wmax, wr[k]);
+          if (k < per) pair_max = std::max(pair_max, std::abs(wr[k]));
+          for (k = 0; k < per; ++k) {
+            wmin = std::min(wmin, wr[k]);
+            wmax = std::max(wmax, wr[k]);
           }
         }
         const bool fits_s8 = wmin >= -128 && wmax <= 127;
@@ -1105,7 +1122,6 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         } else {
           pl.tier = KernelTier::kU8S16;
         }
-        pl.i8_panel = pl.tier == KernelTier::kS8Panel;
         if (pl.tier == KernelTier::kVnni) {
           if (!fits_s8) {
             // Zero-point split (gemmlowp): (w - Zw) = (w - 128) + (128 - Zw).
@@ -1125,7 +1141,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           pl.co_pad = simd::round_up(co, simd::vnni_ocb());
           pl.w8.resize(
               static_cast<std::size_t>(simd::vnni_panel_elems(co, per)));
-          simd::vnni_pack(pl.w.data(), co, per, pl.w8.data(),
+          simd::vnni_pack(wbuf.data(), co, per, pl.w8.data(),
                           pl.zp_split.empty() ? nullptr
                                               : pl.zp_split.data());
         } else if (pl.tier == KernelTier::kS8Panel) {
@@ -1133,7 +1149,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           pl.co_pad = simd::round_up(co, simd::gemm_u8s8_ocb());
           pl.w8.resize(
               static_cast<std::size_t>(simd::gemm_u8s8_panel_elems(co, per)));
-          simd::gemm_u8s8_pack(pl.w.data(), co, per, pl.w8.data());
+          simd::gemm_u8s8_pack(wbuf.data(), co, per, pl.w8.data());
         } else {
           // s16 tier: rows padded to the widest vector step (16 i16) so
           // the dot kernels run remainder-free; pad weights are zero.
@@ -1143,7 +1159,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           for (std::int64_t oc = 0; oc < co; ++oc) {
             for (std::int64_t k = 0; k < per; ++k) {
               pl.w16[static_cast<std::size_t>(oc * pl.kp + k)] =
-                  static_cast<std::int16_t>(pl.w[oc * per + k]);
+                  static_cast<std::int16_t>(wbuf[oc * per + k]);
             }
           }
         }
@@ -1176,6 +1192,15 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         }
         if (pl.tile.kb > 0) pl.tile.kb = simd::round_up(pl.tile.kb, gs.kq);
         if (pl.tile.nb > 0) pl.tile.nb = simd::round_up(pl.tile.nb, gs.ocb);
+      }
+    }
+
+    // MAC layers without a narrow tier (wide, or a head failing acc32).
+    if (l.kind != QLayerKind::kGlobalAvgPool && pl.tier == KernelTier::kNone) {
+      pl.w.assign(wbuf.begin(), wbuf.begin() + l.weights_numel());
+      if (l.kind == QLayerKind::kDepthwise) {
+        pl.wt = tap_major<std::int32_t>(wbuf.data(), l.spec.kh * l.spec.kw,
+                                        l.in_shape.c);
       }
     }
 
@@ -1239,7 +1264,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       if (pl.pool32) {
         row_acc_elems_ = std::max(row_acc_elems_, l.in_shape.c);
       }
-    } else if (!l.raw_logits) {
+    } else {
       const std::int64_t width =
           pl.domain == ExecDomain::kI8 ? pl.co_pad : l.wshape.co;
       row_acc_elems_ = std::max(row_acc_elems_, 2 * width);
@@ -1248,7 +1273,6 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
 
   const QLayer& last = net.layers.back();
   logit_elems_ = last.raw_logits ? last.wshape.co : last.out_shape.numel();
-  self_ = std::make_unique<PlanArenas>(*this, 1);
 }
 
 std::int64_t ExecutionPlan::arena_bytes() const {
@@ -1256,6 +1280,18 @@ std::int64_t ExecutionPlan::arena_bytes() const {
              (ping_elems_ + pong_elems_ + col_elems_) +
          arena_u8_padded(ping8_elems_) + arena_u8_padded(pong8_elems_) +
          arena_u8_padded(col8_elems_);
+}
+
+std::int64_t ExecutionPlan::weight_bytes() const {
+  const auto bytes = [](const auto& v) {
+    return static_cast<std::int64_t>(v.size() * sizeof(v[0]));
+  };
+  std::int64_t n = 0;
+  for (const PlannedLayer& pl : layers_) {
+    n += bytes(pl.w) + bytes(pl.wt) + bytes(pl.w8) + bytes(pl.w16) +
+         bytes(pl.wt16) + bytes(pl.wt16p);
+  }
+  return n;
 }
 
 std::int64_t ExecutionPlan::i8_layer_count() const {
@@ -1308,18 +1344,27 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
 
   if (pl.domain == ExecDomain::kI8) {
     const std::uint8_t* x = arenas.arena8(pl.src);
+    // Panel GEMM over rows [m0, m1) of A, requantized into this layer's
+    // output storage from output row `row0` on.
+    const auto gemm = [&](const std::uint8_t* A, std::int64_t lda,
+                          std::int64_t m0, std::int64_t m1,
+                          std::int64_t row0) {
+      const std::int64_t off = row0 * l.wshape.co;
+      if (pl.out_u8) {
+        gemm8_rows(pl, A, lda, m0, m1, row_acc,
+                   requant_to(pl, arenas.arena8(pl.dst) + off));
+      } else {
+        gemm8_rows(pl, A, lda, m0, m1, row_acc,
+                   requant_to(pl, arenas.arena(pl.dst) + off));
+      }
+    };
     switch (l.kind) {
-      case QLayerKind::kConv: {
-        const std::int64_t K = l.wshape.per_channel();
-        const std::int64_t co = l.wshape.co;
-        const bool direct = l.spec.kh == 1 && l.spec.kw == 1 &&
-                            l.spec.pad == 0 && l.spec.stride == 1;
-        if (direct) {
-          if (pl.out_u8) {
-            gemm8_rows(pl, x, K, r0, r1, arenas.arena8(pl.dst), row_acc);
-          } else {
-            gemm8_rows(pl, x, K, r0, r1, arenas.arena(pl.dst), row_acc);
-          }
+      case QLayerKind::kConv:
+      case QLayerKind::kLinear: {
+        if (l.kind == QLayerKind::kLinear ||
+            (l.spec.kh == 1 && l.spec.kw == 1 && l.spec.pad == 0 &&
+             l.spec.stride == 1)) {
+          gemm(x, l.wshape.per_channel(), r0, r1, 0);
           return;
         }
         // Cache-blocked: gather the autotuned number of output pixels into
@@ -1330,13 +1375,7 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
         for (std::int64_t t0 = r0; t0 < r1; t0 += trows) {
           const std::int64_t t1 = std::min(r1, t0 + trows);
           im2col8_rows(pl, x, tile, t0, t1);
-          if (pl.out_u8) {
-            gemm8_rows(pl, tile, pl.kp, 0, t1 - t0,
-                       arenas.arena8(pl.dst) + t0 * co, row_acc);
-          } else {
-            gemm8_rows(pl, tile, pl.kp, 0, t1 - t0,
-                       arenas.arena(pl.dst) + t0 * co, row_acc);
-          }
+          gemm(tile, pl.kp, 0, t1 - t0, t0);
         }
         return;
       }
@@ -1345,15 +1384,6 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
           depthwise8_rows(pl, x, arenas.arena8(pl.dst), r0, r1, row_acc);
         } else {
           depthwise8_rows(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
-        }
-        return;
-      case QLayerKind::kLinear:
-        if (pl.out_u8) {
-          gemm8_rows(pl, x, l.wshape.per_channel(), 0, 1,
-                     arenas.arena8(pl.dst), row_acc);
-        } else {
-          gemm8_rows(pl, x, l.wshape.per_channel(), 0, 1,
-                     arenas.arena(pl.dst), row_acc);
         }
         return;
       case QLayerKind::kGlobalAvgPool:
@@ -1456,35 +1486,39 @@ void ExecutionPlan::run_head(const PlannedLayer& pl,
                              PlanArenas& arenas) const {
   const QLayer& l = *pl.layer;
   const std::int64_t K = l.wshape.per_channel();
-  const std::int64_t co = l.wshape.co;
   const std::int64_t zx = l.zx;
-  const std::int32_t* W = pl.w.data();
-  std::vector<float>& logits = arenas.logits;
-  const std::int32_t* x32 = pl.in_u8 ? nullptr : arenas.arena(pl.src);
-  const std::uint8_t* x8 = pl.in_u8 ? arenas.arena8(pl.src) : nullptr;
-  for (std::int64_t oc = 0; oc < co; ++oc) {
-    const std::int32_t* w0 = W + oc * K;
-    std::int64_t acc;
-    if (pl.acc32) {
-      acc = pl.in_u8 ? simd::dot_u8_i32(x8, w0, K) : simd::dot_i32(x32, w0, K);
-    } else {
-      std::int64_t a = 0;
-      if (pl.in_u8) {
-        for (std::int64_t k = 0; k < K; ++k) {
-          a += static_cast<std::int64_t>(x8[k]) * w0[k];
-        }
-      } else {
-        for (std::int64_t k = 0; k < K; ++k) {
-          a += static_cast<std::int64_t>(x32[k]) * w0[k];
-        }
+  float* logits = arenas.logits.data();
+  // out_mult * (phi + bq) with phi = acc - Zx*wsum, as the reference head.
+  const auto logit = [&](std::int64_t oc, std::int64_t acc) {
+    const auto c = static_cast<std::size_t>(oc);
+    logits[c] = static_cast<float>(
+        l.out_mult[c] * static_cast<double>(acc - zx * pl.wsum[c] +
+                                            l.icn[c].bq));
+  };
+  if (pl.tier != KernelTier::kNone) {
+    gemm8_rows(pl, arenas.arena8(pl.src), K, 0, 1, arenas.lane_row_acc(0),
+               [&](const std::int32_t* acc, std::int64_t, std::int64_t c0,
+                   std::int64_t len) {
+                 for (std::int64_t j = 0; j < len; ++j) logit(c0 + j, acc[j]);
+               });
+    return;
+  }
+  // INT32 bank (the wide domain, or a fan-in too large for i32 sums):
+  // exact int64 dots over whichever storage the input arrives in.
+  const auto dots = [&](const auto* x) {
+    for (std::int64_t oc = 0; oc < l.wshape.co; ++oc) {
+      const std::int32_t* w0 = pl.w.data() + oc * K;
+      std::int64_t acc = 0;
+      for (std::int64_t k = 0; k < K; ++k) {
+        acc += static_cast<std::int64_t>(x[k]) * w0[k];
       }
-      acc = a;
+      logit(oc, acc);
     }
-    const std::int64_t phi = acc - zx * pl.wsum[oc];
-    const auto& ch = l.icn[static_cast<std::size_t>(oc)];
-    logits[static_cast<std::size_t>(oc)] =
-        static_cast<float>(l.out_mult[static_cast<std::size_t>(oc)] *
-                           static_cast<double>(phi + ch.bq));
+  };
+  if (pl.in_u8) {
+    dots(arenas.arena8(pl.src));
+  } else {
+    dots(arenas.arena(pl.src));
   }
 }
 
@@ -1506,8 +1540,13 @@ const std::vector<float>& ExecutionPlan::finish_logits(
   return arenas.logits;
 }
 
+PlanArenas& ExecutionPlan::self_arenas() const {
+  if (!self_) self_ = std::make_unique<PlanArenas>(*this, 1);
+  return *self_;
+}
+
 const std::vector<float>& ExecutionPlan::run_into(const float* sample) const {
-  return run_into(sample, *self_);
+  return run_into(sample, self_arenas());
 }
 
 const std::vector<float>& ExecutionPlan::run_into(const float* sample,
@@ -1577,7 +1616,7 @@ const std::vector<float>& ExecutionPlan::run_timed(
     const float* sample, std::vector<std::int64_t>& per_layer_ns,
     std::int64_t* quantize_ns) const {
   using clock = std::chrono::steady_clock;
-  PlanArenas& arenas = *self_;
+  PlanArenas& arenas = self_arenas();
   per_layer_ns.assign(layers_.size(), 0);
   const std::int64_t n_in = net_->layers.front().in_shape.numel();
   auto t0 = clock::now();
@@ -1619,7 +1658,7 @@ QInferenceResult ExecutionPlan::run_sample(const float* sample,
 }
 
 QInferenceResult ExecutionPlan::run_sample(const float* sample) const {
-  return run_sample(sample, *self_);
+  return run_sample(sample, self_arenas());
 }
 
 QInferenceResult ExecutionPlan::run(const FloatTensor& image) const {

@@ -34,7 +34,8 @@
 //   covers interior and border alike. Depthwise runs a direct u8 kernel
 //   (no im2col): taps pair-interleaved for vpmaddwd across channels,
 //   vectorized requantization straight back to u8, border windows on the
-//   same vector path via precomputed per-window pre-adds.
+//   same vector path via precomputed per-window pre-adds. A raw-logits
+//   head that passes acc32 runs the same GEMM with a float epilogue.
 //
 //   INT32 (wide) domain -- the PR 2/3 engine, kept verbatim as the
 //   per-layer fallback whenever any narrow proof fails (threshold-scheme
@@ -47,19 +48,20 @@
 // remains bit-exact with the reference kernels (integer equality) on every
 // ISA and thread count -- asserted by the test suite.
 //
-// What the plan still precomputes per layer (both domains): bulk-unpacked
-// zero-point-offset weights, per-(channel, tap) weight sums folding Zx out
-// of the hot loops, interior/border spatial split, accumulator-width and
-// requant-exactness proofs, and the ping-pong arena sizing mirroring
-// mcu::build_memory_map's even/odd tensor assignment (Eq. 7).
+// What the plan precomputes per layer (both domains): kernel weight banks,
+// per-(channel, tap) weight sums folding Zx out of the hot loops,
+// interior/border spatial split, accumulator-width and requant-exactness
+// proofs, and the ping-pong arena sizing mirroring mcu::build_memory_map's
+// even/odd tensor assignment (Eq. 7). Narrow layers keep only their
+// panels; the INT32 offset weights stay only where a kernel reads them.
 //
 // Thread-safety contract: an ExecutionPlan is immutable after construction.
 // run_into(sample, arenas) touches only the caller-supplied PlanArenas, so
 // any number of threads may run the *same* plan concurrently as long as
 // each uses its own PlanArenas (this is how Executor::run_batch partitions
 // a batch across a ThreadPool). The convenience overloads without an
-// arena argument share one internal arena set and are NOT thread-safe
-// against each other.
+// arena argument share one internal arena set, built on their first call,
+// and are NOT thread-safe against each other.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +97,8 @@ inline const char* domain_name(ExecDomain d) {
 ///               pair-sum bound;
 ///   u8s16    -- u8 x s16 widening kernels, always exact (the other
 ///               fallback for hosts without VNNI).
-/// Wide-domain layers and layers without a requantizing MAC kernel of
-/// their own (pool, raw-logits head) carry kNone.
+/// Wide-domain layers, pools and a raw-logits head that fails acc32 carry
+/// kNone; any other head takes the tiers with a float epilogue.
 enum class KernelTier : std::uint8_t { kNone, kS8Panel, kU8S16, kVnni };
 
 inline const char* tier_name(KernelTier t) {
@@ -142,20 +144,29 @@ struct PlanOptions {
   TileConfig fixed_tile{};
 };
 
+/// Clamped tap window [ky0, ky1) x [kx0, kx1) of a depthwise border pixel,
+/// compared field by field so no two windows alias at any kernel size.
+struct TapWindow {
+  std::int64_t ky0{0}, ky1{0}, kx0{0}, kx1{0};
+  bool operator==(const TapWindow&) const = default;
+};
+
 /// Static per-layer execution recipe (see file comment).
 struct PlannedLayer {
   const QLayer* layer{nullptr};
-  std::vector<std::int32_t> w;        ///< unpacked, zero-point-offset weights
-  std::vector<std::int32_t> wt;       ///< depthwise: tap-major transpose of w
+  /// Zero-point-offset INT32 weights; only MAC layers of tier kNone read
+  /// and keep them (wide domain, a head failing acc32).
+  std::vector<std::int32_t> w;
+  std::vector<std::int32_t> wt;       ///< wide depthwise: tap-major w
   std::vector<std::int64_t> tap_sum;  ///< (co, kh*kw) sums of offset weights
   std::vector<std::int64_t> wsum;     ///< (co) full-kernel sums
   std::vector<std::int64_t> tap_off;  ///< depthwise: input offset per tap
   simd::RequantTable rq;              ///< vector requant (when provably exact)
   /// Depthwise border configs (when rq is usable): for each distinct
-  /// clamped tap window (ky0,ky1,kx0,kx1) that occurs on this layer's
-  /// border, the per-channel requant pre-add bq - Zx*svalid, so border
-  /// pixels run the same vector MAC + requant path as the interior.
-  std::vector<std::int64_t> border_key;
+  /// clamped tap window that occurs on this layer's border, the
+  /// per-channel requant pre-add bq - Zx*svalid, so border pixels run the
+  /// same vector MAC + requant path as the interior.
+  std::vector<TapWindow> border_key;
   std::vector<std::vector<std::int32_t>> border_add;
   std::int64_t oh0{0}, oh1{0};        ///< interior output rows [oh0, oh1)
   std::int64_t ow0{0}, ow1{0};        ///< interior output cols [ow0, ow1)
@@ -172,14 +183,13 @@ struct PlannedLayer {
   bool out_u8{false};   ///< writes its output tensor as packed u8 codes
   KernelTier tier{KernelTier::kNone};  ///< selected MAC kernel tier
   TileConfig tile{};    ///< autotuned im2col/K/N blocking (GEMM layers)
-  bool i8_panel{false}; ///< tier == kS8Panel (kept for compat/asserts)
   std::int64_t kp{0};   ///< padded GEMM depth (panel: 4-aligned; s16: 16)
   std::int64_t co_pad{0};             ///< co rounded to the panel block
   std::vector<std::int8_t> w8;        ///< s8 GEMM panel (vnni, s8-panel)
   /// vnni tier, offsets outside s8: the zero-point split correction
   /// 128 - Zw[oc] per channel (w8 then holds code - 128); empty otherwise.
   std::vector<std::int32_t> zp_split;
-  std::vector<std::int16_t> w16;      ///< s16 GEMM rows, co x kp (!i8_panel)
+  std::vector<std::int16_t> w16;      ///< s16 GEMM rows, co x kp (u8s16)
   std::vector<std::int16_t> wt16;     ///< depthwise tap-major s16 (border)
   std::vector<std::int16_t> wt16p;    ///< depthwise pair-interleaved s16
 };
@@ -308,6 +318,9 @@ class ExecutionPlan {
   /// tests/runtime/plan_test.cpp, which also enforces that runs never
   /// allocate beyond it (instrumented global operator new).
   [[nodiscard]] std::int64_t arena_bytes() const;
+  /// Weight bytes held in w, wt, w8, w16, wt16 and wt16p: the host
+  /// counterpart of the deployment's RO bytes (`mixq inspect` shows both).
+  [[nodiscard]] std::int64_t weight_bytes() const;
   /// Number of layers compiled into the narrow domain.
   [[nodiscard]] std::int64_t i8_layer_count() const;
 
@@ -322,6 +335,7 @@ class ExecutionPlan {
                       std::int64_t r0, std::int64_t r1) const;
   void run_head(const PlannedLayer& pl, PlanArenas& arenas) const;
   const std::vector<float>& finish_logits(PlanArenas& arenas) const;
+  PlanArenas& self_arenas() const;  ///< self_, built on first use
 
   const QuantizedNet* net_;
   PlanOptions opts_;

@@ -69,12 +69,18 @@ std::int64_t vnni_index(std::int64_t kp, std::int64_t oc, std::int64_t k) {
 void vnni_pack(const std::int32_t* w, std::int64_t co, std::int64_t K,
                std::int8_t* panel, const std::int32_t* sub) {
   const std::int64_t kp = vnni_kp(K);
+  const std::int64_t ocb = vnni_ocb();
   std::fill(panel, panel + vnni_panel_elems(co, K), std::int8_t{0});
   for (std::int64_t oc = 0; oc < co; ++oc) {
     const std::int32_t s = sub != nullptr ? sub[oc] : 0;
-    for (std::int64_t k = 0; k < K; ++k) {
-      panel[vnni_index(kp, oc, k)] =
-          static_cast<std::int8_t>(w[oc * K + k] - s);
+    const std::int32_t* wr = w + oc * K;
+    // Row oc's 4-byte K groups sit ocb * 4 bytes apart (vnni_index).
+    std::int8_t* dst = panel + vnni_index(kp, oc, 0);
+    for (std::int64_t g = 0; g < K; g += 4, dst += ocb * 4) {
+      const std::int64_t n = std::min<std::int64_t>(4, K - g);
+      for (std::int64_t t = 0; t < n; ++t) {
+        dst[t] = static_cast<std::int8_t>(wr[g + t] - s);
+      }
     }
   }
 }

@@ -1144,7 +1144,7 @@ inline void dw_dot_u8s16p(const std::uint8_t* __restrict__ x,
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise narrow helpers (depthwise border taps, pool, head).
+// Elementwise narrow helpers (depthwise border taps, pool).
 // ---------------------------------------------------------------------------
 
 /// acc[i] += x[i] * w[i] with u8 activations and i16 weights.
@@ -1256,73 +1256,6 @@ inline void add_u8_i32(std::int32_t* __restrict__ acc,
   }
 #endif
   for (std::int64_t i = 0; i < n; ++i) acc[i] += x[i];
-}
-
-/// sum_k a[k] * w[k] with u8 activations against an int32 weight row (the
-/// raw-logits head keeps its unpacked INT32 bank; only the activations are
-/// narrow there).
-inline std::int32_t dot_u8_i32(const std::uint8_t* __restrict__ a,
-                               const std::int32_t* __restrict__ w,
-                               std::int64_t n) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    __m256i acc = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m256i av = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + k)));
-      const __m256i wv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + k));
-      acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(av, wv));
-    }
-    const __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                                     _mm256_extracti128_si256(acc, 1));
-    const __m128i h = _mm_hadd_epi32(lo, lo);
-    std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    __m128i acc = _mm_setzero_si128();
-    std::int64_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-      std::uint32_t u;
-      std::memcpy(&u, a + k, 4);
-      const __m128i av = _mm_cvtepu8_epi32(
-          _mm_cvtsi32_si128(static_cast<int>(u)));
-      const __m128i wv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + k));
-      acc = _mm_add_epi32(acc, _mm_mullo_epi32(av, wv));
-    }
-    const __m128i h = _mm_hadd_epi32(acc, acc);
-    std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    int32x4_t acc = vdupq_n_s32(0);
-    std::int64_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-      // 4-byte load sized to the loop guarantee (no tail over-read).
-      std::uint32_t u;
-      std::memcpy(&u, a + k, 4);
-      const uint8x8_t ab = vreinterpret_u8_u32(vdup_n_u32(u));
-      const int32x4_t av = vreinterpretq_s32_u32(
-          vmovl_u16(vget_low_u16(vmovl_u8(ab))));
-      acc = vmlaq_s32(acc, av, vld1q_s32(w + k));
-    }
-    std::int32_t s = vaddvq_s32(acc);
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#endif
-  std::int32_t s = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    s += static_cast<std::int32_t>(a[k]) * w[k];
-  }
-  return s;
 }
 
 /// Narrow-store variant of requant_icn_i32: identical arithmetic, output

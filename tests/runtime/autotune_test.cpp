@@ -249,18 +249,18 @@ TEST(Autotune, TierSelectionHonoursVnniForce) {
     PlanOptions opts;
     opts.vnni = PlanOptions::Vnni::kForce;
     const ExecutionPlan plan(net, opts);
-    // Every narrow requantizing MAC layer must ride the VNNI tier; the pool
-    // and the raw-logits head have no tiered kernel. The Q8 net's offsets
+    // Every narrow MAC layer, the raw-logits head included, must ride the
+    // VNNI tier; only the pool has no tiered kernel. The Q8 net's offsets
     // leave s8, so each of its GEMM layers must take the zero-point split.
     for (std::size_t i = 0; i < plan.layers().size(); ++i) {
       const PlannedLayer& pl = plan.layers()[i];
       const QLayer& l = net.layers[i];
-      if (pl.domain != ExecDomain::kI8 ||
-          l.kind == QLayerKind::kGlobalAvgPool || l.raw_logits) {
+      if (l.kind == QLayerKind::kGlobalAvgPool) {
+        EXPECT_EQ(pl.tier, KernelTier::kNone) << "layer " << i;
         continue;
       }
+      ASSERT_EQ(pl.domain, ExecDomain::kI8) << "q8=" << q8 << " layer " << i;
       EXPECT_EQ(pl.tier, KernelTier::kVnni) << "q8=" << q8 << " layer " << i;
-      EXPECT_FALSE(pl.i8_panel) << "q8=" << q8 << " layer " << i;
       if (q8) {
         EXPECT_EQ(pl.zp_split.size(), static_cast<std::size_t>(l.wshape.co))
             << "layer " << i;

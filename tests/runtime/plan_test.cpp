@@ -16,7 +16,9 @@
 #include "mcu/device.hpp"
 #include "mcu/memory_map.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/plan.hpp"
+#include "runtime/simd_vnni.hpp"
 #include "support/random_qlayer.hpp"
 
 // ---------------------------------------------------------------------------
@@ -347,10 +349,10 @@ TEST(PlanDomain, IcnChainCompilesNarrowWithPanelTier) {
   }
   // 4/2-bit conv weights must take the s8 panel; the q8-weight depthwise
   // always has an s16 bank.
-  EXPECT_TRUE(plan.layers()[0].i8_panel);
+  EXPECT_EQ(plan.layers()[0].tier, KernelTier::kS8Panel);
   EXPECT_FALSE(plan.layers()[0].w8.empty());
   EXPECT_FALSE(plan.layers()[1].wt16p.empty());
-  EXPECT_TRUE(plan.layers()[2].i8_panel);
+  EXPECT_EQ(plan.layers()[2].tier, KernelTier::kS8Panel);
   EXPECT_EQ(plan.i8_layer_count(), 3);
   expect_plan_bit_exact(net, plan, "narrow icn chain");
 }
@@ -361,40 +363,52 @@ TEST(PlanDomain, IcnChainCompilesNarrowWithPanelTier) {
 /// provable; bump one pair (in the last K-block) to 129 and the prover
 /// must reject the panel and fall back to the s16 widening tier -- still
 /// narrow, still bit-exact, on max-magnitude activations.
+/// The same construction as a raw-logits head takes the same tiers: its
+/// GEMM runs on the panel with the float epilogue and holds no INT32 bank.
 TEST(PlanDomain, PanelTierStraddlesI16PairBound) {
   const std::int64_t K = 40;  // 10 panel K-blocks
-  for (const bool over : {false, true}) {
-    Rng rng(32);
-    QuantizedNet net;
-    net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
-    Shape s(1, 1, 1, K);
-    QLayer l = make_conv_family_layer(QLayerKind::kLinear, s, 4, 1, 1, 0,
-                                      BitWidth::kQ8, BitWidth::kQ8,
-                                      BitWidth::kQ8, Scheme::kPCICN, rng);
-    l.zw.assign(l.zw.size(), 128);
-    // Codes 255/129 give offset weights +-127/+1: every pair sums to 128.
-    for (std::int64_t i = 0; i < l.weights.numel(); ++i) {
-      l.weights.set(i, i % 2 == 0 ? (i % 4 == 0 ? 1 : 255) : 129);
-    }
-    if (over) {
-      // Last K-block, last pair: (127, 2) -> 129 * 255 > 32767.
-      l.weights.set(K - 1, 130);
-    }
-    net.layers.push_back(std::move(l));
-    net.validate();
+  for (const bool head : {false, true}) {
+    for (const bool over : {false, true}) {
+      Rng rng(32);
+      QuantizedNet net;
+      net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+      Shape s(1, 1, 1, K);
+      QLayer l = make_conv_family_layer(QLayerKind::kLinear, s, 4, 1, 1, 0,
+                                        BitWidth::kQ8, BitWidth::kQ8,
+                                        BitWidth::kQ8, Scheme::kPCICN, rng);
+      l.zw.assign(l.zw.size(), 128);
+      // Codes 255/129 give offset weights +-127/+1: every pair sums to 128.
+      for (std::int64_t i = 0; i < l.weights.numel(); ++i) {
+        l.weights.set(i, i % 2 == 0 ? (i % 4 == 0 ? 1 : 255) : 129);
+      }
+      if (over) {
+        // Last K-block, last pair: (127, 2) -> 129 * 255 > 32767.
+        l.weights.set(K - 1, 130);
+      }
+      if (head) {
+        l.raw_logits = true;
+        for (int c = 0; c < 4; ++c) l.out_mult.push_back(0.003 * (c + 1));
+      }
+      net.layers.push_back(std::move(l));
+      net.validate();
 
-    // vnni=kOff: the VNNI tier accepts BOTH variants (no pair bound), so
-    // the straddle only shows on the pinned AVX2 tiers.
-    PlanOptions opts;
-    opts.vnni = PlanOptions::Vnni::kOff;
-    const ExecutionPlan plan(net, opts);
-    const PlannedLayer& pl = plan.layers().front();
-    ASSERT_EQ(pl.domain, ExecDomain::kI8) << "over=" << over;
-    EXPECT_EQ(pl.i8_panel, !over);
-    EXPECT_EQ(pl.w8.empty(), over);
-    EXPECT_EQ(pl.w16.empty(), !over);
-    expect_plan_bit_exact(net, plan,
-                          over ? "pair bound exceeded" : "pair bound exact");
+      // vnni=kOff: the VNNI tier accepts BOTH variants (no pair bound), so
+      // the straddle only shows on the pinned AVX2 tiers.
+      PlanOptions opts;
+      opts.vnni = PlanOptions::Vnni::kOff;
+      const ExecutionPlan plan(net, opts);
+      const PlannedLayer& pl = plan.layers().front();
+      const std::string label = std::string(head ? "head " : "linear ") +
+                                (over ? "pair bound exceeded"
+                                      : "pair bound exact");
+      ASSERT_EQ(pl.domain, ExecDomain::kI8) << label;
+      EXPECT_EQ(pl.tier, over ? KernelTier::kU8S16 : KernelTier::kS8Panel)
+          << label;
+      EXPECT_EQ(pl.w8.empty(), over) << label;
+      EXPECT_EQ(pl.w16.empty(), !over) << label;
+      EXPECT_TRUE(pl.w.empty()) << label;
+      expect_plan_bit_exact(net, plan, label);
+    }
   }
 }
 
@@ -533,6 +547,280 @@ TEST(PlanArena, NarrowDomainShrinksArenaFootprintAtLeast3x) {
       << "narrow " << narrow.arena_bytes() << " B vs wide "
       << wide.arena_bytes() << " B";
   expect_plan_bit_exact(net, narrow, "footprint workload");
+}
+
+// ---------------------------------------------------------------------------
+// Plan weight memory and the raw-logits head on the GEMM panel.
+// ---------------------------------------------------------------------------
+
+/// A forced-VNNI plan executes the VNNI kernel bodies: runnable unless a
+/// native-VNNI binary sits on a host without the instructions.
+bool vnni_runnable() { return !simd::vnni_compiled() || simd::vnni_cpu(); }
+
+/// Stem conv (row-partitioned at 2+ lanes) -> pool -> raw-logits head of
+/// `classes` outputs with `qw` weights over K = 40 features. `pin_split`
+/// pins the head's weight zero-points to 0 and 255 on alternate channels
+/// and plants the code farthest from each, so the offsets span
+/// [-255, 255]: the VNNI tier's zero-point split.
+QuantizedNet head_net(BitWidth qw, std::int64_t classes, bool pin_split,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  Shape s(1, 12, 12, 3);
+  net.layers.push_back(make_conv_family_layer(
+      QLayerKind::kConv, s, 40, 3, 1, 1, BitWidth::kQ8, BitWidth::kQ4,
+      BitWidth::kQ8, Scheme::kPCICN, rng, 1e-4, 0.02));
+  s = net.layers.back().out_shape;
+  net.layers.push_back(make_conv_family_layer(
+      QLayerKind::kGlobalAvgPool, s, 0, 1, 1, 0, BitWidth::kQ8,
+      BitWidth::kQ8, BitWidth::kQ8, Scheme::kPCICN, rng));
+  s = net.layers.back().out_shape;
+  QLayer head = make_conv_family_layer(QLayerKind::kLinear, s, classes, 1, 1,
+                                       0, BitWidth::kQ8, qw, BitWidth::kQ8,
+                                       Scheme::kPCICN, rng);
+  head.raw_logits = true;
+  for (std::int64_t c = 0; c < classes; ++c) {
+    head.out_mult.push_back(rng.uniform(1e-5, 0.02));
+  }
+  if (pin_split) {
+    const std::int64_t per = head.wshape.per_channel();
+    for (std::int64_t oc = 0; oc < classes; ++oc) {
+      const bool low = oc % 2 == 0;
+      head.zw[static_cast<std::size_t>(oc)] = low ? 0 : 255;
+      head.weights.set(oc * per, low ? 255 : 0);
+    }
+  }
+  net.layers.push_back(std::move(head));
+  net.validate();
+  return net;
+}
+
+/// Narrow MAC layers read only their panels, so the compiled plan keeps
+/// no INT32 bank for them -- the head included when its fan-in passes
+/// acc32. The all-INT32 plan keeps every bank, and both stay bit-exact.
+TEST(PlanWeights, NarrowLayersHoldOnlyTheirPanels) {
+  for (const std::uint64_t seed : {9090u, 9191u, 9292u}) {
+    const QuantizedNet nets[] = {random_net(8, 8, 3, 1, 1, seed),
+                                 head_net(BitWidth::kQ8, 37, true, seed)};
+    for (std::size_t n = 0; n < 2; ++n) {
+      const QuantizedNet& net = nets[n];
+      const ExecutionPlan narrow(net);
+      const ExecutionPlan wide(net, PlanOptions{/*allow_i8=*/false});
+      for (std::size_t i = 0; i < net.layers.size(); ++i) {
+        const QLayer& l = net.layers[i];
+        if (l.kind == QLayerKind::kGlobalAvgPool) continue;
+        const PlannedLayer& pn = narrow.layers()[i];
+        const PlannedLayer& pw = wide.layers()[i];
+        const bool dw = l.kind == QLayerKind::kDepthwise;
+        if (pn.tier != KernelTier::kNone) {
+          EXPECT_EQ(pn.domain, ExecDomain::kI8) << "layer " << i;
+          EXPECT_TRUE(pn.w.empty()) << "layer " << i;
+          EXPECT_TRUE(pn.wt.empty()) << "layer " << i;
+        } else {
+          EXPECT_FALSE(pn.w.empty()) << "layer " << i;
+          EXPECT_EQ(pn.wt.empty(), !dw) << "layer " << i;
+        }
+        EXPECT_EQ(pw.tier, KernelTier::kNone) << "layer " << i;
+        EXPECT_EQ(pw.w.size(), static_cast<std::size_t>(l.weights_numel()))
+            << "layer " << i;
+        EXPECT_EQ(pw.wt.empty(), !dw) << "layer " << i;
+      }
+      // The head's fan-in passes acc32 in both nets: it must be tiered.
+      const PlannedLayer& head = narrow.layers().back();
+      ASSERT_TRUE(head.layer->raw_logits);
+      EXPECT_TRUE(head.acc32);
+      EXPECT_NE(head.tier, KernelTier::kNone);
+      if (n == 1) {
+        // Wide enough that panel padding (co_pad, kp) stays below the
+        // INT32 banks it replaces; the tiny random net's layers are not.
+        EXPECT_LT(narrow.weight_bytes(), wide.weight_bytes());
+      }
+      expect_plan_bit_exact(net, narrow, "narrow, seed " +
+                                             std::to_string(seed));
+      expect_plan_bit_exact(net, wide, "wide, seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(PlanWeights, WeightBytesCountsEveryBank) {
+  const QuantizedNet net = random_net(9, 7, 3, 2, 1, 4242);
+  for (const bool allow_i8 : {true, false}) {
+    const ExecutionPlan plan(net, PlanOptions{allow_i8});
+    std::int64_t expect = 0;
+    for (const PlannedLayer& pl : plan.layers()) {
+      expect += static_cast<std::int64_t>(
+          4 * (pl.w.size() + pl.wt.size()) + pl.w8.size() +
+          2 * (pl.w16.size() + pl.wt16.size() + pl.wt16p.size()));
+    }
+    EXPECT_EQ(plan.weight_bytes(), expect) << "allow_i8=" << allow_i8;
+    EXPECT_GT(plan.weight_bytes(), 0);
+  }
+}
+
+/// A head whose fan-in fails the acc32 proof (20000 * 255 * 255 > 2^30)
+/// keeps its INT32 bank and the INT64 dot in both domains.
+TEST(PlanWeights, WideFanInHeadKeepsInt32Bank) {
+  Rng rng(34);
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  Shape s(1, 50, 50, 8);
+  QLayer head = make_conv_family_layer(QLayerKind::kLinear, s, 3, 1, 1, 0,
+                                       BitWidth::kQ8, BitWidth::kQ8,
+                                       BitWidth::kQ8, Scheme::kPCICN, rng);
+  head.raw_logits = true;
+  for (int c = 0; c < 3; ++c) head.out_mult.push_back(1e-6 * (c + 1));
+  net.layers.push_back(std::move(head));
+  net.validate();
+  for (const bool allow_i8 : {true, false}) {
+    const ExecutionPlan plan(net, PlanOptions{allow_i8});
+    const PlannedLayer& pl = plan.layers().front();
+    EXPECT_FALSE(pl.acc32);
+    EXPECT_EQ(pl.tier, KernelTier::kNone);
+    EXPECT_EQ(pl.w.size(), static_cast<std::size_t>(20000 * 3));
+    EXPECT_TRUE(pl.w8.empty());
+    expect_plan_bit_exact(net, plan,
+                          allow_i8 ? "wide head, narrow input"
+                                   : "wide head, INT32 input");
+  }
+}
+
+/// The head rides the VNNI panel under kForce: a Q4 head (offsets fit s8)
+/// and a Q8 head whose zero-points 0 and 255 force the zero-point split.
+TEST(PlanHead, ForcedVnniHeadIsBitExact) {
+  if (!vnni_runnable()) {
+    GTEST_SKIP() << "native AVX-512 VNNI build on a host without the "
+                    "instructions";
+  }
+  for (const bool q8 : {false, true}) {
+    const QuantizedNet net =
+        head_net(q8 ? BitWidth::kQ8 : BitWidth::kQ4, 37, q8, 4100);
+    PlanOptions opts;
+    opts.vnni = PlanOptions::Vnni::kForce;
+    const ExecutionPlan plan(net, opts);
+    const PlannedLayer& head = plan.layers().back();
+    EXPECT_EQ(head.tier, KernelTier::kVnni);
+    EXPECT_EQ(head.zp_split.empty(), !q8);
+    EXPECT_TRUE(head.w.empty());
+    expect_plan_bit_exact(net, plan, q8 ? "vnni q8 head (split)"
+                                        : "vnni q4 head");
+  }
+}
+
+/// A fixed tile blocked in K and N splits the head's GEMM into K-partial
+/// sums and channel chunks; each chunk's logits must still be exact, on
+/// every tier this host can run.
+TEST(PlanHead, KAndNBlockedHeadIsBitExact) {
+  const QuantizedNet net = head_net(BitWidth::kQ8, 37, true, 4200);
+  for (const auto vnni : {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+    if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
+    for (const bool over_s8 : {false, true}) {
+      QuantizedNet variant = net;
+      if (!over_s8) {
+        // Q8 codes around Zw = 128 with |w - Zw| <= 60: fits s8 and the
+        // s8 panel's pair bound (120 * 255 <= 32767).
+        QLayer& h = variant.layers.back();
+        h.zw.assign(h.zw.size(), 128);
+        Rng rng(4201);
+        for (std::int64_t i = 0; i < h.weights.numel(); ++i) {
+          h.weights.set(i, static_cast<std::uint32_t>(
+                               68 + rng.uniform_int(121)));
+        }
+      }
+      PlanOptions opts;
+      opts.vnni = vnni;
+      opts.autotune = PlanOptions::Autotune::kFixed;
+      opts.fixed_tile = TileConfig{5, 8, 16};
+      const ExecutionPlan plan(variant, opts);
+      const PlannedLayer& head = plan.layers().back();
+      const std::string label =
+          std::string(vnni == PlanOptions::Vnni::kForce ? "vnni " : "off ") +
+          tier_name(head.tier);
+      ASSERT_NE(head.tier, KernelTier::kNone) << label;
+      if (vnni == PlanOptions::Vnni::kOff) {
+        EXPECT_EQ(head.tier,
+                  over_s8 ? KernelTier::kU8S16 : KernelTier::kS8Panel);
+      }
+      EXPECT_GT(head.tile.kb, 0) << label;
+      EXPECT_LT(head.tile.kb, head.kp) << label;
+      EXPECT_GT(head.tile.nb, 0) << label;
+      EXPECT_LT(head.tile.nb, head.co_pad) << label;
+      expect_plan_bit_exact(variant, plan, label + " K/N-blocked head");
+    }
+  }
+}
+
+/// run_into over a pool partitions the stem's rows; the head's logits
+/// must not depend on the lane count.
+TEST(PlanHead, PooledRunIsBitExactAtEveryLaneCount) {
+  const QuantizedNet net = head_net(BitWidth::kQ8, 37, true, 4300);
+  Executor exec(net);
+  Rng rng(4301);
+  FloatTensor img(net.layers.front().in_shape);
+  rng.fill_uniform(img.vec(), -0.2, 1.2);
+  const QInferenceResult ref = exec.run(img);
+  const ExecutionPlan plan(net);
+  ASSERT_NE(plan.layers().back().tier, KernelTier::kNone);
+  for (const int lanes : {1, 2, 4}) {
+    ThreadPool pool(lanes);
+    PlanArenas arenas(plan, lanes);
+    const std::vector<float>& got = plan.run_into(img.data(), arenas, pool);
+    ASSERT_EQ(got.size(), ref.logits.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], ref.logits[i]) << lanes << " lanes, logit " << i;
+    }
+  }
+}
+
+/// Depthwise border windows are looked up by all four bounds. With a
+/// kernel side above 255 the windows (1, 257) and (0, 257) of the first
+/// two output rows used to share one 8-bit-field key, so row 0 took row
+/// 1's pre-add. An input held at Zx makes every correct sum exactly bq,
+/// so a pre-add from the wrong window shows as a shift of Zx * (a row of
+/// offset weights) instead of drowning in clamped codes.
+TEST(PlanDomain, BorderWindowsStayDistinctBeyond255Taps) {
+  Rng rng(101);
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  QLayer dw = make_conv_family_layer(
+      QLayerKind::kDepthwise, Shape(1, 257, 257, 4), 4, 257, 1, 1,
+      BitWidth::kQ8, BitWidth::kQ2, BitWidth::kQ8, Scheme::kPCICN, rng,
+      1e-3, 1e-2);
+  dw.zx = 128;
+  net.layers.push_back(std::move(dw));
+  net.validate();
+  Executor exec(net);
+  FloatTensor at_zx(net.layers.front().in_shape);
+  std::fill(at_zx.vec().begin(), at_zx.vec().end(), 128.0f / 255.0f);
+  FloatTensor noisy(net.layers.front().in_shape);
+  rng.fill_uniform(noisy.vec(), 0.4, 0.6);
+  const QInferenceResult ref_zx = exec.run(at_zx);
+  const QInferenceResult ref_noisy = exec.run(noisy);
+  for (const bool allow_i8 : {true, false}) {
+    for (const auto vnni :
+         {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+      if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
+      PlanOptions opts;
+      opts.allow_i8 = allow_i8;
+      opts.vnni = vnni;
+      const ExecutionPlan plan(net, opts);
+      const PlannedLayer& pl = plan.layers().front();
+      const std::string label =
+          std::string(allow_i8 ? "narrow" : "wide") +
+          (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off");
+      EXPECT_EQ(pl.domain, allow_i8 ? ExecDomain::kI8 : ExecDomain::kI32);
+      ASSERT_TRUE(pl.rq.usable) << label;
+      const QInferenceResult got_zx = plan.run(at_zx);
+      const QInferenceResult got_noisy = plan.run(noisy);
+      ASSERT_EQ(got_zx.logits.size(), 36u);
+      for (std::size_t i = 0; i < 36; ++i) {
+        EXPECT_EQ(got_zx.logits[i], ref_zx.logits[i])
+            << label << " input at Zx, output " << i;
+        EXPECT_EQ(got_noisy.logits[i], ref_noisy.logits[i])
+            << label << " noisy input, output " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

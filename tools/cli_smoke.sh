@@ -49,6 +49,11 @@ grep -q '"qw":4' "$DIR/inspect.json"
 grep -q '"domain":"i8"\|"domain":"i32"' "$DIR/inspect.json"
 grep -q '"arena_bytes"' "$DIR/inspect.json"
 grep -q '"arena_bytes_i32"' "$DIR/inspect.json"
+# Plan weight memory: narrow layers keep only their kernel panels, so the
+# compiled plan holds fewer weight bytes than the all-INT32 plan.
+wb=$(sed -n 's/.*"host":{[^}]*"weight_bytes":\([0-9]*\).*/\1/p' "$DIR/inspect.json")
+wb32=$(sed -n 's/.*"host":{[^}]*"weight_bytes_i32":\([0-9]*\).*/\1/p' "$DIR/inspect.json")
+test -n "$wb" && test -n "$wb32" && test "$wb" -lt "$wb32"
 
 echo "== run (planned/SIMD inference on deterministic synthetic inputs)"
 "$MIXQ" run "$DIR/model.img" --input synthetic:8 --seed 7 \
