@@ -196,6 +196,10 @@ LineRead read_line_bounded(std::istream& in, std::string& line,
 }  // namespace
 
 ServeStats StreamServer::serve(std::istream& in, std::ostream& out) {
+  // std::cin is tied to std::cout: a tied input flushes its output before
+  // every read, outside out_mu, racing the batch worker (replies came out
+  // twice). Every write below flushes under out_mu, so drop the tie.
+  in.tie(nullptr);
   // One mutex for the one output stream: the reader (errors, info, stats,
   // reloads) and the batch worker (one hand-over per batch) both write.
   std::mutex out_mu;

@@ -152,6 +152,69 @@ TEST(StreamServer, ShutdownCmdDrainsInFlightRequests) {
   EXPECT_EQ(stats.errors, 0);
 }
 
+/// An output buffer that, like std::cout's, moves its put area out on
+/// sync(): a flush from a second thread touches the pointers the writer
+/// is advancing.
+class FlushedSink : public std::streambuf {
+ public:
+  FlushedSink() { setp(buf_, buf_ + sizeof(buf_)); }
+  std::string text;
+
+ protected:
+  int sync() override {
+    text.append(pbase(), pptr());
+    setp(buf_, buf_ + sizeof(buf_));
+    return 0;
+  }
+  int_type overflow(int_type c) override {
+    sync();
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(c);
+      pbump(1);
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  char buf_[64];
+};
+
+/// std::cin is tied to std::cout: a tied input stream flushes its output
+/// before every read, on the reader thread and outside the writers' lock.
+/// That flush raced the batch worker, and `mixq serve` under load wrote
+/// some replies twice. Served through a tied pair, every reply must appear
+/// exactly once (and ThreadSanitizer must see no race).
+TEST(StreamServer, TiedInputStreamDoesNotFlushOutsideTheWriterLock) {
+  const QuantizedNet net = make_net(12);
+  const auto samples = make_samples(net, 32, 13);
+  std::string in_text;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    in_text += format_request_line(
+        static_cast<std::int64_t>(i), samples[i].data(),
+        static_cast<std::int64_t>(samples[i].size()));
+    in_text += "\n";
+  }
+  std::istringstream in(in_text);
+  FlushedSink sink;
+  std::ostream out(&sink);
+  in.tie(&out);
+  ServeConfig cfg;
+  cfg.threads = 2;
+  cfg.max_batch = 1;
+  cfg.max_wait_us = 0;
+  StreamServer server(net, cfg);
+  server.serve(in, out);
+  out.flush();
+
+  const auto lines = split_lines(sink.text);
+  ASSERT_EQ(lines.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(lines[i],
+              format_result_line(static_cast<std::int64_t>(i),
+                                 run_planned_serial(net, samples[i])));
+  }
+}
+
 TEST(StreamServer, InfoAndStatsCommands) {
   const QuantizedNet net = make_net(3);
   const auto samples = make_samples(net, 1, 4);
