@@ -83,6 +83,24 @@ std::vector<std::uint8_t> huffman_lengths(const std::uint64_t* hist,
   return lens;
 }
 
+/// decode_codes' emit for Q4 bytes and Q2 nibbles: two codes per symbol,
+/// low first. Only a bank's last symbols can carry codes past `numel` (Q2
+/// pads to whole bytes, up to three codes), so the bounds test is
+/// predicted right everywhere else.
+template <int kCodeBits>
+auto emit_code_pair(std::int32_t* out, std::int64_t numel, std::int64_t& k) {
+  return [out, numel, &k](std::uint8_t sym) {
+    constexpr std::uint8_t kMask = (1u << kCodeBits) - 1u;
+    if (numel - k >= 2) {
+      out[k] = sym & kMask;
+      out[k + 1] = sym >> kCodeBits;
+    } else if (k < numel) {
+      out[k] = sym & kMask;
+    }
+    k += 2;
+  };
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> build_code_lengths(const std::uint64_t* hist,
@@ -248,6 +266,22 @@ HuffmanDecoder::HuffmanDecoder(const std::uint8_t* lens, int alphabet)
   }
 }
 
+// Inlined: as a call it costs the bulk loop registers even when not taken.
+[[gnu::always_inline]] inline HuffmanDecoder::LutEntry
+HuffmanDecoder::long_code(std::uint64_t w) const {
+  // Canonical per-length scan. Because every shorter length failed to
+  // match, the top l bits are >= first_code_[l] and only the upper bound
+  // needs checking.
+  for (int l = kLutBits + 1; l <= max_len_; ++l) {
+    const auto c = static_cast<std::uint32_t>(w >> (64 - l));
+    if (c < first_code_[l] + count_[l]) {
+      return {syms_[offset_[l] + (c - first_code_[l])],
+              static_cast<std::uint8_t>(l)};
+    }
+  }
+  throw std::runtime_error("entropy: invalid code in stream");
+}
+
 template <typename Emit>
 void HuffmanDecoder::run(BitReader& r, std::uint64_t n_syms,
                          Emit&& emit) const {
@@ -256,29 +290,31 @@ void HuffmanDecoder::run(BitReader& r, std::uint64_t n_syms,
     r.finish();
     return;
   }
-  for (std::uint64_t i = 0; i < n_syms; ++i) {
-    const std::uint32_t window = r.peek(kLutBits);
-    const LutEntry e = lut_[window];
-    if (e.len != 0) {
-      r.consume(e.len);
+  // Locals, not members: a byte-typed emit may alias anything `this` holds.
+  const LutEntry* const lut = lut_.data();
+  const int max_len = max_len_;
+  std::uint64_t i = 0;
+  // Bulk: a fixed count of codes per refill, as many as the 56 bits a
+  // refill guarantees hold at the longest code length.
+  const auto per_refill = static_cast<std::uint64_t>(56 / max_len);
+  BitReader::Window win(r);
+  while (n_syms - i >= per_refill && win.refill()) {
+    for (std::uint64_t j = 0; j < per_refill; ++j) {
+      LutEntry e = lut[win.bits() >> (64 - kLutBits)];
+      if (e.len == 0) e = long_code(win.bits());
+      win.skip(e.len);
       emit(e.sym);
-      continue;
     }
-    // Codes longer than the LUT: canonical per-length scan. Because every
-    // shorter length failed to match, peek(l) >= first_code_[l] holds and
-    // only the upper bound needs checking.
-    int l = kLutBits + 1;
-    for (; l <= max_len_; ++l) {
-      const std::uint32_t c = r.peek(l);
-      if (c < first_code_[l] + count_[l]) {
-        r.consume(l);
-        emit(syms_[offset_[l] + (c - first_code_[l])]);
-        break;
-      }
-    }
-    if (l > max_len_) {
-      throw std::runtime_error("entropy: invalid code in stream");
-    }
+    i += per_refill;
+  }
+  r.advance(win.position() - r.bits_consumed());
+  // Tail: the stream's last bytes, through the checked peek/consume.
+  for (; i < n_syms; ++i) {
+    const std::uint64_t w = std::uint64_t{r.peek(max_len)} << (64 - max_len);
+    LutEntry e = lut[w >> (64 - kLutBits)];
+    if (e.len == 0) e = long_code(w);
+    r.consume(e.len);
+    emit(e.sym);
   }
   r.finish();
 }
@@ -310,19 +346,19 @@ void HuffmanDecoder::decode_codes(BitReader& r, BitWidth q,
       (alphabet_ == 16 && sym_bits != 4)) {
     throw std::runtime_error("entropy: alphabet does not match precision");
   }
-  const int cb = bits(q);
-  const int codes_per_sym = sym_bits / cb;
-  const std::uint32_t mask = static_cast<std::uint32_t>(qmax(q));
-  const std::uint64_t n_syms =
-      symbol_count(packed_bytes(numel, q), q);
-  std::int64_t emitted = 0;
-  run(r, n_syms, [&](std::uint8_t sym) {
-    std::uint32_t v = sym;
-    for (int k = 0; k < codes_per_sym && emitted < numel; ++k) {
-      out[emitted++] = static_cast<std::int32_t>(v & mask);
-      v >>= cb;
-    }
-  });
+  const std::uint64_t n_syms = symbol_count(packed_bytes(numel, q), q);
+  std::int64_t k = 0;  // next code slot
+  switch (q) {
+    case BitWidth::kQ8:
+      run(r, n_syms, [&](std::uint8_t sym) { out[k++] = sym; });
+      break;
+    case BitWidth::kQ4:
+      run(r, n_syms, emit_code_pair<4>(out, numel, k));
+      break;
+    case BitWidth::kQ2:
+      run(r, n_syms, emit_code_pair<2>(out, numel, k));
+      break;
+  }
 }
 
 }  // namespace mixq::runtime::entropy

@@ -27,6 +27,10 @@
 // over- and under-subscribed length sets (Kraft sum must be exactly 1),
 // lengths past the cap, streams that end mid-code, streams with unread or
 // nonzero padding bits, and -- via BitReader -- any read past the section.
+// It decodes out of 64-bit windows refilled 8 bytes at a time while a
+// whole window lies inside the declared bits, and hands the stream's last
+// bits to BitReader's checked peek/consume, so every rejection fires on
+// the same input whichever part of the stream it sits in.
 #pragma once
 
 #include <cstdint>
@@ -95,9 +99,6 @@ class HuffmanDecoder {
                     std::int32_t* out) const;
 
  private:
-  template <typename Emit>
-  void run(BitReader& r, std::uint64_t n_syms, Emit&& emit) const;
-
   int alphabet_{0};
   bool degenerate_{false};
   std::uint8_t degenerate_sym_{0};
@@ -109,13 +110,20 @@ class HuffmanDecoder {
   std::uint32_t count_[kMaxCodeLen + 1]{};
   std::uint32_t offset_[kMaxCodeLen + 1]{};
   std::vector<std::uint8_t> syms_;
-  // Single-level fast LUT for codes up to kLutBits long.
-  static constexpr int kLutBits = 10;
+  // Single-level fast LUT for codes up to kLutBits long: on 8-bit banks
+  // of real deployments it resolves all but a few in 10^4 symbols.
+  static constexpr int kLutBits = 12;
   struct LutEntry {
     std::uint8_t sym;
     std::uint8_t len;  ///< 0 = not resolvable at kLutBits, take slow path
   };
   std::vector<LutEntry> lut_;
+
+  template <typename Emit>
+  void run(BitReader& r, std::uint64_t n_syms, Emit&& emit) const;
+  /// The code longer than kLutBits at the top of `w` (MSB-aligned, at
+  /// least max_len_ bits).
+  [[nodiscard]] LutEntry long_code(std::uint64_t w) const;
 };
 
 /// Build canonical code lengths (deterministically) from a symbol

@@ -1,5 +1,6 @@
 #include "runtime/flash_image.hpp"
 
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -349,10 +350,13 @@ void attach_huffman_section(const std::uint8_t* payload,
     lens[2 * i + 1] = b >> 4;
   }
   const auto nbits = sr.get<std::uint64_t>();
-  const std::uint64_t stream_bytes = (nbits + 7) / 8;
-  if (sr.remaining() != stream_bytes) {
+  // Bound nbits by the bytes left before rounding it up: within 7 of 2^64
+  // the rounding wraps to 0, which an empty single-symbol stream matches.
+  if (nbits > 8 * static_cast<std::uint64_t>(sr.remaining()) ||
+      sr.remaining() != (nbits + 7) / 8) {
     sr.fail("entropy stream length disagrees with declared bit count");
   }
+  const std::uint64_t stream_bytes = sr.remaining();
   const std::uint8_t* stream = sr.cursor();
   // Zero padding in the final byte is part of the format contract; it is
   // cheap to verify without decoding, so both load modes enforce it.
@@ -640,17 +644,53 @@ class Mapping {
 };
 #endif  // MIXQ_HAVE_MMAP
 
+/// Slice-by-8 tables for the reflected IEEE polynomial (Kounavis & Berry,
+/// "A Systematic Approach to Building High Performance Software-Based
+/// CRC Generators", ISCC 2005). t[0] is the classic byte table; t[k][b]
+/// is the CRC of byte b followed by k zero bytes, so eight lookups fold
+/// eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t c = b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    t[0][b] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian u32 from bytes; compiles to one load on LE hosts and
+/// keeps the CRC byte-order independent elsewhere.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  // Standard reflected CRC-32 (IEEE 802.3), table-free bitwise variant.
+  // Standard reflected CRC-32 (IEEE 802.3), slice-by-8.
+  const CrcTables& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc ^= data[i];
-    for (int b = 0; b < 8; ++b) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-    }
+  for (; n >= 8; n -= 8, data += 8) {
+    const std::uint32_t lo = load_le32(data) ^ crc;
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++data) crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
   return ~crc;
 }
 

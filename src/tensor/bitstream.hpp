@@ -14,8 +14,10 @@
 // not decode to garbage that happens to parse.
 #pragma once
 
-#include <cstdint>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -67,7 +69,8 @@ class BitWriter {
 
 /// Bounds-checked MSB-first bit reader with a peek/consume interface
 /// (what a canonical Huffman decoder wants: peek a window, consume the
-/// matched code length).
+/// matched code length), plus a word-refill Window for bulk decoding of
+/// everything but a stream's last bytes.
 class BitReader {
  public:
   /// Read at most `nbits` bits out of `data[0, size)`. Throws immediately
@@ -111,6 +114,76 @@ class BitReader {
     // consumed_ <= nbits_ <= 8*size_ guarantees fill_ >= n here.
     fill_ -= n;
     consumed_ += static_cast<std::uint64_t>(n);
+  }
+
+  /// Word-refill cursor for bulk decoders, starting at the reader's
+  /// position. bits() is a 64-bit window MSB-aligned at the next unread
+  /// bit; refill() tops it up to at least 56 valid bits with one 8-byte
+  /// load (Giesen's "lookahead" refill: the load's address does not wait
+  /// on the codes being decoded). refill() returns false once those 8
+  /// bytes would reach past the last fully declared byte: every bit the
+  /// window ever holds is a declared bit, so this one check per refill
+  /// stands in for consume()'s check per code. The caller then hands the
+  /// position back with BitReader::advance and finishes the stream's last
+  /// bytes through the checked peek/consume.
+  class Window {
+   public:
+    explicit Window(const BitReader& r)
+        : data_(r.data_),
+          p_(r.data_ + (r.consumed_ >> 3)),
+          end_(r.data_ + (r.nbits_ >> 3)) {
+      if (const int skip = static_cast<int>(r.consumed_ & 7); skip != 0) {
+        buf_ = std::uint64_t{*p_++} << (56 + skip);
+        count_ = 8 - skip;
+      }
+    }
+
+    [[nodiscard]] bool refill() {
+      if (end_ - p_ < 8) return false;
+      std::uint64_t v;  // the 8 bytes as one big-endian word
+      std::memcpy(&v, p_, sizeof v);
+      if constexpr (std::endian::native == std::endian::little) {
+        v = __builtin_bswap64(v);
+      }
+      buf_ |= v >> count_;
+      p_ += (63 - count_) >> 3;
+      count_ |= 56;
+      return true;
+    }
+    [[nodiscard]] std::uint64_t bits() const { return buf_; }
+    /// Drop `n` bits; at most what the last refill() left valid.
+    void skip(int n) {
+      buf_ <<= n;
+      count_ -= n;
+    }
+    /// Stream bit position of bits()'s top bit.
+    [[nodiscard]] std::uint64_t position() const {
+      return 8 * static_cast<std::uint64_t>(p_ - data_) -
+             static_cast<std::uint64_t>(count_);
+    }
+
+   private:
+    const std::uint8_t* data_;
+    const std::uint8_t* p_;    ///< next byte a refill loads
+    const std::uint8_t* end_;  ///< one past the last fully declared byte
+    std::uint64_t buf_{0};
+    int count_{0};  ///< valid bits at the top of buf_
+  };
+
+  /// Consume `n` bits decoded through a Window and re-seat peek/consume's
+  /// byte cache after them.
+  void advance(std::uint64_t n) {
+    if (n > nbits_ - consumed_) {
+      throw std::runtime_error("bitstream: truncated (read past declared end)");
+    }
+    consumed_ += n;
+    byte_pos_ = static_cast<std::size_t>(consumed_ >> 3);
+    fill_ = 0;
+    acc_ = 0;
+    if ((consumed_ & 7) != 0) {
+      acc_ = data_[byte_pos_++];
+      fill_ = 8 - static_cast<int>(consumed_ & 7);
+    }
   }
 
   [[nodiscard]] std::uint64_t bits_consumed() const { return consumed_; }

@@ -118,6 +118,38 @@ TEST(FlashImage, Crc32KnownVector) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+/// Table-free bitwise CRC-32 (reflected IEEE polynomial): the oracle the
+/// table-driven crc32 must match bit for bit.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+  }
+  return ~crc;
+}
+
+TEST(FlashImage, Crc32MatchesBitwiseReference) {
+  Rng rng(0xC3C32);
+  std::vector<std::uint8_t> buf((std::size_t{1} << 20) + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  // Every length through the 8-byte blocks and the byte tail, at every
+  // start alignment.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 256; ++n) {
+      ASSERT_EQ(crc32(buf.data() + off, n), crc32_bitwise(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+  for (const std::size_t n : {std::size_t{4093}, std::size_t{65536},
+                              std::size_t{300007}, std::size_t{1} << 20}) {
+    EXPECT_EQ(crc32(buf.data() + 3, n), crc32_bitwise(buf.data() + 3, n))
+        << "length " << n;
+  }
+}
+
 TEST(FlashImage, FileRoundTrip) {
   const QuantizedNet net = make_net(Scheme::kPCICN, 9);
   const std::string path = "/tmp/mixq_flash_test.img";
@@ -712,6 +744,56 @@ TEST(FlashImageV2, RejectsTruncatedDeclaredBitCount) {
     fixup_crc(mutated);
     EXPECT_THROW(load_flash_image(mutated), std::runtime_error);
   }
+}
+
+TEST(FlashImageV2, RejectsWrappedBitCountOnBothLoaders) {
+  // A single-symbol section stores an empty stream. An nbits within 7 of
+  // 2^64 rounds up to 0 bytes and so matches that empty stream, unless the
+  // count is bounded before it is rounded.
+  QuantizedNet net = make_compressible_net();
+  for (auto& l : net.layers) {
+    for (std::int64_t i = 0; i < l.weights.numel(); ++i) l.weights.set(i, 3);
+  }
+  const auto blob = save_flash_image(net, {true});
+  std::size_t nbits_off = 0;
+  const auto count = read_le<std::uint32_t>(blob, 24 + 9);
+  for (std::size_t i = 0; i < count && nbits_off == 0; ++i) {
+    const auto eo = entry_offsets(i);
+    if (read_le<std::uint8_t>(blob, eo.codec) != 1) continue;
+    const std::size_t off =
+        24 + static_cast<std::size_t>(read_le<std::uint64_t>(blob, eo.off));
+    const std::size_t at = off + 4 + read_le<std::uint32_t>(blob, off) / 2;
+    if (read_le<std::uint64_t>(blob, at) == 0) nbits_off = at;
+  }
+  ASSERT_NE(nbits_off, 0u) << "fixture has no single-symbol section";
+
+  const std::string path = "/tmp/mixq_flash_v2_nbits_wrap.img";
+  for (const std::uint64_t bad : {~std::uint64_t{0}, ~std::uint64_t{0} - 6}) {
+    auto mutated = blob;
+    write_le<std::uint64_t>(mutated, nbits_off, bad);
+    fixup_crc(mutated);
+    {
+      std::ofstream f(path, std::ios::binary);
+      f.write(reinterpret_cast<const char*>(mutated.data()),
+              static_cast<std::streamsize>(mutated.size()));
+    }
+    for (const bool mmap : {false, true}) {
+      try {
+        if (mmap) {
+          load_flash_image_mmap(path);
+        } else {
+          load_flash_image(mutated);
+        }
+        ADD_FAILURE() << "nbits " << bad << " accepted (mmap " << mmap << ")";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "disagrees with declared bit count"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(FlashImageV2, RejectsCorruptStreamEverywhereItIsDecoded) {

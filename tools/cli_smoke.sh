@@ -134,6 +134,35 @@ head -n 1 "$DIR/run.ndjson" | cmp - <(grep '"predicted"' "$DIR/serve_err.ndjson"
 grep -q '"stats"' "$DIR/serve_err.ndjson"
 grep -q '"ok":"shutdown"' "$DIR/serve_err.ndjson"
 
+# Wait for background server $1 (log file $2) to exit and return its exit
+# status, but for at most 30 s after its stop signal (a shutdown line or a
+# SIGTERM). A server still running then has hung: print its signal state,
+# each thread's kernel wait channel and its log tail, SIGKILL it and fail.
+wait_server() {
+  local pid="$1" log="$2" state
+  for _ in $(seq 1 300); do
+    # `ps` reports a zombie as Z: exited, not yet reaped by `wait`.
+    state=$(ps -o stat= -p "$pid" 2>/dev/null || true)
+    case "$state" in "" | Z*) break ;; esac
+    sleep 0.1
+  done
+  case "$state" in
+    "" | Z*) wait "$pid"; return ;;
+  esac
+  echo "cli_smoke.sh: server $pid still running 30 s after its stop signal" >&2
+  grep '^Sig\|^ShdPnd' "/proc/$pid/status" >&2 || true
+  for task in /proc/"$pid"/task/*; do
+    [ -d "$task" ] || continue
+    echo "  thread ${task##*/} $(cat "$task/comm" 2>/dev/null):" \
+      "wchan=$(cat "$task/wchan" 2>/dev/null)" >&2
+  done
+  echo "--- last lines of $log" >&2
+  tail -n 20 "$log" >&2 || true
+  kill -KILL "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+  return 1
+}
+
 if command -v python3 >/dev/null 2>&1; then
   echo "== serve --tcp (epoll front-end): round trip byte-identical to run"
   "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 --max-wait-us 500 \
@@ -170,10 +199,10 @@ s.close()
 PYEOF
   if [ "$PY_RC" -ne 0 ]; then
     kill "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
+    wait_server "$SRV" "$DIR/tcp1.log" || true
     exit "$PY_RC"
   fi
-  wait "$SRV"
+  wait_server "$SRV" "$DIR/tcp1.log"
   cmp "$DIR/run.ndjson" "$DIR/tcp.ndjson"
 
   echo "== serve --tcp: SIGTERM mid-stream drains admitted work, exit 0"
@@ -225,10 +254,10 @@ with open(out_path, "wb") as out:
 PYEOF
   if [ "$PY_RC" -ne 0 ]; then
     kill "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
+    wait_server "$SRV" "$DIR/tcp2.log" || true
     exit "$PY_RC"
   fi
-  wait "$SRV"
+  wait_server "$SRV" "$DIR/tcp2.log"
   cmp "$DIR/run.ndjson" "$DIR/tcp_term.ndjson"
 
   echo "== serve --socket (unix socket, epoll loop): byte-identical to run"
@@ -266,10 +295,10 @@ s.close()
 PYEOF
   if [ "$PY_RC" -ne 0 ]; then
     kill "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
+    wait_server "$SRV" "$DIR/unix.log" || true
     exit "$PY_RC"
   fi
-  wait "$SRV"  # exit status 0, or set -e fails the smoke
+  wait_server "$SRV" "$DIR/unix.log"  # exit status 0, or set -e fails the smoke
   head -n 4 "$DIR/run.ndjson" | cmp - "$DIR/unix.ndjson"
   test ! -e "$SOCK"  # the drained daemon removed its socket file
 else
