@@ -34,8 +34,8 @@
 #include "eval/trainer.hpp"
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
+#include "runtime/plan.hpp"
 #include "tensor/rng.hpp"
 
 namespace {
@@ -174,12 +174,9 @@ int main(int argc, char** argv) {
     Rng irng(7);
     FloatTensor img(net_raw.layers.front().in_shape);
     irng.fill_uniform(img.vec(), 0.0, 1.0);
-    Executor ex_raw(net_raw, /*fast=*/true);
-    Executor ex_stream(net_stream, /*fast=*/true);
-    Executor ex_mmap(net_mmap, /*fast=*/true);
-    const auto l_raw = ex_raw.run_planned(img).logits;
-    exact = logits_equal(l_raw, ex_stream.run_planned(img).logits) &&
-            logits_equal(l_raw, ex_mmap.run_planned(img).logits);
+    const auto l_raw = ExecutionPlan(net_raw).run(img).logits;
+    exact = logits_equal(l_raw, ExecutionPlan(net_stream).run(img).logits) &&
+            logits_equal(l_raw, ExecutionPlan(net_mmap).run(img).logits);
   }
   if (!exact) {
     std::cerr << "bench_image: FATAL: compressed/mmap loads diverge from "
@@ -203,13 +200,11 @@ int main(int argc, char** argv) {
   // (load + plan) to both paths so the comparison is honest.
   const double plan_stream_ms = best_ms(reps, [&] {
     const QuantizedNet n = read_flash_image_file(v2_path);
-    Executor ex(n, /*fast=*/true);
-    ex.plan();
+    const ExecutionPlan plan(n);
   });
   const double plan_mmap_ms = best_ms(reps, [&] {
     const QuantizedNet n = load_flash_image_mmap(v2_path);
-    Executor ex(n, /*fast=*/true);
-    ex.plan();
+    const ExecutionPlan plan(n);
   });
 
   std::cout << "image: raw " << raw_bytes << " B, compressed " << v2_bytes

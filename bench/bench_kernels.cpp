@@ -19,7 +19,6 @@
 
 #include "core/thresholds.hpp"
 #include "runtime/autotune.hpp"
-#include "runtime/fast_kernels.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
@@ -155,32 +154,6 @@ void BM_ActPrecisionSweep(benchmark::State& state) {
                               BitWidth::kQ8, qx, Scheme::kPCICN));
 }
 BENCHMARK(BM_ActPrecisionSweep)->Arg(8)->Arg(4)->Arg(2);
-
-void BM_FastVsReference(benchmark::State& state) {
-  // Arg 0: reference packed-access kernels; Arg 1: fast unpacked path.
-  const bool fast = state.range(0) == 1;
-  const runtime::QLayer l =
-      make_layer(runtime::QLayerKind::kConv, Shape(1, 16, 16, 16), 16, 3, 1,
-                 BitWidth::kQ8, BitWidth::kQ4, BitWidth::kQ8,
-                 Scheme::kPCICN);
-  const PackedBuffer in = random_input(l);
-  PackedBuffer out(l.out_shape.numel(), l.qy);
-  runtime::Scratch scratch;
-  const std::int64_t macs =
-      l.out_shape.numel() * l.spec.kh * l.spec.kw * l.wshape.ci;
-  for (auto _ : state) {
-    if (fast) {
-      runtime::run_layer_fast(l, in, out, scratch);
-    } else {
-      runtime::run_layer(l, in, out);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["MACs/s"] = benchmark::Counter(
-      static_cast<double>(macs),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_FastVsReference)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // Narrow-vs-wide SIMD micro-kernels (runtime/simd.hpp), independent of the

@@ -1,19 +1,18 @@
 // bench_runtime -- the tracked performance benchmark of the execution
 // engine. Builds a MobileNet-class, pointwise-dominated mixed 2/4/8-bit
 // workload (the deployment shape the paper targets), verifies once that the
-// reference, fast and planned paths agree bit-exactly, then times:
+// reference and planned paths agree bit-exactly, then times:
 //
-//   * reference path  -- packed get/set kernels (kernels.hpp)
-//   * fast path       -- per-layer unpacked-scratch kernels (seed engine)
+//   * reference path  -- packed get/set kernels (kernels.hpp), the oracle
 //   * planned path    -- compiled ExecutionPlan (plan.hpp)
 //
 // and emits results/BENCH_runtime.json with end-to-end and per-layer
 // numbers so the perf trajectory is tracked PR over PR. A second section
-// sweeps the multi-threaded batch serving path (Executor::run_batch over
-// the shared plan) across thread counts, gating on bit-exactness at every
-// count, and records the SIMD ISA, the available hardware threads and the
-// git revision alongside the numbers. Exit code is non-zero only on a
-// correctness failure, never on timing.
+// sweeps the path the daemon serves (serve::ModelRegistry::infer_batch,
+// each free lane taking the next sample) across thread counts, gating on
+// bit-exactness at every count, and records the SIMD ISA, the available
+// hardware threads and the git revision alongside the numbers. Exit code
+// is non-zero only on a correctness failure, never on timing.
 //
 // Usage: bench_runtime [--quick] [--out PATH] [--threads N] [--batch N]
 #include <algorithm>
@@ -34,6 +33,7 @@
 #include "runtime/profiler.hpp"
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
+#include "serve/registry.hpp"
 #include "support/random_qlayer.hpp"
 #include "tensor/rng.hpp"
 
@@ -153,26 +153,20 @@ int main(int argc, char** argv) {
   FloatTensor img(net.layers.front().in_shape);
   rng.fill_uniform(img.vec(), 0.0, 1.0);
 
-  Executor ref_exec(net, /*fast=*/false);
-  Executor fast_exec(net, /*fast=*/true);
+  const Executor ref_exec(net);
+  const ExecutionPlan plan(net);
 
-  // Correctness gate: all three paths bit-exact on this workload.
-  const QInferenceResult r_ref = ref_exec.run(img);
-  const QInferenceResult r_fast = fast_exec.run(img);
-  const QInferenceResult r_plan = fast_exec.run_planned(img);
-  if (!logits_equal(r_ref.logits, r_fast.logits) ||
-      !logits_equal(r_ref.logits, r_plan.logits)) {
+  // Correctness gate: both paths bit-exact on this workload.
+  if (!logits_equal(ref_exec.run(img).logits, plan.run(img).logits)) {
     std::cerr << "bench_runtime: FATAL: execution paths disagree\n";
     return 1;
   }
-  std::cout << "bit-exactness check passed (ref == fast == planned)\n";
+  std::cout << "bit-exactness check passed (ref == planned)\n";
 
   const int iters = quick ? 10 : 100;
   const int ref_iters = quick ? 1 : 5;
   const double ref_ns =
       time_ns_per_run(ref_iters, [&] { ref_exec.run(img); });
-  const double fast_ns = time_ns_per_run(iters, [&] { fast_exec.run(img); });
-  const ExecutionPlan& plan = fast_exec.plan();
   const double plan_ns =
       time_ns_per_run(iters, [&] { plan.run_into(img.data()); });
 
@@ -190,9 +184,7 @@ int main(int argc, char** argv) {
             << ", hardware threads: " << ThreadPool::hardware_lanes()
             << "\n"
             << "reference: " << ref_ns / 1e6 << " ms/inference\n"
-            << "fast (seed): " << fast_ns / 1e6 << " ms/inference\n"
             << "planned:   " << plan_ns / 1e6 << " ms/inference\n"
-            << "speedup planned vs fast: " << fast_ns / plan_ns << "x\n"
             << "speedup planned vs reference: " << ref_ns / plan_ns << "x\n"
             << "activation arenas: " << arena_i8 << " B (i8 domain) vs "
             << arena_i32 << " B (all-INT32), "
@@ -200,12 +192,18 @@ int main(int argc, char** argv) {
             << "x smaller\n\n"
             << prof.str();
 
-  // Batch serving sweep: samples/s of run_batch over the shared plan at
-  // 1/2/4/max threads, gated on bit-exactness against the 1-thread run at
+  // Batch serving sweep: samples/s of the registry's infer_batch at
+  // 1/2/4/max threads, gated on bit-exactness against the serial plan at
   // every count.
-  const Shape& in_shape = net.layers.front().in_shape;
-  FloatTensor batch_t(Shape(batch, in_shape.h, in_shape.w, in_shape.c));
-  rng.fill_uniform(batch_t.vec(), 0.0, 1.0);
+  const std::int64_t numel = net.layers.front().in_shape.numel();
+  std::vector<serve::Request> requests(static_cast<std::size_t>(batch));
+  std::vector<QInferenceResult> base_results;
+  for (std::size_t n = 0; n < requests.size(); ++n) {
+    requests[n].id = static_cast<std::int64_t>(n);
+    requests[n].input.resize(static_cast<std::size_t>(numel));
+    rng.fill_uniform(requests[n].input, 0.0, 1.0);
+    base_results.push_back(plan.run_sample(requests[n].input.data()));
+  }
   std::vector<int> sweep = {1, 2, 4, max_threads};
   std::sort(sweep.begin(), sweep.end());
   sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
@@ -214,26 +212,29 @@ int main(int argc, char** argv) {
               sweep.end());
   if (sweep.empty()) sweep.push_back(1);
 
-  const auto base_results = fast_exec.run_batch(batch_t, 1);
   const int reps = quick ? 1 : 3;
   std::vector<ThroughputPoint> sweep_pts;
   std::cout << "\nbatch throughput (batch=" << batch << "):\n";
   for (const int t : sweep) {
-    // Exactness gate: every thread count must reproduce the 1-thread
+    serve::ModelRegistry reg(t);
+    reg.add_model("bench", net);
+    const auto model = reg.resolve("bench");
+    // Exactness gate: every thread count must reproduce the serial plan's
     // logits bit-for-bit.
-    const auto results = fast_exec.run_batch(batch_t, t);
+    std::vector<QInferenceResult> results;
+    reg.infer_batch(*model, requests, results);
     for (std::size_t n = 0; n < results.size(); ++n) {
       if (!logits_equal(results[n].logits, base_results[n].logits)) {
-        std::cerr << "bench_runtime: FATAL: run_batch at " << t
-                  << " threads diverges from 1 thread on sample " << n
-                  << "\n";
+        std::cerr << "bench_runtime: FATAL: infer_batch at " << t
+                  << " threads diverges from the serial plan on sample "
+                  << n << "\n";
         return 1;
       }
     }
     double best_ns = 0.0;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
-      fast_exec.run_batch(batch_t, t);
+      reg.infer_batch(*model, requests, results);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns = static_cast<double>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -275,9 +276,7 @@ int main(int argc, char** argv) {
      << "  \"total_macs\": " << prof.total_macs << ",\n"
      << "  \"end_to_end\": {\n"
      << "    \"reference_ns\": " << ref_ns << ",\n"
-     << "    \"fast_ns\": " << fast_ns << ",\n"
      << "    \"planned_ns\": " << plan_ns << ",\n"
-     << "    \"speedup_planned_vs_fast\": " << fast_ns / plan_ns << ",\n"
      << "    \"speedup_planned_vs_reference\": " << ref_ns / plan_ns << ",\n"
      << "    \"planned_macs_per_ns\": " << prof.total_macs_per_ns() << "\n"
      << "  },\n"

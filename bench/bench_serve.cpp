@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "provenance.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
+#include "runtime/plan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -227,13 +227,10 @@ int main(int argc, char** argv) {
   }
 
   // Serial planned reference for the bit-exactness gate.
-  Executor exec(net, /*fast=*/true);
-  const Shape& in_shape = net.layers.front().in_shape;
+  const ExecutionPlan plan(net);
   std::vector<QInferenceResult> expected(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    FloatTensor img(in_shape);
-    img.vec() = inputs[i];
-    expected[i] = exec.run_planned(img);
+    expected[i] = plan.run_sample(inputs[i].data());
   }
 
   const int hw = ThreadPool::hardware_lanes();

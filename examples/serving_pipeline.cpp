@@ -2,7 +2,7 @@
 // fake-quantized model, convert it, write the flash image a provisioning
 // system would ship, load it back the way `mixq serve` does, and serve a
 // few newline-delimited JSON requests through the micro-batching daemon --
-// asserting the served logits are bit-identical to a direct planned run.
+// asserting the served logits are bit-identical to the reference executor.
 //
 // The same flow from a shell:
 //   mixq quantize --out model.img --epochs 2
@@ -80,8 +80,8 @@ int main() {
               out.str().c_str());
 
   // 5. The contract that makes the daemon trustworthy: served responses
-  // are byte-identical to a direct planned-engine run.
-  runtime::Executor exec(loaded, /*fast=*/true);
+  // are byte-identical to the reference kernels' integer-only run.
+  const runtime::Executor exec(loaded);
   std::istringstream served(out.str());
   std::string line;
   for (int i = 0; i < 4; ++i) {
@@ -89,13 +89,14 @@ int main() {
     for (std::int64_t k = 0; k < numel; ++k) {
       img[k] = test.images[i * numel + k];
     }
-    const runtime::QInferenceResult direct = exec.run_planned(img);
+    const runtime::QInferenceResult direct = exec.run(img);
     std::getline(served, line);
     if (line != serve::format_result_line(i, direct)) {
       std::printf("MISMATCH on request %d\n", i);
       return 1;
     }
   }
-  std::printf("served responses bit-identical to run_planned: OK\n");
+  std::printf("served responses bit-identical to the reference executor: "
+              "OK\n");
   return 0;
 }

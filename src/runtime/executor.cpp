@@ -35,34 +35,11 @@ QInferenceResult Executor::run(const FloatTensor& image) const {
   return run_codes(quantize_input(image, net_->input_qp));
 }
 
-const ExecutionPlan& Executor::plan() const {
-  std::call_once(plan_once_,
-                 [this] { plan_ = std::make_unique<ExecutionPlan>(*net_); });
-  return *plan_;
-}
-
-ThreadPool& Executor::pool(int lanes) const {
-  // Grow-only: narrower jobs dispatch over a subset of an existing wider
-  // pool (parallel_for_lanes) instead of respawning threads per call.
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (!pool_ || pool_->lanes() < lanes) {
-    pool_ = std::make_unique<ThreadPool>(lanes);
-  }
-  return *pool_;
-}
-
-QInferenceResult Executor::run_planned(const FloatTensor& image) const {
-  if (image.shape().n != 1) {
-    throw std::invalid_argument("Executor::run_planned: batch must be 1");
-  }
-  return plan().run(image);
-}
-
 QInferenceResult Executor::run_codes(PackedBuffer cur) const {
   QInferenceResult res;
   for (std::size_t i = 0; i < net_->layers.size(); ++i) {
     const QLayer& l = net_->layers[i];
-    if (!fast_ && l.weights_deferred()) {
+    if (l.weights_deferred()) {
       // The reference kernels random-access packed codes; an entropy-coded
       // (deferred) bank has none. The planned engine decodes such banks
       // natively -- for the reference path the caller must materialize.
@@ -74,16 +51,11 @@ QInferenceResult Executor::run_codes(PackedBuffer cur) const {
       if (i + 1 != net_->layers.size()) {
         throw std::logic_error("Executor: head layer must be last");
       }
-      res.logits = fast_ ? run_head_fast(l, cur, scratch_)
-                         : run_head(l, cur);
+      res.logits = run_head(l, cur);
       break;
     }
     PackedBuffer next(l.out_shape.numel(), l.qy);
-    if (fast_) {
-      run_layer_fast(l, cur, next, scratch_);
-    } else {
-      run_layer(l, cur, next);
-    }
+    run_layer(l, cur, next);
     cur = std::move(next);
   }
   if (res.logits.empty()) {
@@ -100,8 +72,8 @@ QInferenceResult Executor::run_codes(PackedBuffer cur) const {
   return res;
 }
 
-std::vector<QInferenceResult> Executor::run_batch(const FloatTensor& images,
-                                                  int threads) const {
+std::vector<QInferenceResult> Executor::run_batch(
+    const FloatTensor& images) const {
   const Shape s = images.shape();
   const Shape& in = net_->layers.front().in_shape;
   if (s.h != in.h || s.w != in.w || s.c != in.c) {
@@ -112,54 +84,8 @@ std::vector<QInferenceResult> Executor::run_batch(const FloatTensor& images,
     throw std::invalid_argument(msg);
   }
   const std::int64_t per = s.h * s.w * s.c;
-  const int lanes = static_cast<int>(std::min<std::int64_t>(
-      threads <= 0 ? ThreadPool::hardware_lanes() : threads, s.n));
-
-  if (lanes > 1) {
-    // Batch serving path: the plan is compiled once (thread-safe) and
-    // shared read-only; each worker lane runs its contiguous slice of the
-    // batch through its own cached PlanArenas (or, for reference
-    // executors, through independent run_codes walks). Static
-    // partitioning + per-lane state make the results bit-identical to the
-    // serial path.
-    const ExecutionPlan* p = fast_ ? &plan() : nullptr;
-    if (fast_) {
-      while (lane_arenas_.size() < static_cast<std::size_t>(lanes)) {
-        lane_arenas_.push_back(std::make_unique<PlanArenas>(*p));
-      }
-    }
-    std::vector<QInferenceResult> out(static_cast<std::size_t>(s.n));
-    pool(lanes).parallel_for_lanes(
-        lanes, s.n, [&](int lane, std::int64_t b, std::int64_t e) {
-          if (fast_) {
-            PlanArenas& arenas =
-                *lane_arenas_[static_cast<std::size_t>(lane)];
-            for (std::int64_t n = b; n < e; ++n) {
-              out[static_cast<std::size_t>(n)] =
-                  p->run_sample(images.data() + n * per, arenas);
-            }
-          } else {
-            for (std::int64_t n = b; n < e; ++n) {
-              out[static_cast<std::size_t>(n)] = run_codes(quantize_sample(
-                  images.data() + n * per, per, net_->input_qp));
-            }
-          }
-        });
-    return out;
-  }
-
   std::vector<QInferenceResult> out;
   out.reserve(static_cast<std::size_t>(s.n));
-  if (fast_) {
-    // One compiled plan shared by every sample: weights stay unpacked, the
-    // arena is reused, and each image is quantized straight from its
-    // strided view of the batch tensor.
-    const ExecutionPlan& p = plan();
-    for (std::int64_t n = 0; n < s.n; ++n) {
-      out.push_back(p.run_sample(images.data() + n * per));
-    }
-    return out;
-  }
   for (std::int64_t n = 0; n < s.n; ++n) {
     out.push_back(run_codes(
         quantize_sample(images.data() + n * per, per, net_->input_qp)));

@@ -1546,101 +1546,77 @@ PlanArenas& ExecutionPlan::self_arenas() const {
 }
 
 const std::vector<float>& ExecutionPlan::run_into(const float* sample) const {
-  return run_into(sample, self_arenas());
+  return run_layers(sample, self_arenas(), nullptr, nullptr, nullptr);
 }
 
 const std::vector<float>& ExecutionPlan::run_into(const float* sample,
                                                   PlanArenas& arenas) const {
-  const std::int64_t n_in = net_->layers.front().in_shape.numel();
-  if (layers_.front().in_u8) {
-    quantize_input_into(sample, arenas.arena8(0), 0, n_in);
-  } else {
-    quantize_input_into(sample, arenas.arena(0), 0, n_in);
-  }
-  for (const PlannedLayer& pl : layers_) {
-    if (pl.layer->raw_logits) {
-      run_head(pl, arenas);
-      return arenas.logits;
-    }
-    run_layer_rows(pl, arenas, 0, 0, partition_rows(pl));
-  }
-  return finish_logits(arenas);
+  return run_layers(sample, arenas, nullptr, nullptr, nullptr);
 }
 
 const std::vector<float>& ExecutionPlan::run_into(const float* sample,
                                                   PlanArenas& arenas,
                                                   ThreadPool& pool) const {
-  if (arenas.lanes < pool.lanes()) {
-    throw std::invalid_argument(
-        "ExecutionPlan::run_into: arenas built with fewer lanes than the "
-        "pool");
-  }
-  if (pool.lanes() == 1) return run_into(sample, arenas);
-
-  const std::int64_t n_in = net_->layers.front().in_shape.numel();
-  if (n_in >= 4096) {
-    if (layers_.front().in_u8) {
-      std::uint8_t* input = arenas.arena8(0);
-      pool.parallel_for(n_in, [&](int, std::int64_t b, std::int64_t e) {
-        quantize_input_into(sample, input, b, e);
-      });
-    } else {
-      std::int32_t* input = arenas.arena(0);
-      pool.parallel_for(n_in, [&](int, std::int64_t b, std::int64_t e) {
-        quantize_input_into(sample, input, b, e);
-      });
-    }
-  } else if (layers_.front().in_u8) {
-    quantize_input_into(sample, arenas.arena8(0), 0, n_in);
-  } else {
-    quantize_input_into(sample, arenas.arena(0), 0, n_in);
-  }
-  for (const PlannedLayer& pl : layers_) {
-    if (pl.layer->raw_logits) {
-      run_head(pl, arenas);
-      return arenas.logits;
-    }
-    const std::int64_t rows = partition_rows(pl);
-    if (rows >= 2 && pl.macs >= kIntraParMinMacs) {
-      pool.parallel_for(rows, [&](int lane, std::int64_t b, std::int64_t e) {
-        run_layer_rows(pl, arenas, lane, b, e);
-      });
-    } else {
-      run_layer_rows(pl, arenas, 0, 0, rows);
-    }
-  }
-  return finish_logits(arenas);
+  return run_layers(sample, arenas, &pool, nullptr, nullptr);
 }
 
 const std::vector<float>& ExecutionPlan::run_timed(
     const float* sample, std::vector<std::int64_t>& per_layer_ns,
     std::int64_t* quantize_ns) const {
+  return run_layers(sample, self_arenas(), nullptr, &per_layer_ns, quantize_ns);
+}
+
+const std::vector<float>& ExecutionPlan::run_layers(
+    const float* sample, PlanArenas& arenas, ThreadPool* pool,
+    std::vector<std::int64_t>* layer_ns, std::int64_t* quantize_ns) const {
   using clock = std::chrono::steady_clock;
-  PlanArenas& arenas = self_arenas();
-  per_layer_ns.assign(layers_.size(), 0);
+  const auto ns_since = [](clock::time_point t0) {
+    const auto d = clock::now() - t0;
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+  };
+  if (pool != nullptr && arenas.lanes < pool->lanes()) {
+    throw std::invalid_argument(
+        "ExecutionPlan::run_into: arenas built with fewer lanes than the "
+        "pool");
+  }
+
+  clock::time_point t0;
+  if (quantize_ns != nullptr) t0 = clock::now();
   const std::int64_t n_in = net_->layers.front().in_shape.numel();
-  auto t0 = clock::now();
+  const auto quantize = [&](auto* input) {
+    if (pool != nullptr && n_in >= 4096) {
+      pool->parallel_for(n_in, [&](int, std::int64_t b, std::int64_t e) {
+        quantize_input_into(sample, input, b, e);
+      });
+    } else {
+      quantize_input_into(sample, input, 0, n_in);
+    }
+  };
   if (layers_.front().in_u8) {
-    quantize_input_into(sample, arenas.arena8(0), 0, n_in);
+    quantize(arenas.arena8(0));
   } else {
-    quantize_input_into(sample, arenas.arena(0), 0, n_in);
+    quantize(arenas.arena(0));
   }
-  auto t1 = clock::now();
-  if (quantize_ns != nullptr) {
-    *quantize_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  }
+  if (quantize_ns != nullptr) *quantize_ns = ns_since(t0);
+
+  if (layer_ns != nullptr) layer_ns->assign(layers_.size(), 0);
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const PlannedLayer& pl = layers_[i];
-    t0 = clock::now();
+    if (layer_ns != nullptr) t0 = clock::now();
     if (pl.layer->raw_logits) {
       run_head(pl, arenas);
     } else {
-      run_layer_rows(pl, arenas, 0, 0, partition_rows(pl));
+      const std::int64_t rows = partition_rows(pl);
+      if (pool != nullptr && rows >= 2 && pl.macs >= kIntraParMinMacs) {
+        pool->parallel_for(rows,
+                           [&](int lane, std::int64_t b, std::int64_t e) {
+                             run_layer_rows(pl, arenas, lane, b, e);
+                           });
+      } else {
+        run_layer_rows(pl, arenas, 0, 0, rows);
+      }
     }
-    t1 = clock::now();
-    per_layer_ns[i] =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+    if (layer_ns != nullptr) (*layer_ns)[i] = ns_since(t0);
     if (pl.layer->raw_logits) return arenas.logits;
   }
   return finish_logits(arenas);

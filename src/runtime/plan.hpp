@@ -55,13 +55,18 @@
 // even/odd tensor assignment (Eq. 7). Narrow layers keep only their
 // panels; the INT32 offset weights stay only where a kernel reads them.
 //
+// Every entry point runs the same private layer loop (run_layers): quantize
+// the input, run the layers, then the raw-logits head or the final codes.
+// It optionally row-partitions large layers across a ThreadPool and
+// optionally records per-layer wall time; with neither, it reads no clock.
+//
 // Thread-safety contract: an ExecutionPlan is immutable after construction.
 // run_into(sample, arenas) touches only the caller-supplied PlanArenas, so
 // any number of threads may run the *same* plan concurrently as long as
-// each uses its own PlanArenas (this is how Executor::run_batch partitions
-// a batch across a ThreadPool). The convenience overloads without an
-// arena argument share one internal arena set, built on their first call,
-// and are NOT thread-safe against each other.
+// each uses its own PlanArenas (this is how serve::ModelRegistry hands a
+// batch's samples to its pool's lanes). The convenience overloads without
+// an arena argument share one internal arena set, built on their first
+// call, and are NOT thread-safe against each other.
 #pragma once
 
 #include <cstdint>
@@ -278,7 +283,8 @@ class ExecutionPlan {
 
   /// Same as run_into(sample), recording wall-clock nanoseconds:
   /// per_layer_ns gets one entry per network layer; *quantize_ns
-  /// (optional) the input-quantize stage.
+  /// (optional) the input-quantize stage. The untimed overloads run the
+  /// same loop without reading the clock.
   const std::vector<float>& run_timed(const float* sample,
                                       std::vector<std::int64_t>& per_layer_ns,
                                       std::int64_t* quantize_ns) const;
@@ -331,6 +337,15 @@ class ExecutionPlan {
   /// Output rows a layer exposes to row partitioning (GEMM and narrow
   /// convs: output pixels; wide conv/depthwise: output rows; rest: 1).
   static std::int64_t partition_rows(const PlannedLayer& pl);
+  /// The one layer loop behind every run_into overload and run_timed.
+  /// `pool` (nullable) spreads the input quantize and each large layer's
+  /// rows across its lanes; `layer_ns` (nullable) is resized to one
+  /// duration per layer and `quantize_ns` (nullable) gets the quantize
+  /// stage's. Null sinks read no clock.
+  const std::vector<float>& run_layers(const float* sample, PlanArenas& arenas,
+                                       ThreadPool* pool,
+                                       std::vector<std::int64_t>* layer_ns,
+                                       std::int64_t* quantize_ns) const;
   void run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas, int lane,
                       std::int64_t r0, std::int64_t r1) const;
   void run_head(const PlannedLayer& pl, PlanArenas& arenas) const;

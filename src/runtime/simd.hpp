@@ -1028,9 +1028,9 @@ inline void dw_dot_u8s16p(const std::uint8_t* __restrict__ x,
                           const std::int16_t* __restrict__ wtp,
                           std::int64_t taps, std::int64_t C,
                           std::int32_t* __restrict__ acc) {
-  const std::int64_t pairs = dw_pairs(taps);
 #if defined(MIXQ_SIMD_AVX2)
   if (enabled()) {
+    const std::int64_t pairs = dw_pairs(taps);
     std::int64_t c = 0;
     for (; c + 16 <= C; c += 16) {
       __m256i alo = _mm256_setzero_si256();
@@ -1067,6 +1067,7 @@ inline void dw_dot_u8s16p(const std::uint8_t* __restrict__ x,
   }
 #elif defined(MIXQ_SIMD_SSE4)
   if (enabled()) {
+    const std::int64_t pairs = dw_pairs(taps);
     std::int64_t c = 0;
     for (; c + 8 <= C; c += 8) {
       __m128i alo = _mm_setzero_si128();
@@ -1102,6 +1103,7 @@ inline void dw_dot_u8s16p(const std::uint8_t* __restrict__ x,
   }
 #elif defined(MIXQ_SIMD_NEON)
   {
+    const std::int64_t pairs = dw_pairs(taps);
     std::int64_t c = 0;
     for (; c + 8 <= C; c += 8) {
       int32x4_t alo = vdupq_n_s32(0);

@@ -169,8 +169,10 @@ class ModelRegistry {
                       const runtime::FlashLoadLimits& limits = {});
 
   /// Run `batch` against pinned generation `m` across the pool's lanes,
-  /// each free lane taking the next request. Bit-exact with a serial
-  /// Executor::run_planned. Single-caller (see the thread contract above).
+  /// each free lane taking the next request through its own PlanArenas.
+  /// Bit-exact with the reference Executor::run at every lane count. This
+  /// and infer_indices are the one multi-lane batch runner. Single-caller
+  /// (see the thread contract above).
   void infer_batch(const ServableModel& m, const std::vector<Request>& batch,
                    std::vector<runtime::QInferenceResult>& out);
 

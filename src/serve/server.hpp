@@ -10,7 +10,7 @@
 //     event loop -- `mixq serve --tcp` and/or `--socket`.
 // Each batch runs across the ModelRegistry's worker lanes, every lane
 // running the shared read-only ExecutionPlan through its own PlanArenas, so
-// served results are bit-identical to a serial Executor::run_planned() for
+// served results are bit-identical to the reference Executor::run() for
 // every lane count and every batch composition.
 //
 // Protocol (newline-delimited JSON, one request/response per line; the

@@ -9,6 +9,7 @@
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
+#include "runtime/plan.hpp"
 
 namespace mixq::runtime {
 namespace {
@@ -245,9 +246,7 @@ struct RawWriter {
 
 std::vector<std::uint8_t> wrap_payload(const std::vector<std::uint8_t>& p,
                                        std::uint32_t version = 1) {
-  std::vector<std::uint8_t> blob;
-  const char magic[8] = {'M', 'I', 'X', 'Q', 'I', 'M', 'G', '1'};
-  blob.insert(blob.end(), magic, magic + 8);
+  std::vector<std::uint8_t> blob = {'M', 'I', 'X', 'Q', 'I', 'M', 'G', '1'};
   RawWriter h;
   h.put<std::uint32_t>(version);
   h.put<std::uint64_t>(p.size());
@@ -502,7 +501,7 @@ TEST(FlashImageV2, CompressedRoundTripIsBitExact) {
 
   // And the planned engine produces identical results from either image.
   const QuantizedNet raw_back = load_flash_image(raw_blob);
-  Executor a(raw_back, /*fast=*/true), b(back, /*fast=*/true);
+  const ExecutionPlan a(raw_back), b(back);
   Rng rng(4);
   FloatTensor imgs(Shape(4, 8, 8, 3));
   rng.fill_uniform(imgs.vec(), 0.0, 1.0);
@@ -510,8 +509,8 @@ TEST(FlashImageV2, CompressedRoundTripIsBitExact) {
     FloatTensor img(Shape(1, 8, 8, 3));
     std::copy(imgs.data() + n * img.numel(),
               imgs.data() + (n + 1) * img.numel(), img.data());
-    const auto ra = a.run_planned(img);
-    const auto rb = b.run_planned(img);
+    const auto ra = a.run(img);
+    const auto rb = b.run(img);
     ASSERT_EQ(ra.predicted, rb.predicted);
     ASSERT_EQ(ra.logits, rb.logits);
   }
@@ -563,17 +562,17 @@ TEST(FlashImageV2, MmapLoadMatchesStreamingLoad) {
   // The planned engine decodes deferred banks natively; results must be
   // identical to the streaming-loaded net.
   const QuantizedNet streamed = read_flash_image_file(path);
-  Executor a(streamed, /*fast=*/true), b(mapped, /*fast=*/true);
+  const ExecutionPlan a(streamed), b(mapped);
   Rng rng(5);
   FloatTensor img(Shape(1, 8, 8, 3));
   rng.fill_uniform(img.vec(), 0.0, 1.0);
-  const auto ra = a.run_planned(img);
-  const auto rb = b.run_planned(img);
+  const auto ra = a.run(img);
+  const auto rb = b.run(img);
   EXPECT_EQ(ra.predicted, rb.predicted);
   EXPECT_EQ(ra.logits, rb.logits);
 
   // The reference path refuses deferred banks...
-  Executor ref(mapped, /*fast=*/false);
+  Executor ref(mapped);
   EXPECT_THROW(ref.run(img), std::logic_error);
 
   // ...until they are materialized, after which it agrees bit for bit.

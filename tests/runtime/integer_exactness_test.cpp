@@ -13,8 +13,9 @@
 #include "nn/loss.hpp"
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/fast_kernels.hpp"
-#include "runtime/kernels.hpp"
+#include "runtime/parallel.hpp"
+#include "runtime/plan.hpp"
+#include "runtime/simd_vnni.hpp"
 #include "support/random_qlayer.hpp"
 
 namespace mixq::runtime {
@@ -123,18 +124,18 @@ TEST(IcnExactness, IntegerAccuracyCloseToFakeQuantAccuracy) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized cross-checks: the fast kernel path (run_layer_fast /
-// run_head_fast) must be bit-exact with the reference kernels not just on
-// isolated layers (fast_kernels_test.cpp) but through whole randomized
-// depthwise-separable chains with *mixed* 2/4/8-bit widths per layer --
-// the deployment configuration the paper's memory-driven allocator emits.
+// Randomized cross product: the compiled ExecutionPlan must be bit-exact
+// with the reference executor on random depthwise-separable chains with
+// *mixed* 2/4/8-bit widths per layer (the deployment configuration the
+// paper's memory-driven allocator emits) and on random raw-logit heads,
+// under every plan option and lane count it can run with.
 // ---------------------------------------------------------------------------
 
-using test_support::fill_random_codes;
 using test_support::random_width;
 
-/// A random conv-family (or head) layer with the given geometry and
-/// precisions; quantization parameters come from the shared helper.
+/// A random depthwise (3x3, pad 1) or pointwise layer with the given
+/// geometry and precisions; quantization parameters come from the shared
+/// helper.
 QLayer random_chain_layer(QLayerKind kind, Shape in_shape, std::int64_t co,
                           BitWidth qx, BitWidth qw, BitWidth qy,
                           Scheme scheme, Rng& rng) {
@@ -145,7 +146,7 @@ QLayer random_chain_layer(QLayerKind kind, Shape in_shape, std::int64_t co,
   l.qy = qy;
   l.in_shape = in_shape;
   const bool depthwise = kind == QLayerKind::kDepthwise;
-  // Depthwise 3x3 stride 1 pad 1 keeps HxW; pointwise/linear is 1x1.
+  // Depthwise 3x3 stride 1 pad 1 keeps HxW; pointwise is 1x1.
   const std::int64_t k = depthwise ? 3 : 1;
   l.spec.kh = l.spec.kw = k;
   l.spec.stride = 1;
@@ -154,24 +155,106 @@ QLayer random_chain_layer(QLayerKind kind, Shape in_shape, std::int64_t co,
   l.wshape = depthwise ? WeightShape(co, k, k, 1)
                        : WeightShape(co, k, k, in_shape.c);
   l.zy = static_cast<std::int32_t>(rng.uniform_int(core::levels(qy)));
-  test_support::fill_random_quant_params(l, scheme, rng);
+  // One ICN multiplier in five is negative (a BN fold with gamma < 0).
+  test_support::fill_random_quant_params(l, scheme, rng, 1e-4, 0.05,
+                                         /*neg_prob=*/0.2);
   return l;
 }
 
-class FastPathChainExactness : public ::testing::TestWithParam<int> {};
+/// Appends a raw-logits linear head of `classes` outputs to `net`.
+void add_random_head(QuantizedNet& net, Shape in_shape, BitWidth qx,
+                     BitWidth qw, std::int64_t classes, Rng& rng) {
+  QLayer head = test_support::make_conv_family_layer(
+      QLayerKind::kLinear, in_shape, classes, 1, 1, 0, qx, qw, BitWidth::kQ8,
+      Scheme::kPCICN, rng);
+  head.raw_logits = true;
+  for (std::int64_t c = 0; c < classes; ++c) {
+    head.out_mult.push_back(rng.uniform(1e-5, 0.02));
+  }
+  net.layers.push_back(std::move(head));
+}
 
-TEST_P(FastPathChainExactness, MixedPrecisionChainBitExact) {
+/// The VNNI kernels run here unless this is a native VNNI build on a host
+/// without the instructions.
+bool vnni_runnable() {
+  return !(simd::vnni_compiled() && !simd::vnni_cpu());
+}
+
+/// Worker pools shared by every case of this binary.
+ThreadPool& lanes_pool(int lanes) {
+  static ThreadPool two(2);
+  static ThreadPool four(4);
+  return lanes == 2 ? two : four;
+}
+
+/// Compiles `net` under allow_i8 x vnni (off, and force where it can run)
+/// x autotune (analytic, probe, fixed) and runs each plan serially and
+/// pooled at 2 and 4 lanes, on an all-maximum input (MACs at their proven
+/// extremes) and a random one. Every run must equal the reference
+/// executor's logits by integer equality.
+void expect_plan_cross_product_exact(const QuantizedNet& net, Rng& rng,
+                                     const std::string& label) {
+  const Executor ref(net);
+  std::vector<FloatTensor> images(2, FloatTensor(net.layers.front().in_shape));
+  std::fill(images[0].vec().begin(), images[0].vec().end(), 2.0f);
+  rng.fill_uniform(images[1].vec(), -0.1, 1.1);
+  std::vector<QInferenceResult> expect;
+  for (const FloatTensor& img : images) expect.push_back(ref.run(img));
+
+  for (const bool allow_i8 : {true, false}) {
+    for (const auto vnni :
+         {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+      if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
+      for (const auto tune :
+           {PlanOptions::Autotune::kAnalytic, PlanOptions::Autotune::kProbe,
+            PlanOptions::Autotune::kFixed}) {
+        PlanOptions opts;
+        opts.allow_i8 = allow_i8;
+        opts.vnni = vnni;
+        opts.autotune = tune;
+        opts.fixed_tile = TileConfig{5, 8, 16};  // blocked in K and N
+        const ExecutionPlan plan(net, opts);
+        for (const int lanes : {1, 2, 4}) {
+          PlanArenas arenas(plan, lanes);
+          const std::string where =
+              label + (allow_i8 ? " i8" : " i32") +
+              (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off") +
+              " autotune " + std::to_string(static_cast<int>(tune)) + ", " +
+              std::to_string(lanes) + " lane(s)";
+          for (std::size_t i = 0; i < images.size(); ++i) {
+            const std::vector<float>& got =
+                lanes == 1
+                    ? plan.run_into(images[i].data(), arenas)
+                    : plan.run_into(images[i].data(), arenas,
+                                    lanes_pool(lanes));
+            ASSERT_EQ(got.size(), expect[i].logits.size()) << where;
+            for (std::size_t k = 0; k < got.size(); ++k) {
+              ASSERT_EQ(got[k], expect[i].logits[k])
+                  << where << ", image " << i << ", output " << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+class PlanCrossProductExactness : public ::testing::TestWithParam<int> {};
+
+TEST_P(PlanCrossProductExactness, MixedPrecisionChainBitExact) {
   // dw -> pw -> dw -> pw with independently random 2/4/8-bit weight and
-  // activation widths at every boundary, checked layer-by-layer.
-  Rng rng(static_cast<std::uint64_t>(4200 + GetParam()));
+  // activation widths at every boundary; odd trials end in a raw-logits
+  // head, even trials return the final codes and give the first layer Q8
+  // weights. 16x16 maps put every layer over the row-partitioning MAC
+  // threshold, so the pooled runs split each of them.
+  const int trial = GetParam();
+  Rng rng(static_cast<std::uint64_t>(4200 + trial));
   const Scheme schemes[] = {Scheme::kPLICN, Scheme::kPCICN,
                             Scheme::kPCThresholds};
-  Shape shape(2, 6, 6, 4);
+  QuantizedNet net;
   BitWidth qx = random_width(rng);
-  PackedBuffer ref_act(shape.numel(), qx);
-  fill_random_codes(ref_act, qx, rng);
-  PackedBuffer fast_act = ref_act;
-  Scratch scratch;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
+  Shape shape(1, 16, 16, 16);
 
   const QLayerKind kinds[] = {QLayerKind::kDepthwise, QLayerKind::kConv,
                               QLayerKind::kDepthwise, QLayerKind::kConv};
@@ -179,97 +262,10 @@ TEST_P(FastPathChainExactness, MixedPrecisionChainBitExact) {
     const QLayerKind kind = kinds[li];
     const std::int64_t co =
         kind == QLayerKind::kDepthwise ? shape.c
-                                       : 3 + static_cast<std::int64_t>(
-                                                 rng.uniform_int(4));
-    const BitWidth qw = random_width(rng);
-    const BitWidth qy = random_width(rng);
-    const Scheme scheme = schemes[rng.uniform_int(3)];
-    const QLayer l =
-        random_chain_layer(kind, shape, co, qx, qw, qy, scheme, rng);
-
-    PackedBuffer ref_out(l.out_shape.numel(), qy);
-    PackedBuffer fast_out(l.out_shape.numel(), qy);
-    run_layer(l, ref_act, ref_out);
-    run_layer_fast(l, fast_act, fast_out, scratch);
-    for (std::int64_t i = 0; i < ref_out.numel(); ++i) {
-      ASSERT_EQ(ref_out.get(i), fast_out.get(i))
-          << "trial " << GetParam() << " layer " << li << " ("
-          << (kind == QLayerKind::kDepthwise ? "dw" : "pw") << ") qx="
-          << core::bits(qx) << " qw=" << core::bits(qw) << " qy="
-          << core::bits(qy) << " elem " << i;
-    }
-
-    shape = l.out_shape;
-    qx = qy;
-    ref_act = std::move(ref_out);
-    fast_act = std::move(fast_out);
-  }
-}
-
-TEST_P(FastPathChainExactness, RandomHeadBitExact) {
-  // run_head_fast vs run_head over random mixed-width linear heads.
-  Rng rng(static_cast<std::uint64_t>(9100 + GetParam()));
-  Scratch scratch;
-  for (int trial = 0; trial < 6; ++trial) {
-    const BitWidth qx = random_width(rng);
-    const BitWidth qw = random_width(rng);
-    const std::int64_t features =
-        4 + static_cast<std::int64_t>(rng.uniform_int(12));
-    const std::int64_t classes =
-        2 + static_cast<std::int64_t>(rng.uniform_int(6));
-    QLayer head = random_chain_layer(
-        QLayerKind::kLinear, Shape(1, 1, 1, features), classes, qx, qw,
-        BitWidth::kQ8, Scheme::kPCICN, rng);
-    head.raw_logits = true;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      head.out_mult.push_back(rng.uniform(1e-5, 0.02));
-    }
-
-    PackedBuffer in(features, qx);
-    fill_random_codes(in, qx, rng);
-    const std::vector<float> ref = run_head(head, in);
-    const std::vector<float> fast = run_head_fast(head, in, scratch);
-    ASSERT_EQ(ref.size(), fast.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      // Bit-exact, not approximately equal: both paths must perform the
-      // identical integer accumulation and double dequantization.
-      ASSERT_EQ(ref[i], fast[i])
-          << "trial " << trial << " qx=" << core::bits(qx) << " qw="
-          << core::bits(qw) << " logit " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomTrials, FastPathChainExactness,
-                         ::testing::Range(0, 6));
-
-// ---------------------------------------------------------------------------
-// Planned engine: the compiled ExecutionPlan (pre-unpacked weights,
-// ping-pong arena, im2col GEMM) must be bit-exact with the reference
-// executor through whole mixed-precision dw/pw chains ending in a head --
-// the same property the per-layer fast path asserts above, but across the
-// full amortized pipeline including input quantization and arena reuse.
-// ---------------------------------------------------------------------------
-
-class PlannedChainExactness : public ::testing::TestWithParam<int> {};
-
-TEST_P(PlannedChainExactness, MixedPrecisionNetBitExact) {
-  Rng rng(static_cast<std::uint64_t>(6300 + GetParam()));
-  const Scheme schemes[] = {Scheme::kPLICN, Scheme::kPCICN,
-                            Scheme::kPCThresholds};
-  QuantizedNet net;
-  BitWidth qx = random_width(rng);
-  net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
-  Shape shape(1, 6, 6, 4);
-
-  const QLayerKind kinds[] = {QLayerKind::kDepthwise, QLayerKind::kConv,
-                              QLayerKind::kDepthwise, QLayerKind::kConv};
-  for (const QLayerKind kind : kinds) {
-    const std::int64_t co =
-        kind == QLayerKind::kDepthwise ? shape.c
-                                       : 3 + static_cast<std::int64_t>(
-                                                 rng.uniform_int(4));
-    const BitWidth qw = random_width(rng);
+                                       : 8 + static_cast<std::int64_t>(
+                                                 rng.uniform_int(8));
+    const BitWidth qw =
+        li == 0 && trial % 2 == 0 ? BitWidth::kQ8 : random_width(rng);
     const BitWidth qy = random_width(rng);
     const Scheme scheme = schemes[rng.uniform_int(3)];
     net.layers.push_back(
@@ -277,31 +273,38 @@ TEST_P(PlannedChainExactness, MixedPrecisionNetBitExact) {
     shape = net.layers.back().out_shape;
     qx = qy;
   }
-  QLayer head = test_support::make_conv_family_layer(
-      QLayerKind::kLinear, shape, 4, 1, 1, 0, qx, random_width(rng),
-      BitWidth::kQ8, Scheme::kPCICN, rng);
-  head.raw_logits = true;
-  for (int c = 0; c < 4; ++c) head.out_mult.push_back(rng.uniform(1e-5, 0.02));
-  net.layers.push_back(std::move(head));
+  if (trial % 2 == 1) {
+    add_random_head(net, shape, qx, random_width(rng), 4, rng);
+  }
   net.validate();
+  expect_plan_cross_product_exact(net, rng,
+                                  "chain trial " + std::to_string(trial));
+}
 
-  Executor exec(net);
-  for (int img_i = 0; img_i < 3; ++img_i) {
-    FloatTensor img(net.layers.front().in_shape);
-    rng.fill_uniform(img.vec(), -0.1, 1.1);
-    const QInferenceResult ref = exec.run(img);
-    const QInferenceResult planned = exec.run_planned(img);
-    ASSERT_EQ(ref.logits.size(), planned.logits.size());
-    for (std::size_t i = 0; i < ref.logits.size(); ++i) {
-      // Bit-exact: both paths must accumulate the identical integers.
-      ASSERT_EQ(ref.logits[i], planned.logits[i])
-          << "trial " << GetParam() << " image " << img_i << " logit " << i;
-    }
-    EXPECT_EQ(ref.predicted, planned.predicted);
+TEST_P(PlanCrossProductExactness, RandomHeadBitExact) {
+  // Batch-1 nets of one random mixed-width raw-logits head; the first of
+  // each trial has Q8 weights.
+  Rng rng(static_cast<std::uint64_t>(9100 + GetParam()));
+  for (int h = 0; h < 6; ++h) {
+    const BitWidth qx = random_width(rng);
+    const BitWidth qw = h == 0 ? BitWidth::kQ8 : random_width(rng);
+    const std::int64_t features =
+        4 + static_cast<std::int64_t>(rng.uniform_int(12));
+    const std::int64_t classes =
+        2 + static_cast<std::int64_t>(rng.uniform_int(6));
+    QuantizedNet net;
+    net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
+    add_random_head(net, Shape(1, 1, 1, features), qx, qw, classes, rng);
+    net.validate();
+    expect_plan_cross_product_exact(
+        net, rng,
+        "head trial " + std::to_string(GetParam()) + "." + std::to_string(h) +
+            " qx=" + std::to_string(core::bits(qx)) +
+            " qw=" + std::to_string(core::bits(qw)));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomTrials, PlannedChainExactness,
+INSTANTIATE_TEST_SUITE_P(RandomTrials, PlanCrossProductExactness,
                          ::testing::Range(0, 6));
 
 }  // namespace

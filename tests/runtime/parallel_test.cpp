@@ -1,10 +1,9 @@
-// Tests for the batch serving engine: the ThreadPool primitive
-// (runtime/parallel.hpp), the multi-threaded Executor::run_batch path and
-// the intra-layer row-partitioned ExecutionPlan::run_into. The serving
-// contracts under test:
-//   * bit-exactness: every thread count reproduces the reference kernels'
+// Tests for the multi-lane runners: the ThreadPool primitive
+// (runtime/parallel.hpp), the registry's batch hand-out
+// (serve::ModelRegistry::infer_batch) and the intra-layer row-partitioned
+// ExecutionPlan::run_into. The serving contracts under test:
+//   * bit-exactness: every lane count reproduces the reference kernels'
 //     logits exactly (integer equality), lane partitioning included;
-//   * thread-safe lazy plan(): concurrent callers get one plan;
 //   * zero steady-state allocations per worker arena (instrumented global
 //     allocator, as in plan_test.cpp).
 #include <gtest/gtest.h>
@@ -20,6 +19,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/plan.hpp"
+#include "serve/registry.hpp"
 #include "support/random_qlayer.hpp"
 
 namespace {
@@ -275,58 +275,42 @@ TEST(ThreadPool, DynamicHandOutExceptionPropagatesToCaller) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-safe lazy plan().
+// Multi-lane batch serving: the registry at every lane count equals the
+// reference oracle.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorThreading, ConcurrentPlanCallsYieldOnePlan) {
-  const QuantizedNet net = serving_net(11);
-  Executor exec(net, /*fast=*/true);
-  std::vector<const ExecutionPlan*> seen(8, nullptr);
-  std::vector<std::thread> threads;
-  threads.reserve(8);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&exec, &seen, t] { seen[static_cast<std::size_t>(t)] = &exec.plan(); });
-  }
-  for (auto& th : threads) th.join();
-  for (const ExecutionPlan* p : seen) EXPECT_EQ(p, seen[0]);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-threaded batch serving: determinism + exactness.
-// ---------------------------------------------------------------------------
-
-TEST(ExecutorThreading, BatchIsBitExactAcrossThreadCounts) {
+TEST(RegistryThreading, BatchIsBitExactAcrossThreadCounts) {
   const QuantizedNet net = serving_net(21);
-  Executor ref(net, /*fast=*/false);
-  Executor fast(net, /*fast=*/true);
   const Shape& in = net.layers.front().in_shape;
+  const Executor ref(net);
   Rng rng(77);
-  FloatTensor batch(Shape(9, in.h, in.w, in.c));
-  rng.fill_uniform(batch.vec(), -0.2, 1.2);
-
-  const auto serial = fast.run_batch(batch, 1);
-  const auto reference = ref.run_batch(batch);
-  expect_same_results(serial, reference, "serial vs reference");
-  const int hw = ThreadPool::hardware_lanes();
-  for (const int t : {2, 3, 4, hw}) {
-    if (t < 2) continue;
-    expect_same_results(fast.run_batch(batch, t), serial,
-                        "threads=" + std::to_string(t));
+  // Nine requests, and two: fewer requests than lanes.
+  std::vector<std::vector<serve::Request>> batches(2);
+  std::vector<std::vector<QInferenceResult>> expect(2);
+  for (std::size_t b = 0; b < 2; ++b) {
+    for (std::int64_t i = 0; i < (b == 0 ? 9 : 2); ++i) {
+      serve::Request r;
+      r.id = i;
+      r.input.resize(static_cast<std::size_t>(in.numel()));
+      rng.fill_uniform(r.input, -0.2, 1.2);
+      FloatTensor img(in);
+      img.vec() = r.input;
+      expect[b].push_back(ref.run(img));
+      batches[b].push_back(std::move(r));
+    }
   }
-  // threads=0 selects hardware concurrency; also exercises lane capping
-  // when the batch is smaller than the lane count.
-  expect_same_results(fast.run_batch(batch, 0), serial, "threads=auto");
-
-  // The reference (non-fast) executor partitions too.
-  expect_same_results(ref.run_batch(batch, 2), reference,
-                      "reference threads=2");
-}
-
-TEST(ExecutorThreading, ThreadedBatchRejectsBadShapes) {
-  const QuantizedNet net = serving_net(31);
-  Executor exec(net, /*fast=*/true);
-  FloatTensor bad(Shape(4, 3, 3, 1));
-  EXPECT_THROW(exec.run_batch(bad, 4), std::invalid_argument);
+  for (const int t : {1, 2, 3, 4, ThreadPool::hardware_lanes()}) {
+    serve::ModelRegistry reg(t);
+    reg.add_model("m", net);
+    const auto m = reg.resolve("m");
+    for (std::size_t b = 0; b < 2; ++b) {
+      std::vector<QInferenceResult> got;
+      reg.infer_batch(*m, batches[b], got);
+      expect_same_results(got, expect[b],
+                          "threads=" + std::to_string(t) +
+                              " batch=" + std::to_string(expect[b].size()));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -113,12 +113,11 @@ QuantizedNet random_net(std::int64_t hw_h, std::int64_t hw_w, std::int64_t k,
 
 void expect_bit_exact(const QuantizedNet& net, std::uint64_t img_seed,
                       const std::string& label) {
-  Executor exec(net);  // reference kernels
   Rng rng(img_seed);
   FloatTensor img(net.layers.front().in_shape);
   rng.fill_uniform(img.vec(), -0.2, 1.2);
-  const QInferenceResult ref = exec.run(img);
-  const QInferenceResult planned = exec.run_planned(img);
+  const QInferenceResult ref = Executor(net).run(img);  // reference kernels
+  const QInferenceResult planned = ExecutionPlan(net).run(img);
   ASSERT_EQ(ref.logits.size(), planned.logits.size()) << label;
   for (std::size_t i = 0; i < ref.logits.size(); ++i) {
     ASSERT_EQ(ref.logits[i], planned.logits[i])
@@ -209,7 +208,8 @@ TEST(PlanExactness, HeadlessNetworkReturnsFinalCodes) {
 
 TEST(PlanArena, ConsecutiveRunsAreIndependent) {
   const QuantizedNet net = random_net(8, 8, 3, 1, 1, 2024);
-  Executor exec(net);
+  const Executor exec(net);
+  const ExecutionPlan plan(net);
   Rng rng(99);
   FloatTensor a(net.layers.front().in_shape);
   FloatTensor b(net.layers.front().in_shape);
@@ -219,9 +219,9 @@ TEST(PlanArena, ConsecutiveRunsAreIndependent) {
   const QInferenceResult ref_a = exec.run(a);
   const QInferenceResult ref_b = exec.run(b);
   // Interleave planned runs on the same plan: results must not bleed.
-  const QInferenceResult p_a1 = exec.run_planned(a);
-  const QInferenceResult p_b = exec.run_planned(b);
-  const QInferenceResult p_a2 = exec.run_planned(a);
+  const QInferenceResult p_a1 = plan.run(a);
+  const QInferenceResult p_b = plan.run(b);
+  const QInferenceResult p_a2 = plan.run(a);
   for (std::size_t i = 0; i < ref_a.logits.size(); ++i) {
     ASSERT_EQ(ref_a.logits[i], p_a1.logits[i]) << "first run, logit " << i;
     ASSERT_EQ(ref_b.logits[i], p_b.logits[i]) << "second image, logit " << i;
@@ -824,28 +824,29 @@ TEST(PlanDomain, BorderWindowsStayDistinctBeyond255Taps) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor integration: run_batch over the shared plan.
+// Batch and shape checks of both runners.
 // ---------------------------------------------------------------------------
 
-TEST(PlanExecutor, FastBatchMatchesReferencePerSample) {
+TEST(PlanExecutor, ReferenceBatchMatchesPlanPerSample) {
   const QuantizedNet net = random_net(7, 7, 3, 1, 1, 888);
-  Executor ref(net, /*fast=*/false);
-  Executor fast(net, /*fast=*/true);
+  const ExecutionPlan plan(net);
   const Shape& in = net.layers.front().in_shape;
   Rng rng(17);
   FloatTensor batch(Shape(4, in.h, in.w, in.c));
   rng.fill_uniform(batch.vec(), 0.0, 1.0);
 
-  const auto fast_results = fast.run_batch(batch);
-  const auto ref_results = ref.run_batch(batch);
-  ASSERT_EQ(fast_results.size(), 4u);
+  const auto ref_results = Executor(net).run_batch(batch);
+  ASSERT_EQ(ref_results.size(), 4u);
   for (std::size_t n = 0; n < 4; ++n) {
-    ASSERT_EQ(ref_results[n].logits.size(), fast_results[n].logits.size());
-    for (std::size_t i = 0; i < ref_results[n].logits.size(); ++i) {
-      ASSERT_EQ(ref_results[n].logits[i], fast_results[n].logits[i])
+    const QInferenceResult planned =
+        plan.run_sample(batch.data() + static_cast<std::int64_t>(n) *
+                                           in.numel());
+    ASSERT_EQ(ref_results[n].logits.size(), planned.logits.size());
+    for (std::size_t i = 0; i < planned.logits.size(); ++i) {
+      ASSERT_EQ(ref_results[n].logits[i], planned.logits[i])
           << "sample " << n << " logit " << i;
     }
-    EXPECT_EQ(ref_results[n].predicted, fast_results[n].predicted);
+    EXPECT_EQ(ref_results[n].predicted, planned.predicted);
   }
 }
 
@@ -856,12 +857,12 @@ TEST(PlanExecutor, RunBatchRejectsMismatchedSampleShape) {
   EXPECT_THROW(exec.run_batch(bad), std::invalid_argument);
 }
 
-TEST(PlanExecutor, RunPlannedRejectsBatchGreaterThanOne) {
+TEST(PlanExecutor, PlanRunRejectsBatchGreaterThanOne) {
   const QuantizedNet net = random_net(8, 8, 3, 1, 1, 654);
-  Executor exec(net);
+  const ExecutionPlan plan(net);
   const Shape& in = net.layers.front().in_shape;
   FloatTensor two(Shape(2, in.h, in.w, in.c));
-  EXPECT_THROW(exec.run_planned(two), std::invalid_argument);
+  EXPECT_THROW(plan.run(two), std::invalid_argument);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@
 
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/plan.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/net/epoll_server.hpp"
 #include "serve/registry.hpp"
@@ -39,7 +39,7 @@
 namespace mixq::serve {
 namespace {
 
-using runtime::Executor;
+using runtime::ExecutionPlan;
 using runtime::QInferenceResult;
 using runtime::QuantizedNet;
 
@@ -223,7 +223,7 @@ std::string expected_line(std::int64_t id,
 
 std::vector<std::string> expected_per_sample(
     const QuantizedNet& net, const std::vector<std::vector<float>>& samples) {
-  Executor exec(net, /*fast=*/true);
+  const ExecutionPlan plan(net);
   const Shape& in = net.layers.front().in_shape;
   std::vector<std::string> out;
   out.reserve(samples.size());
@@ -231,7 +231,7 @@ std::vector<std::string> expected_per_sample(
     FloatTensor img(in);
     img.vec() = s;
     // The id is re-spliced per request; keep the tail after "id":N.
-    out.push_back(format_result_line(0, exec.run_planned(img)));
+    out.push_back(format_result_line(0, plan.run(img)));
   }
   return out;
 }

@@ -27,8 +27,8 @@
 
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
+#include "runtime/plan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/net/epoll_server.hpp"
 #include "serve/queue.hpp"
@@ -253,12 +253,12 @@ TEST(ModelRegistryRace, SwapWhileBatchInFlightStaysBitExact) {
   const auto sample = registry_sample(v1, 42);
 
   // Per-image expected logits for the fixed sample, computed serially.
-  runtime::Executor e1(v1, /*fast=*/true);
-  runtime::Executor e2(v2, /*fast=*/true);
   FloatTensor in(v1.layers.front().in_shape);
   in.vec() = sample;
-  const std::vector<float> logits_v1 = e1.run_planned(in).logits;
-  const std::vector<float> logits_v2 = e2.run_planned(in).logits;
+  const std::vector<float> logits_v1 =
+      runtime::ExecutionPlan(v1).run(in).logits;
+  const std::vector<float> logits_v2 =
+      runtime::ExecutionPlan(v2).run(in).logits;
 
   ModelRegistry reg(1);
   reg.add_model("m", img1.path);

@@ -66,12 +66,12 @@ std::vector<float> make_sample(const QuantizedNet& net, std::uint64_t seed) {
   return s;
 }
 
+/// The integer oracle: the reference kernels, not a second planned run.
 QInferenceResult reference_result(const QuantizedNet& net,
                                   const std::vector<float>& sample) {
-  Executor exec(net, /*fast=*/true);
   FloatTensor img(net.layers.front().in_shape);
   img.vec() = sample;
-  return exec.run_planned(img);
+  return Executor(net).run(img);
 }
 
 Request make_request(std::int64_t id, std::vector<float> input) {

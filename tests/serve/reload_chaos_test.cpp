@@ -36,8 +36,8 @@
 
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/flash_image.hpp"
+#include "runtime/plan.hpp"
 #include "serve/net/epoll_server.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -45,7 +45,7 @@
 namespace mixq::serve {
 namespace {
 
-using runtime::Executor;
+using runtime::ExecutionPlan;
 using runtime::QuantizedNet;
 
 QuantizedNet make_net(std::uint64_t seed) {
@@ -96,18 +96,18 @@ std::vector<std::vector<float>> make_samples(const QuantizedNet& net, int n,
   return samples;
 }
 
-/// format_result_line(0, run_planned(sample)) per sample -- the exact
+/// format_result_line(0, plan.run(sample)) per sample -- the exact
 /// tail every response for that (net, sample) pair must carry.
 std::vector<std::string> expected_per_sample(
     const QuantizedNet& net, const std::vector<std::vector<float>>& samples) {
-  Executor exec(net, /*fast=*/true);
+  const ExecutionPlan plan(net);
   const Shape& in = net.layers.front().in_shape;
   std::vector<std::string> out;
   out.reserve(samples.size());
   for (const auto& s : samples) {
     FloatTensor img(in);
     img.vec() = s;
-    out.push_back(format_result_line(0, exec.run_planned(img)));
+    out.push_back(format_result_line(0, plan.run(img)));
   }
   return out;
 }

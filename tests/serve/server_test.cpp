@@ -15,7 +15,7 @@
 
 #include "models/small_cnn.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/plan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/json.hpp"
@@ -34,7 +34,7 @@
 namespace mixq::serve {
 namespace {
 
-using runtime::Executor;
+using runtime::ExecutionPlan;
 using runtime::QInferenceResult;
 using runtime::QuantizedNet;
 
@@ -64,13 +64,11 @@ std::vector<std::vector<float>> make_samples(const QuantizedNet& net, int n,
   return samples;
 }
 
-QInferenceResult run_planned_serial(const QuantizedNet& net,
-                                    const std::vector<float>& sample) {
-  Executor exec(net, /*fast=*/true);
-  const Shape& in = net.layers.front().in_shape;
-  FloatTensor img(in);
+QInferenceResult serial_result(const QuantizedNet& net,
+                               const std::vector<float>& sample) {
+  FloatTensor img(net.layers.front().in_shape);
   img.vec() = sample;
-  return exec.run_planned(img);
+  return ExecutionPlan(net).run(img);
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -106,7 +104,7 @@ TEST(StreamServer, RoundTripBitExactWithRunPlanned) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     // Byte-identical to the shared formatter over the serial planned
     // result: the same invariant the CLI smoke test checks end to end.
-    const QInferenceResult expect = run_planned_serial(net, samples[i]);
+    const QInferenceResult expect = serial_result(net, samples[i]);
     EXPECT_EQ(lines[i],
               format_result_line(static_cast<std::int64_t>(i), expect));
   }
@@ -143,7 +141,7 @@ TEST(StreamServer, ShutdownCmdDrainsInFlightRequests) {
   const auto lines = split_lines(out.str());
   ASSERT_EQ(lines.size(), samples.size() + 1);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    const QInferenceResult expect = run_planned_serial(net, samples[i]);
+    const QInferenceResult expect = serial_result(net, samples[i]);
     EXPECT_EQ(lines[i],
               format_result_line(static_cast<std::int64_t>(i), expect));
   }
@@ -211,7 +209,7 @@ TEST(StreamServer, TiedInputStreamDoesNotFlushOutsideTheWriterLock) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(lines[i],
               format_result_line(static_cast<std::int64_t>(i),
-                                 run_planned_serial(net, samples[i])));
+                                 serial_result(net, samples[i])));
   }
 }
 
@@ -288,7 +286,7 @@ TEST(StreamServer, MalformedRequestFuzzNeverKillsTheDaemon) {
 
   EXPECT_EQ(stats.errors, static_cast<std::int64_t>(bad.size()));
   EXPECT_EQ(stats.responses, 1);
-  const QInferenceResult expect = run_planned_serial(net, samples[0]);
+  const QInferenceResult expect = serial_result(net, samples[0]);
   const auto lines = split_lines(out.str());
   ASSERT_EQ(lines.size(), bad.size() + 1);
   int error_lines = 0;
@@ -337,9 +335,9 @@ TEST(StreamServer, LineCapBoundsOneLineOnly) {
   ASSERT_EQ(lines.size(), 4u);
   EXPECT_EQ(std::count(lines.begin(), lines.end(), too_long), 2);
   const std::string first =
-      format_result_line(1, run_planned_serial(net, samples[0]));
+      format_result_line(1, serial_result(net, samples[0]));
   const std::string last =
-      format_result_line(3, run_planned_serial(net, samples[1]));
+      format_result_line(3, serial_result(net, samples[1]));
   EXPECT_EQ(std::count(lines.begin(), lines.end(), first), 1);
   EXPECT_EQ(std::count(lines.begin(), lines.end(), last), 1);
   EXPECT_EQ(stats.responses, 2);
@@ -394,7 +392,7 @@ TEST(RegistryInferBatch, ConcurrentClientsBitExactWithSerialPlanned) {
   ASSERT_EQ(results.size(), samples.size());
   for (int idx = 0; idx < kClients * kPerClient; ++idx) {
     const QInferenceResult expect =
-        run_planned_serial(net, samples[static_cast<std::size_t>(idx)]);
+        serial_result(net, samples[static_cast<std::size_t>(idx)]);
     const QInferenceResult& got = results[idx];
     ASSERT_EQ(got.predicted, expect.predicted);
     ASSERT_EQ(got.logits.size(), expect.logits.size());
@@ -500,7 +498,7 @@ TEST(EpollServer, UnixSocketRoundTripAndShutdown) {
   const auto lines = split_lines(out_text);
   ASSERT_EQ(lines.size(), samples.size() + 1);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    const QInferenceResult expect = run_planned_serial(net, samples[i]);
+    const QInferenceResult expect = serial_result(net, samples[i]);
     EXPECT_EQ(lines[i],
               format_result_line(static_cast<std::int64_t>(i), expect));
   }

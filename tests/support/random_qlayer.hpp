@@ -1,10 +1,10 @@
 // tests/support/random_qlayer.hpp
 //
 // Shared randomization helpers for constructing QLayer instances in the
-// runtime kernel tests (fast_kernels_test.cpp, integer_exactness_test.cpp).
-// Geometry is chosen by each test; the quantization parameters (codes,
-// zero-points, ICN channels, thresholds) are filled here so the two suites
-// cannot drift apart as QLayer grows fields.
+// runtime tests and the workload benches. Geometry is chosen by each
+// caller; the quantization parameters (codes, zero-points, ICN channels,
+// thresholds) are filled here so the suites cannot drift apart as QLayer
+// grows fields.
 #pragma once
 
 #include "core/thresholds.hpp"

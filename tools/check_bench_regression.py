@@ -312,7 +312,7 @@ def main() -> None:
 
     # --- timing: report, warn past threshold, never fail ----------------
     rows = []
-    for key in ("reference_ns", "fast_ns", "planned_ns"):
+    for key in ("reference_ns", "planned_ns"):
         b = base["end_to_end"][key]
         fr = fresh["end_to_end"][key]
         delta = (fr - b) / b * 100.0 if b else 0.0
@@ -327,15 +327,15 @@ def main() -> None:
 
     base_isa = base.get("simd", {}).get("active", "?")
     fresh_isa = fresh.get("simd", {}).get("active", "?")
-    planned_delta = rows[2][3]
+    _, planned_base, planned_fresh, planned_delta = rows[-1]
     if base_isa != fresh_isa:
         print(f"timing comparison skipped: baseline ISA ({base_isa}) != "
               f"fresh ISA ({fresh_isa}); wall-clock numbers are not "
               f"comparable across kernel sets")
     elif planned_delta > args.warn_pct:
         print(f"::warning::planned path is {planned_delta:.1f}% slower than "
-              f"the committed baseline ({rows[2][1] / 1e6:.3f} ms -> "
-              f"{rows[2][2] / 1e6:.3f} ms); timing is warn-only, but take a "
+              f"the committed baseline ({planned_base / 1e6:.3f} ms -> "
+              f"{planned_fresh / 1e6:.3f} ms); timing is warn-only, but take a "
               f"look if this persists across runs")
     else:
         print(f"planned-path timing within budget "
@@ -382,7 +382,7 @@ def main() -> None:
         b_sp = bp.get("speedup_vs_1", 0.0)
         f_sp = pt.get("speedup_vs_1", 0.0)
         if b_sp > 0 and f_sp < 0.75 * b_sp:
-            print(f"::warning::run_batch at {pt['threads']} threads scales "
+            print(f"::warning::infer_batch at {pt['threads']} threads scales "
                   f"{f_sp:.2f}x vs baseline {b_sp:.2f}x; timing is "
                   f"warn-only, but take a look if this persists")
         else:
