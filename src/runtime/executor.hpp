@@ -6,8 +6,8 @@
 //
 // This is the oracle: it walks the packed get/set reference kernels
 // (kernels.hpp) layer by layer. The compiled ExecutionPlan (plan.hpp) is the
-// one engine that serves, and every test holds it to integer equality with
-// this walk. Batches across worker lanes run through
+// one engine that serves, and the exactness suites hold it to integer
+// equality with this walk. Batches across worker lanes run through
 // serve::ModelRegistry::infer_batch (serve/registry.hpp).
 //
 // An Executor holds nothing but a pointer to its net, so every method is
