@@ -894,6 +894,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
   const bool vnni_want =
       opts.vnni == PlanOptions::Vnni::kForce ||
       (opts.vnni == PlanOptions::Vnni::kAuto && simd::vnni_enabled());
+  vnni_ = vnni_want;
   const CacheInfo caches = detect_caches();
 
   // One zero-point-offset INT32 bank, sized for the largest layer and
@@ -1308,12 +1309,18 @@ void ExecutionPlan::quantize_input_into(const float* sample, T* dst,
                                         std::int64_t i1) const {
   const core::QuantParams& qp = net_->input_qp;
   // Vectorized, bit-exact with core::quantize_value(kNearest) -- see the
-  // exactness argument in simd.hpp. The scalar path was a measurable slice
-  // of end-to-end latency (a libm lround call plus a float divide per
-  // element).
+  // exactness arguments in simd.hpp and simd_vnni.hpp. The scalar path was
+  // a measurable slice of end-to-end latency (a libm lround call plus a
+  // float divide per element), and it is what a build without AVX2 runs
+  // unless the VNNI tier is on.
   if constexpr (std::is_same_v<T, std::uint8_t>) {
-    simd::quantize_f32_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
-                          core::qmax(qp.q), dst + i0);
+    if (vnni_) {
+      simd::vnni_quantize_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
+                             core::qmax(qp.q), dst + i0);
+    } else {
+      simd::quantize_f32_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
+                            core::qmax(qp.q), dst + i0);
+    }
   } else {
     simd::quantize_f32_i32(sample + i0, i1 - i0, qp.scale, qp.zero,
                            core::qmax(qp.q), dst + i0);

@@ -354,6 +354,9 @@ class ExecutionPlan {
 
   const QuantizedNet* net_;
   PlanOptions opts_;
+  /// The VNNI tier decision (kForce, or kAuto on a VNNI host): u8 input
+  /// quantize runs simd::vnni_quantize_u8 too.
+  bool vnni_{false};
   std::vector<PlannedLayer> layers_;
   std::int64_t ping_elems_{0};
   std::int64_t pong_elems_{0};

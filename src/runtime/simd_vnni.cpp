@@ -16,10 +16,21 @@
 
 #include "runtime/simd_vnni.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #if defined(MIXQ_VNNI_NATIVE)
+// GCC 12's AVX-512 headers seed the pass-through operand of unmasked
+// intrinsics (_mm512_cvtepu8_epi32, _mm512_max_epi64, ...) with a
+// self-initialized `__Y = __Y` placeholder, which -Wall flags as
+// (maybe-)uninitialized at every inlined use. The value is never read;
+// the suppression covers the header text only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace mixq::runtime::simd {
@@ -40,6 +51,16 @@ namespace {
 /// pack/kernel round-trip tests pin the two together.
 [[maybe_unused]] inline std::int64_t blk_idx(std::int64_t k, std::int64_t j) {
   return (k / 4) * 64 + j * 4 + k % 4;
+}
+
+/// One input value's code, written exactly as simd::quantize_f32_one and
+/// core::quantize_value(kNearest) write it (this TU cannot include
+/// simd.hpp): std::lround, its long narrowed to int32, then the clamp.
+inline std::uint8_t quantize_one(float x, float scale, std::int32_t zero,
+                                 std::int32_t hi) {
+  const float scaled = x / scale + static_cast<float>(zero);
+  const std::int32_t code = static_cast<std::int32_t>(std::lround(scaled));
+  return static_cast<std::uint8_t>(std::clamp(code, 0, hi));
 }
 
 }  // namespace
@@ -156,52 +177,48 @@ void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
     _mm512_storeu_si512(acc + c, _mm512_shuffle_i64x2(alo, ahi, 0x44));
     _mm512_storeu_si512(acc + c + 16, _mm512_shuffle_i64x2(alo, ahi, 0xEE));
   }
-  // 16-channel step: 128-bit unpack is linear across the register, so no
-  // reordering is needed (same shape as the AVX2 kernel, dpwssd-fused).
-  for (; c + 16 <= C; c += 16) {
+  // 16-channel steps, the last one (C % 16 channels) under masks: masked-off
+  // activation and weight lanes load as zero without touching memory, and
+  // their sums are never stored. 128-bit unpack is linear across the
+  // register, so no reordering is needed (same shape as the AVX2 kernel,
+  // dpwssd-fused).
+  for (; c < C; c += 16) {
+    const auto r = static_cast<unsigned>(std::min<std::int64_t>(C - c, 16));
+    const auto cm = static_cast<__mmask16>(0xFFFFu >> (16 - r));
+    const std::uint32_t wm = 0xFFFFFFFFu >> (32 - 2 * r);  // i16 pair lanes
     __m256i a0v = _mm256_setzero_si256();
     __m256i a1v = _mm256_setzero_si256();
     for (std::int64_t p = 0; p < pairs; ++p) {
       const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
-      const __m128i x0 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(x + toff[2 * p] + c));
-      const __m128i x1 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(x + toff[t1] + c));
+      const __m128i x0 = _mm_maskz_loadu_epi8(cm, x + toff[2 * p] + c);
+      const __m128i x1 = _mm_maskz_loadu_epi8(cm, x + toff[t1] + c);
       const __m256i vlo = _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1));
       const __m256i vhi = _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1));
-      const __m256i wlo = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c));
-      const __m256i whi = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c + 16));
+      const std::int16_t* wp = wtp + p * 2 * C + 2 * c;
+      const __m256i wlo =
+          _mm256_maskz_loadu_epi16(static_cast<__mmask16>(wm), wp);
+      const __m256i whi =
+          _mm256_maskz_loadu_epi16(static_cast<__mmask16>(wm >> 16), wp + 16);
       a0v = _mm256_dpwssd_epi32(a0v, vlo, wlo);
       a1v = _mm256_dpwssd_epi32(a1v, vhi, whi);
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), a0v);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c + 8), a1v);
-  }
-  for (; c < C; ++c) {
-    std::int32_t s = 0;
-    for (std::int64_t t = 0; t < taps; ++t) {
-      s += static_cast<std::int32_t>(x[toff[t] + c]) *
-           wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
-    }
-    acc[c] = s;
+    _mm256_mask_storeu_epi32(acc + c, static_cast<__mmask8>(cm), a0v);
+    _mm256_mask_storeu_epi32(acc + c + 8, static_cast<__mmask8>(cm >> 8), a1v);
   }
 }
 
 void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
                     const std::int16_t* w, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i xv = _mm512_cvtepu8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m512i wv = _mm512_cvtepi16_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i)));
-    const __m512i av = _mm512_loadu_si512(acc + i);
-    _mm512_storeu_si512(acc + i,
-                        _mm512_add_epi32(av, _mm512_mullo_epi32(xv, wv)));
+  // 16 lanes per step; the last step (n % 16) runs under a mask.
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const auto r = static_cast<unsigned>(std::min<std::int64_t>(n - i, 16));
+    const auto m = static_cast<__mmask16>(0xFFFFu >> (16 - r));
+    const __m512i xv = _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, x + i));
+    const __m512i wv = _mm512_cvtepi16_epi32(_mm256_maskz_loadu_epi16(m, w + i));
+    const __m512i av = _mm512_maskz_loadu_epi32(m, acc + i);
+    _mm512_mask_storeu_epi32(acc + i, m,
+                             _mm512_add_epi32(av, _mm512_mullo_epi32(xv, wv)));
   }
-  for (; i < n; ++i) acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
 }
 
 std::int32_t vnni_dot_u8s16(const std::uint8_t* a, const std::int16_t* w,
@@ -249,6 +266,46 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
     const std::int64_t y =
         static_cast<std::int64_t>(zy) + ((v * m0[c]) >> shift[c]);
     out[c] = static_cast<std::uint8_t>(y < 0 ? 0 : (y > hi ? hi : y));
+  }
+}
+
+void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
+                      std::int32_t zero, std::int32_t hi, std::uint8_t* out) {
+  const __m512 vscale = _mm512_set1_ps(scale);
+  const __m512 vzero = _mm512_set1_ps(static_cast<float>(zero));
+  const __m512 vhalf = _mm512_set1_ps(0.5f);
+  const __m512 vwide = _mm512_set1_ps(2147483648.0f);  // 2^31
+  const __m512i vhi = _mm512_set1_epi32(hi);
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i zero_i = _mm512_setzero_si512();
+  // 16 lanes per step; the last step (n % 16) runs under a mask.
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const auto r = static_cast<unsigned>(std::min<std::int64_t>(n - i, 16));
+    const auto m = static_cast<__mmask16>(0xFFFFu >> (16 - r));
+    // vdivps/vaddps: the same correctly rounded IEEE steps as the scalar.
+    const __m512 s = _mm512_add_ps(
+        _mm512_div_ps(_mm512_maskz_loadu_ps(m, x + i), vscale), vzero);
+    // NaN or |s| >= 2^31: lround's long, narrowed to int32, is not the
+    // saturating answer a clamp would give (+inf and 1e30 code as 0), so
+    // such a step (never a finite request of sane scale) runs the scalar.
+    const __mmask16 wide =
+        _mm512_mask_cmp_ps_mask(m, _mm512_abs_ps(s), vwide, _CMP_NLT_UQ);
+    if (wide != 0) {
+      for (unsigned j = 0; j < r; ++j) {
+        out[i + j] = quantize_one(x[i + j], scale, zero, hi);
+      }
+      continue;
+    }
+    __m512i q = _mm512_cvt_roundps_epi32(
+        s, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    // Exact positive tie: round-to-even went down, lround goes away from
+    // zero. A negative tie differs too, but both answers clamp to 0.
+    const __mmask16 tie = _mm512_cmp_ps_mask(
+        _mm512_sub_ps(s, _mm512_cvtepi32_ps(q)), vhalf, _CMP_EQ_OQ);
+    q = _mm512_mask_add_epi32(q, tie, q, one);
+    q = _mm512_min_epi32(_mm512_max_epi32(q, zero_i), vhi);
+    // Codes are in [0, hi] <= 255: vpmovdb's truncation never loses bits.
+    _mm_mask_storeu_epi8(out + i, m, _mm512_cvtepi32_epi8(q));
   }
 }
 
@@ -316,6 +373,13 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
     const std::int64_t y =
         static_cast<std::int64_t>(zy) + ((v * m0[c]) >> shift[c]);
     out[c] = static_cast<std::uint8_t>(y < 0 ? 0 : (y > hi ? hi : y));
+  }
+}
+
+void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
+                      std::int32_t zero, std::int32_t hi, std::uint8_t* out) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    out[i] = quantize_one(x[i], scale, zero, hi);
   }
 }
 

@@ -9,9 +9,11 @@
 // weights whose offsets w - Zw leave s8 ride the same panel), a vpdpwssd
 // depthwise variant over the same pair-interleaved s16 bank the AVX2
 // kernel uses, elementwise/dot u8 x s16 variants for the depthwise border
-// path, and an exact-arithmetic-shift requantizer (vpsravq needs no
-// unsigned bias trick). On a VNNI host every narrow conv/linear layer
-// runs this panel.
+// path, an exact-arithmetic-shift requantizer (vpsravq needs no unsigned
+// bias trick) and a 16-lane input quantizer. Channel and element tails
+// run as one more masked step (AVX-512BW/VL masked loads and stores), not
+// as scalar loops. On a VNNI host every narrow conv/linear layer runs
+// this panel, and a u8 input is quantized here.
 //
 // ODR / miscompile isolation: this header carries DECLARATIONS ONLY -- no
 // inline kernels. The implementations live in simd_vnni.cpp, the one
@@ -98,12 +100,15 @@ std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n);
 
 /// Depthwise interior: acc[c] = sum_t x[toff[t] + c] * w[t][c] over the
 /// pair-interleaved i16 bank from dw_pack_u8s16 (32 channels per
-/// iteration via vpdpwssd). Overwrites acc. Bit-exact with dw_dot_u8s16p.
+/// iteration via vpdpwssd, then 16; the C % 16 tail is one more masked
+/// 16-channel step). Overwrites acc[0, C) and reads no byte of x, wtp or
+/// acc outside the C channels. Bit-exact with dw_dot_u8s16p.
 void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
                         const std::int16_t* wtp, std::int64_t taps,
                         std::int64_t C, std::int32_t* acc);
 
-/// Elementwise acc[i] += x[i] * w[i] (depthwise border taps).
+/// Elementwise acc[i] += x[i] * w[i] (depthwise border taps), 16 lanes
+/// per step with the n % 16 tail masked.
 void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
                     const std::int16_t* w, std::int64_t n);
 
@@ -120,5 +125,15 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      const std::int64_t* m0, const std::int64_t* shift,
                      std::int32_t zy, std::int32_t hi, std::uint8_t* out,
                      std::int64_t n);
+
+/// Input quantization into u8 codes (hi <= 255): out[i] =
+/// clamp(lround(x[i] / scale + zero), 0, hi), element for element what
+/// simd::quantize_f32_one and core::quantize_value(kNearest) return --
+/// 16 lanes of vdivps, a round-to-nearest-even conversion with a fix-up
+/// for exact positive ties, and the integer clamp; a step holding a NaN
+/// or a scaled value of magnitude >= 2^31 runs the scalar formula. The
+/// n % 16 tail is masked (no read past x + n, no write past out + n).
+void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
+                      std::int32_t zero, std::int32_t hi, std::uint8_t* out);
 
 }  // namespace mixq::runtime::simd

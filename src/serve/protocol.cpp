@@ -1,9 +1,11 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "serve/json.hpp"
@@ -54,6 +56,67 @@ std::string format_error_line(ErrCode code, std::string_view message,
 
 namespace {
 
+// ---------------------------------------------------------------------------
+// Exact decimal conversion (Clinger, "How to Read Floating Point Numbers
+// Accurately", PLDI 1990): a decimal with at most 19 digits has its
+// mantissa m in a uint64; when m <= 2^53 and |e10| <= 22, m and 10^|e10|
+// are both exact doubles, so ONE correctly rounded IEEE multiply or divide
+// gives the correctly rounded value -- the double std::from_chars returns.
+// Everything else goes to std::from_chars.
+// ---------------------------------------------------------------------------
+
+constexpr int kMaxDigits = 19;  // 10^19 - 1 < 2^64
+constexpr std::uint64_t kMaxExactMantissa = std::uint64_t{1} << 53;
+constexpr int kMaxExactPow10 = 22;  // 10^22 is the largest exact double
+
+constexpr double kPow10[kMaxExactPow10 + 1] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+constexpr std::uint64_t kPow10u[9] = {1,      10,      100,      1000,
+                                      10000,  100000,  1000000,  10000000,
+                                      100000000};
+
+/// The exact double of (-)m * 10^e10, or false when the pair is outside
+/// the fast path's exactness conditions.
+inline bool exact_decimal(std::uint64_t m, int e10, bool negative,
+                          double& out) {
+  if (m > kMaxExactMantissa || e10 < -kMaxExactPow10 ||
+      e10 > kMaxExactPow10) {
+    return false;
+  }
+  double v = static_cast<double>(m);
+  v = e10 < 0 ? v / kPow10[-e10] : v * kPow10[e10];
+  out = negative ? -v : v;
+  return true;
+}
+
+// SWAR digit runs (Lemire, "Number Parsing at a Gigabyte per Second",
+// arXiv:2101.11408): one little-endian 8-byte word per step.
+constexpr std::uint64_t kAsciiZeros = 0x3030303030303030;
+
+/// Number of leading ASCII digits in the word (byte 0 first). Per byte,
+/// w + 0x46 sets the top bit above '9' and w - 0x30 below '0' (a byte of
+/// 0x80 or more sets it through one or the other); carries and borrows
+/// only ever move toward later bytes, and a digit byte makes neither, so
+/// the first non-digit's top bit is exact.
+inline int leading_digits(std::uint64_t w) {
+  const std::uint64_t nondigit =
+      ((w + 0x4646464646464646) | (w - kAsciiZeros)) & 0x8080808080808080;
+  return nondigit == 0 ? 8 : std::countr_zero(nondigit) / 8;
+}
+
+/// The value of eight ASCII digits, byte 0 most significant: three
+/// multiplies fold digit pairs, then quads, then the two halves.
+inline std::uint32_t eight_digits(std::uint64_t w) {
+  w -= kAsciiZeros;
+  w = w * 10 + (w >> 8);
+  w = (((w & 0x000000FF000000FF) * 0x000F424000000064) +
+       (((w >> 16) & 0x000000FF000000FF) * 0x0000271000000001)) >>
+      32;
+  return static_cast<std::uint32_t>(w);
+}
+
 /// One top-level member the protocol reads, as first written in the line
 /// (a repeated key is validated and ignored, like a first-match lookup).
 struct Member {
@@ -80,9 +143,11 @@ struct Member {
 /// the kJsonMaxDepth nesting bound and the error texts ("json: WHY at
 /// byte N") of a recursive-descent parser, without building a tree. The
 /// root object's protocol members are captured as they pass; the first
-/// "input" array's numbers go straight to floats (std::from_chars to
-/// double, then a narrowing cast). Throws std::runtime_error on the first
-/// malformed byte.
+/// "input" array's numbers go straight to floats (the exact double, then a
+/// narrowing cast): plain decimals by an 8-byte-word walk and one IEEE
+/// divide, everything else through number() and, past the exact range,
+/// std::from_chars. Throws std::runtime_error on the first malformed
+/// byte.
 class Scanner {
  public:
   Scanner(std::string_view line, std::int64_t input_numel,
@@ -191,6 +256,10 @@ class Scanner {
     while (true) {
       skip_ws();
       if (is_input && at_number()) {
+        if (const char sep = input_fast()) {
+          if (sep == ']') return;
+          continue;
+        }
         input.push_back(static_cast<float>(number()));
       } else {
         value(depth + 1);
@@ -297,22 +366,107 @@ class Scanner {
     }
   }
 
-  bool digits() {
+  /// Bytes that must remain before end_ for input_fast() to run. Its walk
+  /// reads whole 8-byte words, and it starts a word only while it has
+  /// taken at most 19 digits: the sign, 19 digits and the point put the
+  /// last word's start at most 21 bytes in, so it reads at most 29 bytes.
+  static constexpr std::ptrdiff_t kFastSpan = 32;
+
+  /// Appends the digit run at p to m, one 8-byte word per step; false
+  /// once the number has more than kMaxDigits digits.
+  static bool swar_digits(const char*& p, std::uint64_t& m, int& nd) {
+    while (true) {
+      std::uint64_t w;
+      std::memcpy(&w, p, sizeof(w));
+      const int n = leading_digits(w);
+      nd += n;
+      if (nd > kMaxDigits) return false;
+      if (n == 8) {
+        m = m * kPow10u[8] + eight_digits(w);
+        p += 8;
+        continue;
+      }
+      if (n > 0) {
+        // Left-pad the n digits with '0' bytes to a full word.
+        const int pad = 8 * (8 - n);
+        m = m * kPow10u[n] +
+            eight_digits((w << pad) | (kAsciiZeros >> (64 - pad)));
+        p += n;
+      }
+      return true;
+    }
+  }
+
+  /// The "input" fast path: an element -?I(.F)? followed directly by ','
+  /// or ']' whose value exact_decimal() converts. Stores the float,
+  /// consumes the element and its separator, and returns the separator;
+  /// returns 0 with nothing consumed for every other element (whitespace,
+  /// an exponent, too many digits, a malformed byte), which number() then
+  /// reads from the same byte, errors and offsets included.
+  char input_fast() {
+    if constexpr (std::endian::native != std::endian::little) return 0;
+    if (end_ - cur_ < kFastSpan) return 0;
+    const char* p = cur_;
+    const bool negative = *p == '-';
+    p += negative ? 1 : 0;
+    std::uint64_t m = 0;
+    int nd = 0;
+    if (!swar_digits(p, m, nd) || nd == 0) return 0;
+    int e10 = 0;
+    if (*p == '.') {
+      ++p;
+      const int int_digits = nd;
+      if (!swar_digits(p, m, nd) || nd == int_digits) return 0;
+      e10 = int_digits - nd;
+    }
+    const char sep = *p;
+    double v = 0.0;
+    if ((sep != ',' && sep != ']') || !exact_decimal(m, e10, negative, v)) {
+      return 0;
+    }
+    input.push_back(static_cast<float>(v));
+    cur_ = p + 1;
+    return sep;
+  }
+
+  /// A digit run, its first kMaxDigits digits appended to m; nd counts
+  /// them all.
+  bool digits(std::uint64_t& m, int& nd) {
     const char* start = cur_;
-    while (cur_ != end_ && *cur_ >= '0' && *cur_ <= '9') ++cur_;
+    while (cur_ != end_ && *cur_ >= '0' && *cur_ <= '9') {
+      if (nd < kMaxDigits) m = m * 10 + static_cast<std::uint64_t>(*cur_ - '0');
+      ++nd;
+      ++cur_;
+    }
     return cur_ != start;
   }
 
   double number() {
     const char* start = cur_;
-    consume('-');
-    if (!digits()) fail("invalid number");
-    if (consume('.') && !digits()) fail("invalid number fraction");
+    const bool negative = consume('-');
+    std::uint64_t m = 0;
+    int nd = 0;
+    if (!digits(m, nd)) fail("invalid number");
+    int e10 = 0;
+    if (consume('.')) {
+      const int int_digits = nd;
+      if (!digits(m, nd)) fail("invalid number fraction");
+      e10 = int_digits - nd;
+    }
     if (consume('e') || consume('E')) {
-      if (!consume('+')) consume('-');
-      if (!digits()) fail("invalid number exponent");
+      bool exp_negative = false;
+      if (!consume('+')) exp_negative = consume('-');
+      const char* exp_start = cur_;
+      int exp = 0;
+      while (cur_ != end_ && *cur_ >= '0' && *cur_ <= '9') {
+        exp = std::min(exp * 10 + (*cur_ - '0'), 100000);  // saturates
+        ++cur_;
+      }
+      if (cur_ == exp_start) fail("invalid number exponent");
+      e10 += exp_negative ? -exp : exp;
     }
     double v = 0.0;
+    if (nd <= kMaxDigits && exact_decimal(m, e10, negative, v)) return v;
     const auto res = std::from_chars(start, cur_, v);
     if (res.ec != std::errc{} || res.ptr != cur_) fail("number out of range");
     return v;

@@ -17,7 +17,9 @@ TEST(QatModel, FreezeAllBnPropagates) {
   const std::size_t after = m.params().size();
   EXPECT_LT(after, before);
   for (auto& item : m.chain) {
-    if (auto* bn = item.block->bn()) EXPECT_TRUE(bn->frozen());
+    if (auto* bn = item.block->bn()) {
+      EXPECT_TRUE(bn->frozen());
+    }
   }
 }
 

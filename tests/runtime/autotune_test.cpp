@@ -300,12 +300,16 @@ TEST(Autotune, FixedModeUsesCallerTileAndLegacyDefault) {
   opts.autotune = PlanOptions::Autotune::kFixed;
   const ExecutionPlan legacy(net, opts);
   for (const PlannedLayer& pl : legacy.layers()) {
-    if (pl.tile.rows > 0) EXPECT_EQ(pl.tile.rows, kIm2colTileRows);
+    if (pl.tile.rows > 0) {
+      EXPECT_EQ(pl.tile.rows, kIm2colTileRows);
+    }
   }
   opts.fixed_tile.rows = 8;
   const ExecutionPlan pinned(net, opts);
   for (const PlannedLayer& pl : pinned.layers()) {
-    if (pl.tile.rows > 0) EXPECT_EQ(pl.tile.rows, 8);
+    if (pl.tile.rows > 0) {
+      EXPECT_EQ(pl.tile.rows, 8);
+    }
   }
 }
 

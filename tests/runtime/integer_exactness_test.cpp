@@ -241,20 +241,19 @@ void expect_plan_cross_product_exact(const QuantizedNet& net, Rng& rng,
 
 class PlanCrossProductExactness : public ::testing::TestWithParam<int> {};
 
-TEST_P(PlanCrossProductExactness, MixedPrecisionChainBitExact) {
-  // dw -> pw -> dw -> pw with independently random 2/4/8-bit weight and
-  // activation widths at every boundary; odd trials end in a raw-logits
-  // head, even trials return the final codes and give the first layer Q8
-  // weights. 16x16 maps put every layer over the row-partitioning MAC
-  // threshold, so the pooled runs split each of them.
-  const int trial = GetParam();
-  Rng rng(static_cast<std::uint64_t>(4200 + trial));
+/// dw -> pw -> dw -> pw on a 16x16 map of `channels` input channels, with
+/// independently random 2/4/8-bit weight and activation widths at every
+/// boundary; odd trials end in a raw-logits head, even trials return the
+/// final codes and give the first layer Q8 weights. 16x16 maps put every
+/// layer over the row-partitioning MAC threshold, so the pooled runs
+/// split each of them.
+QuantizedNet random_chain_net(int trial, std::int64_t channels, Rng& rng) {
   const Scheme schemes[] = {Scheme::kPLICN, Scheme::kPCICN,
                             Scheme::kPCThresholds};
   QuantizedNet net;
   BitWidth qx = random_width(rng);
   net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
-  Shape shape(1, 16, 16, 16);
+  Shape shape(1, 16, 16, channels);
 
   const QLayerKind kinds[] = {QLayerKind::kDepthwise, QLayerKind::kConv,
                               QLayerKind::kDepthwise, QLayerKind::kConv};
@@ -277,8 +276,30 @@ TEST_P(PlanCrossProductExactness, MixedPrecisionChainBitExact) {
     add_random_head(net, shape, qx, random_width(rng), 4, rng);
   }
   net.validate();
+  return net;
+}
+
+TEST_P(PlanCrossProductExactness, MixedPrecisionChainBitExact) {
+  const int trial = GetParam();
+  Rng rng(static_cast<std::uint64_t>(4200 + trial));
+  const QuantizedNet net = random_chain_net(trial, 16, rng);
   expect_plan_cross_product_exact(net, rng,
                                   "chain trial " + std::to_string(trial));
+}
+
+TEST_P(PlanCrossProductExactness, ChannelTailChainBitExact) {
+  // 8 and 24 input channels (the first layers of MobileNetV1 at widths
+  // 0.25 and 0.75): the first depthwise layer runs its C % 16 channels
+  // through the VNNI kernel's masked tail step.
+  const int trial = GetParam();
+  for (const std::int64_t channels : {std::int64_t{8}, std::int64_t{24}}) {
+    Rng rng(static_cast<std::uint64_t>(5300 + 100 * channels + trial));
+    const QuantizedNet net = random_chain_net(trial, channels, rng);
+    expect_plan_cross_product_exact(
+        net, rng,
+        "chain trial " + std::to_string(trial) + " C=" +
+            std::to_string(channels));
+  }
 }
 
 TEST_P(PlanCrossProductExactness, RandomHeadBitExact) {

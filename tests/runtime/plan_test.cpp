@@ -29,20 +29,27 @@ namespace {
 std::atomic<std::int64_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line: inlined into a caller, the malloc/free inside would meet
+// that caller's new/delete expressions, and GCC's allocator pairing check
+// (-Wmismatched-new-delete) would report every such site.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mixq::runtime {
 namespace {

@@ -11,9 +11,12 @@
 // the kernels would fault.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "core/quantizer.hpp"
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
 #include "tensor/rng.hpp"
@@ -87,7 +90,9 @@ TEST(SimdVnni, PackPlacesWeightsAndZeroesPadding) {
     }
   }
   for (std::size_t i = 0; i < panel.size(); ++i) {
-    if (!is_weight[i]) EXPECT_EQ(panel[i], 0) << "pad byte " << i;
+    if (!is_weight[i]) {
+      EXPECT_EQ(panel[i], 0) << "pad byte " << i;
+    }
   }
 }
 
@@ -244,11 +249,14 @@ TEST(SimdVnni, PackSubtractsPerRowOffset) {
 TEST(SimdVnni, DwDotMatchesScalar) {
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(14);
-  for (const std::int64_t C : {std::int64_t{1}, std::int64_t{8},
-                               std::int64_t{16}, std::int64_t{33},
-                               std::int64_t{64}}) {
-    for (const std::int64_t taps : {std::int64_t{4}, std::int64_t{9}}) {
-      const auto x = random_u8(rng, (taps + 2) * C);
+  constexpr std::int32_t kSentinel = 0x5A5A5A5A;
+  // Every channel count through three 16-channel steps (the 32-step, the
+  // 16-step and the masked tail in every combination) by every tap count.
+  // The buffers are exact-size heap blocks, so an over-read of x or wtp
+  // is a sanitizer finding, and acc carries sentinels past C.
+  for (std::int64_t C = 1; C <= 48; ++C) {
+    for (std::int64_t taps = 1; taps <= 9; ++taps) {
+      const auto x = random_u8(rng, taps * C);
       std::vector<std::int16_t> wt(static_cast<std::size_t>(taps * C));
       for (auto& v : wt) {
         v = static_cast<std::int16_t>(
@@ -262,20 +270,22 @@ TEST(SimdVnni, DwDotMatchesScalar) {
           static_cast<std::size_t>(simd::dw_pairs(taps) * 2 * C));
       simd::dw_pack_u8s16(wt.data(), taps, C, wtp.data());
 
-      std::vector<std::int32_t> expect(static_cast<std::size_t>(C), 0);
-      for (std::int64_t t = 0; t < taps; ++t) {
-        for (std::int64_t c = 0; c < C; ++c) {
-          expect[static_cast<std::size_t>(c)] +=
-              static_cast<std::int32_t>(
-                  x[static_cast<std::size_t>(toff[static_cast<std::size_t>(
-                        t)] + c)]) *
-              wt[static_cast<std::size_t>(t * C + c)];
+      std::vector<std::int32_t> expect(static_cast<std::size_t>(C + 16),
+                                       kSentinel);
+      for (std::int64_t c = 0; c < C; ++c) {
+        std::int32_t s = 0;
+        for (std::int64_t t = 0; t < taps; ++t) {
+          s += static_cast<std::int32_t>(
+                   x[static_cast<std::size_t>(t * C + c)]) *
+               wt[static_cast<std::size_t>(t * C + c)];
         }
+        expect[static_cast<std::size_t>(c)] = s;
       }
-      std::vector<std::int32_t> acc(static_cast<std::size_t>(C), -1);
+      std::vector<std::int32_t> acc(static_cast<std::size_t>(C + 16),
+                                    kSentinel);
       simd::vnni_dw_dot_u8s16p(x.data(), toff.data(), wtp.data(), taps, C,
                                acc.data());
-      EXPECT_EQ(acc, expect) << "C=" << C << " taps=" << taps;
+      ASSERT_EQ(acc, expect) << "C=" << C << " taps=" << taps;
     }
   }
 }
@@ -283,18 +293,21 @@ TEST(SimdVnni, DwDotMatchesScalar) {
 TEST(SimdVnni, MacAndDotMatchScalar) {
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(15);
-  for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1},
-                               std::int64_t{7}, std::int64_t{16},
-                               std::int64_t{31}, std::int64_t{64},
-                               std::int64_t{100}}) {
+  constexpr std::int32_t kSentinel = -0x3C3C3C3C;
+  for (std::int64_t n = 0; n <= 48; ++n) {
     const auto x = random_u8(rng, n);
     std::vector<std::int16_t> w(static_cast<std::size_t>(n));
     for (auto& v : w) {
       v = static_cast<std::int16_t>(
           static_cast<std::int32_t>(rng.uniform_int(1001)) - 500);
     }
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(n), 3);
-    std::vector<std::int32_t> expect(static_cast<std::size_t>(n), 3);
+    // acc runs 16 sentinels past n: the masked tail must not store there.
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(n + 16), 3);
+    std::vector<std::int32_t> expect(static_cast<std::size_t>(n + 16), 3);
+    for (std::int64_t i = n; i < n + 16; ++i) {
+      acc[static_cast<std::size_t>(i)] = kSentinel;
+      expect[static_cast<std::size_t>(i)] = kSentinel;
+    }
     std::int32_t dot_expect = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       const std::int32_t p =
@@ -348,6 +361,90 @@ TEST(SimdVnni, RequantMatchesScalarAcrossShifts) {
       EXPECT_EQ(out[static_cast<std::size_t>(i)],
                 static_cast<std::uint8_t>(expect))
           << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Input quantizer vs core::quantize_value(kNearest).
+// ---------------------------------------------------------------------------
+
+/// Runs vnni_quantize_u8 over `xs` (an exact-size copy, with 16 sentinel
+/// bytes after the output) and compares every code and the sentinels.
+void expect_quantize_matches(const std::vector<float>& xs,
+                             const core::QuantParams& qp, const char* what) {
+  const std::size_t n = xs.size();
+  const std::vector<float> x(xs.begin(), xs.end());
+  std::vector<std::uint8_t> out(n + 16, 0xA5);
+  simd::vnni_quantize_u8(x.data(), static_cast<std::int64_t>(n), qp.scale,
+                         qp.zero, core::qmax(qp.q), out.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t want =
+        core::quantize_value(x[i], qp, core::RoundMode::kNearest);
+    ASSERT_EQ(static_cast<std::int32_t>(out[i]), want)
+        << what << ": x=" << x[i] << " (i=" << i << " of " << n
+        << ", Q" << core::bits(qp.q) << ", scale=" << qp.scale
+        << ", zero=" << qp.zero << ")";
+  }
+  for (std::size_t i = n; i < n + 16; ++i) {
+    ASSERT_EQ(out[i], 0xA5) << what << ": wrote past n=" << n;
+  }
+}
+
+TEST(SimdVnni, QuantizeMatchesCoreQuantizer) {
+  SKIP_IF_NOT_RUNNABLE();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const core::BitWidth q :
+       {core::BitWidth::kQ2, core::BitWidth::kQ4, core::BitWidth::kQ8}) {
+    const std::int32_t hi = core::qmax(q);
+    // scale 0.5 keeps x / scale exact, so every tie is a real tie.
+    const core::QuantParams qp{0.5f, hi / 3, q};
+    const auto at = [&](float scaled) {
+      return (scaled - static_cast<float>(qp.zero)) * qp.scale;
+    };
+    std::vector<float> ties;
+    for (std::int32_t k = -1; k <= hi + 1; ++k) {
+      ties.push_back(at(static_cast<float>(k) - 0.5f));
+      ties.push_back(at(static_cast<float>(k) + 0.5f));
+      ties.push_back(at(static_cast<float>(k)));
+    }
+    expect_quantize_matches(ties, qp, "ties");
+
+    const float lo_edge = -0.5f;
+    const float hi_edge = static_cast<float>(hi) + 0.5f;
+    std::vector<float> edges;
+    for (const float e : {lo_edge, hi_edge}) {
+      edges.push_back(at(e));
+      edges.push_back(at(std::nextafter(e, -kInf)));
+      edges.push_back(at(std::nextafter(e, kInf)));
+    }
+    expect_quantize_matches(edges, qp, "range edges");
+
+    // Specials, and magnitudes whose scaled value leaves int32: there
+    // lround's long is narrowed to int32 (+inf and 1e30 code as 0).
+    const std::vector<float> specials = {
+        0.0f, -0.0f, kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::min() / 2.0f,
+        std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+        1e30f, -1e30f, 3e9f, -3e9f, 4294967808.0f, -4294966784.0f,
+        2147483520.0f, 2147483648.0f, -2147483648.0f, 1e10f};
+    expect_quantize_matches(specials, qp, "specials");
+  }
+
+  // Every length 0-40 on random data at an arbitrary scale, each one
+  // once clean and once with a special in its last lane.
+  Rng rng(18);
+  const core::QuantParams qp{0.0173f, 7, core::BitWidth::kQ8};
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<float> xs(n);
+    for (auto& v : xs) v = static_cast<float>(rng.uniform(-1.0, 5.0));
+    expect_quantize_matches(xs, qp, "random");
+    if (n > 0) {
+      xs.back() = kInf;
+      expect_quantize_matches(xs, qp, "random + inf");
     }
   }
 }

@@ -512,7 +512,9 @@ TEST(EpollServer, SaturationShedsOverloadedWithRetryHint) {
       ASSERT_NE(idpos, std::string::npos) << line;
       ++shed;
     }
-    if (id >= 0) EXPECT_TRUE(answered.insert(id).second) << "duplicate " << id;
+    if (id >= 0) {
+      EXPECT_TRUE(answered.insert(id).second) << "duplicate " << id;
+    }
   }
   EXPECT_GT(shed, 0) << "burst never shed";
   EXPECT_GT(ok, 0) << "everything shed";

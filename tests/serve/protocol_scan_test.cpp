@@ -1,165 +1,34 @@
 // Differential suite for the request-line scanner behind
 // parse_protocol_line: every line must come back exactly as the former
 // tree-based reading of it did -- parse_json into a JsonValue, then
-// first-match member lookups (support/json_dom.hpp; the walk is kept
-// below as dom_parse_protocol_line). Kind, error code, error text (with
-// its byte offset), echoed id, model, path and every float bit must
-// agree, on a seeded corpus of random and mutated lines and on named
-// edge cases.
+// first-match member lookups (support/protocol_ref.hpp:
+// dom_parse_protocol_line). Kind, error code, error text (with its byte
+// offset), echoed id, model, path and every float bit must agree, on a
+// seeded corpus of random and mutated lines and on named edge cases; the
+// scanner's number fast paths must also match std::from_chars plus the
+// float cast bit for bit.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cfloat>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
-#include "support/json_dom.hpp"
+#include "support/protocol_ref.hpp"
 #include "tensor/rng.hpp"
 
 namespace mixq::serve {
 namespace {
-
-// ---------------------------------------------------------------------------
-// The reference: parse the whole line into a tree, then walk it.
-// ---------------------------------------------------------------------------
-
-ParsedLine dom_error(std::string message, const JsonValue* id,
-                     ErrCode code = ErrCode::kMalformed) {
-  ParsedLine p;
-  p.kind = ParsedLine::Kind::kError;
-  p.code = code;
-  p.error = std::move(message);
-  if (id != nullptr && id->is_integer()) {
-    p.has_id = true;
-    p.id = id->as_integer();
-  }
-  return p;
-}
-
-ParsedLine dom_parse_protocol_line(std::string_view line,
-                                   std::int64_t input_numel,
-                                   std::size_t max_line_bytes,
-                                   std::int64_t default_deadline_ms,
-                                   const ModelDirectory* models) {
-  ParsedLine p;
-  if (line.empty() || line.find_first_not_of(" \t\r") == std::string_view::npos) {
-    return p;  // kBlank
-  }
-  if (line.size() > max_line_bytes) {
-    return dom_error(
-        "request line exceeds " + std::to_string(max_line_bytes) + " bytes",
-        nullptr);
-  }
-  JsonValue v;
-  try {
-    v = parse_json(line);
-  } catch (const std::runtime_error& e) {
-    return dom_error(e.what(), nullptr);
-  }
-  if (!v.is_object()) {
-    return dom_error("request must be a JSON object", nullptr);
-  }
-  if (const JsonValue* cmd = v.find("cmd")) {
-    if (!cmd->is_string()) {
-      return dom_error("\"cmd\" must be a string", v.find("id"));
-    }
-    if (cmd->string == "shutdown") {
-      p.kind = ParsedLine::Kind::kShutdown;
-      return p;
-    }
-    if (cmd->string == "stats") {
-      p.kind = ParsedLine::Kind::kStats;
-      return p;
-    }
-    if (cmd->string == "info") {
-      p.kind = ParsedLine::Kind::kInfo;
-      return p;
-    }
-    if (cmd->string == "health") {
-      p.kind = ParsedLine::Kind::kHealth;
-      return p;
-    }
-    if (cmd->string == "reload") {
-      const JsonValue* m = v.find("model");
-      const JsonValue* path = v.find("path");
-      if (m != nullptr && !m->is_string()) {
-        return dom_error("\"model\" must be a string", v.find("id"));
-      }
-      if (path != nullptr && !path->is_string()) {
-        return dom_error("\"path\" must be a string", v.find("id"));
-      }
-      p.kind = ParsedLine::Kind::kReload;
-      if (m != nullptr) p.reload_model = m->string;
-      if (path != nullptr) p.reload_path = path->string;
-      return p;
-    }
-    return dom_error("unknown cmd \"" + cmd->string + "\"", v.find("id"));
-  }
-
-  const JsonValue* id = v.find("id");
-  const JsonValue* input = v.find("input");
-  if (id == nullptr || !id->is_integer()) {
-    return dom_error("missing or non-integer \"id\"", nullptr);
-  }
-  if (input == nullptr || !input->is_array()) {
-    return dom_error("missing \"input\" array", id);
-  }
-  std::string model_name;
-  if (const JsonValue* m = v.find("model")) {
-    if (!m->is_string()) {
-      return dom_error("\"model\" must be a string", id);
-    }
-    model_name = m->string;
-  }
-  std::int64_t want_numel = input_numel;
-  if (!model_name.empty()) {
-    const std::int64_t n =
-        models != nullptr ? models->numel_of(model_name) : -1;
-    if (n < 0) {
-      return dom_error("unknown model \"" + model_name + "\"", id,
-                       ErrCode::kNotFound);
-    }
-    want_numel = n;
-  }
-  if (static_cast<std::int64_t>(input->array.size()) != want_numel) {
-    return dom_error("\"input\" must have " + std::to_string(want_numel) +
-                         " elements, got " +
-                         std::to_string(input->array.size()),
-                     id);
-  }
-  std::int64_t deadline_ms = default_deadline_ms;
-  if (const JsonValue* dl = v.find("deadline_ms")) {
-    if (!dl->is_integer() || dl->as_integer() < 1 ||
-        dl->as_integer() > kMaxDeadlineMs) {
-      return dom_error("\"deadline_ms\" must be an integer in [1, " +
-                           std::to_string(kMaxDeadlineMs) + "]",
-                       id);
-    }
-    deadline_ms = dl->as_integer();
-  }
-
-  p.kind = ParsedLine::Kind::kRequest;
-  p.request.id = id->as_integer();
-  p.request.model = std::move(model_name);
-  p.request.input.reserve(input->array.size());
-  for (const JsonValue& x : input->array) {
-    if (!x.is_number()) {
-      return dom_error("\"input\" elements must be numbers", id);
-    }
-    p.request.input.push_back(static_cast<float>(x.number));
-  }
-  if (deadline_ms > 0) {
-    p.request.deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms);
-  }
-  return p;
-}
 
 // ---------------------------------------------------------------------------
 // Comparison.
@@ -175,39 +44,6 @@ const ModelDirectory& two_models() {
 
 bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
 
-/// "" when `a` (scanner) and `b` (reference) agree on every field a
-/// transport can observe; otherwise the first field that differs.
-std::string difference(const ParsedLine& a, const ParsedLine& b) {
-  if (a.kind != b.kind) return "kind";
-  if (a.kind == ParsedLine::Kind::kError) {
-    if (a.code != b.code) return "code";
-    if (a.error != b.error) return "error: " + a.error + " | " + b.error;
-  }
-  if (a.has_id != b.has_id || a.id != b.id) return "id";
-  if (a.reload_model != b.reload_model) return "reload_model";
-  if (a.reload_path != b.reload_path) return "reload_path";
-  const Request& x = a.request;
-  const Request& y = b.request;
-  if (x.id != y.id) return "request.id";
-  if (x.model != y.model) return "request.model";
-  if (x.input.size() != y.input.size()) return "request.input size";
-  for (std::size_t i = 0; i < x.input.size(); ++i) {
-    if (!same_bits(x.input[i], y.input[i])) {
-      return "request.input[" + std::to_string(i) + "]";
-    }
-  }
-  const bool x_dl = x.deadline != Clock::time_point::max();
-  const bool y_dl = y.deadline != Clock::time_point::max();
-  if (x_dl != y_dl) return "request.deadline presence";
-  // Both stamp now() + the same delay, moments apart.
-  if (x_dl && (x.deadline < y.deadline ||
-               x.deadline - y.deadline > std::chrono::seconds(5))) {
-    return "request.deadline";
-  }
-  if (x.client != y.client || x.route != y.route) return "request routing";
-  return {};
-}
-
 struct Verdict {
   ParsedLine scanned;
   std::string diff;
@@ -221,7 +57,7 @@ Verdict check(const std::string& line, std::size_t max_line = kMaxLine,
   Verdict v{parse_protocol_line(line, kDefaultNumel, max_line,
                                 default_deadline_ms, dir),
             {}};
-  v.diff = difference(v.scanned, ref);
+  v.diff = protocol_difference(v.scanned, ref);
   return v;
 }
 
@@ -423,6 +259,128 @@ TEST(ProtocolScan, CommandsAndTheLineBound) {
   const Verdict too_long = check("{\"id\":1,\"input\":" + floats(4) + "}", 8);
   EXPECT_EQ(too_long.diff, "");
   EXPECT_EQ(too_long.scanned.error, "request line exceeds 8 bytes");
+}
+
+// ---------------------------------------------------------------------------
+// Numbers: the scanner's exact fast paths against std::from_chars.
+// ---------------------------------------------------------------------------
+
+/// std::from_chars to double, then the float cast; nullopt when from_chars
+/// refuses the spelling.
+std::optional<float> from_chars_float(const std::string& text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto res = std::from_chars(text.data(), end, v);
+  if (res.ec != std::errc{} || res.ptr != end) return std::nullopt;
+  return static_cast<float>(v);
+}
+
+/// parse_protocol_line over an exact-size heap copy of `line`, so a read
+/// past its last byte is a sanitizer finding.
+ParsedLine parse_exact(const std::string& line, std::int64_t numel) {
+  const std::unique_ptr<char[]> buf(new char[line.size()]);
+  std::memcpy(buf.get(), line.data(), line.size());
+  return parse_protocol_line(std::string_view(buf.get(), line.size()), numel,
+                             1 << 20, 0, nullptr);
+}
+
+std::string random_digits(Rng& rng, int n) {
+  std::string s;
+  for (int i = 0; i < n; ++i) {
+    s.push_back(static_cast<char>('0' + rng.uniform_int(10)));
+  }
+  return s;
+}
+
+/// Spellings across the fast paths' conditions and just past them.
+std::vector<std::string> number_spellings() {
+  std::vector<std::string> out = {
+      "0", "-0", "0.0", "-0.0", "7", "00012", "0.5", "0.05", "0.000123",
+      "-0.0000001", "0.000000000000000001", "1.000000000000000001",
+      // Mantissas 2^53 - 1, 2^53 and 2^53 + 1, with the point moved.
+      "9007199254740991", "9007199254740992", "9007199254740993",
+      "-9007199254740993", "900719925474.0993", "0.9007199254740993",
+      "9.007199254740992", "90071992547409.91",
+      // 19 and 20 significant digits.
+      "1234567890123456789", "12345678901234567890", "9999999999999999999",
+      "99999999999999999999", "0.1234567890123456789",
+      "1.2345678901234567890", "123456789.0123456789",
+      "0000000000000000000001", "0.00000000000000000000000001",
+      // Exponents, inside and outside |e10| <= 22.
+      "1e5", "1E5", "1e+5", "1.5e-3", "-2.5E+2", "1e22", "1e23", "1e-22",
+      "1e-23", "9007199254740993e-5", "4503599627370497e22", "-0e0", "0e999",
+      "1e-400", "1e999", "-1e999", "123456789e-30", "2e0000000000000000001",
+      "1e-45", "3e-39", "1.4e-45", "3.4028236e38"};
+  // Every form append_json_float writes: shortest round trips from
+  // denormals through FLT_MAX.
+  for (const float f :
+       {FLT_MAX, -FLT_MAX, FLT_MIN, -FLT_MIN, FLT_TRUE_MIN, -FLT_TRUE_MIN,
+        FLT_MIN / 2.0f, 1e-45f, 0.1f, 1.0f / 3.0f, 16777216.0f, 1e7f, 1e-7f,
+        123456.789f, -0.0f}) {
+    std::string t;
+    append_json_float(t, f);
+    out.push_back(t);
+  }
+  Rng rng(4242);
+  for (int i = 0; i < 3000; ++i) {
+    const float f = static_cast<float>(
+        std::ldexp(rng.uniform(1.0, 2.0),
+                   static_cast<int>(rng.uniform_int(280)) - 150) *
+        (rng.uniform_int(2) != 0u ? -1.0 : 1.0));
+    std::string t;
+    append_json_float(t, f);
+    out.push_back(t);
+  }
+  // Integer parts of 1-7 digits by fractions of 0-18 digits.
+  for (int ni = 1; ni <= 7; ++ni) {
+    for (int nf = 0; nf <= 18; ++nf) {
+      for (int rep = 0; rep < 4; ++rep) {
+        std::string t = rep % 2 == 1 ? "-" : "";
+        t += random_digits(rng, ni);
+        if (nf > 0) t += "." + random_digits(rng, nf);
+        out.push_back(t);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ProtocolScan, NumbersMatchFromCharsBitForBit) {
+  int converted = 0;  // spellings from_chars accepts
+  for (const std::string& text : number_spellings()) {
+    const std::optional<float> want = from_chars_float(text);
+    // Six copies in an input array, the line padded with 0-40 trailing
+    // spaces: the last elements start every distance from the end of the
+    // line, inside the fast path's 32-byte bound and beyond it.
+    for (int pad = 0; pad <= 40; ++pad) {
+      std::string line = "{\"id\":1,\"input\":[";
+      for (int i = 0; i < 6; ++i) line += (i > 0 ? "," : "") + text;
+      line += "]}" + std::string(static_cast<std::size_t>(pad), ' ');
+      const ParsedLine got = parse_exact(line, 6);
+      const ParsedLine ref =
+          dom_parse_protocol_line(line, 6, 1 << 20, 0, nullptr);
+      ASSERT_EQ(protocol_difference(got, ref), "") << line;
+      if (!want.has_value()) {
+        ASSERT_EQ(got.kind, ParsedLine::Kind::kError) << line;
+        continue;
+      }
+      ASSERT_EQ(got.kind, ParsedLine::Kind::kRequest) << line;
+      for (const float f : got.request.input) {
+        ASSERT_TRUE(same_bits(f, *want)) << text << " in " << line;
+      }
+    }
+    converted += want.has_value() ? 1 : 0;
+    // Root members and a nested array: number()'s path.
+    const std::string in = ",\"input\":" + floats(4);
+    EXPECT_EQ(check("{\"id\":" + text + in + "}").diff, "") << text;
+    EXPECT_EQ(check("{\"id\":2,\"deadline_ms\":" + text + in + "}").diff, "")
+        << text;
+    EXPECT_EQ(check("{\"x\":[" + text + ",[" + text + "]],\"id\":2" + in + "}")
+                  .diff,
+              "")
+        << text;
+  }
+  EXPECT_GT(converted, 3000);
 }
 
 // ---------------------------------------------------------------------------
