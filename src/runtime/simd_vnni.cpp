@@ -287,7 +287,8 @@ void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
         _mm512_div_ps(_mm512_maskz_loadu_ps(m, x + i), vscale), vzero);
     // NaN or |s| >= 2^31: lround's long, narrowed to int32, is not the
     // saturating answer a clamp would give (+inf and 1e30 code as 0), so
-    // such a step (never a finite request of sane scale) runs the scalar.
+    // a step holding such a value -- 2^31 quantization steps from the
+    // zero-point -- runs the scalar formula.
     const __mmask16 wide =
         _mm512_mask_cmp_ps_mask(m, _mm512_abs_ps(s), vwide, _CMP_NLT_UQ);
     if (wide != 0) {

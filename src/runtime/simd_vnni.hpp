@@ -10,10 +10,11 @@
 // depthwise variant over the same pair-interleaved s16 bank the AVX2
 // kernel uses, elementwise/dot u8 x s16 variants for the depthwise border
 // path, an exact-arithmetic-shift requantizer (vpsravq needs no unsigned
-// bias trick) and a 16-lane input quantizer. Channel and element tails
-// run as one more masked step (AVX-512BW/VL masked loads and stores), not
-// as scalar loops. On a VNNI host every narrow conv/linear layer runs
-// this panel, and a u8 input is quantized here.
+// bias trick) and a 16-lane input quantizer. The depthwise kernel, the
+// border MAC and the quantizer run their tails as one more masked step
+// (AVX-512BW/VL masked loads and stores), not as scalar loops. On a VNNI
+// host every narrow conv/linear layer runs this panel, and a u8 input is
+// quantized here.
 //
 // ODR / miscompile isolation: this header carries DECLARATIONS ONLY -- no
 // inline kernels. The implementations live in simd_vnni.cpp, the one
