@@ -177,15 +177,38 @@ void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
     _mm512_storeu_si512(acc + c, _mm512_shuffle_i64x2(alo, ahi, 0x44));
     _mm512_storeu_si512(acc + c + 16, _mm512_shuffle_i64x2(alo, ahi, 0xEE));
   }
-  // 16-channel steps, the last one (C % 16 channels) under masks: masked-off
-  // activation and weight lanes load as zero without touching memory, and
-  // their sums are never stored. 128-bit unpack is linear across the
-  // register, so no reordering is needed (same shape as the AVX2 kernel,
-  // dpwssd-fused).
-  for (; c < C; c += 16) {
-    const auto r = static_cast<unsigned>(std::min<std::int64_t>(C - c, 16));
-    const auto cm = static_cast<__mmask16>(0xFFFFu >> (16 - r));
-    const std::uint32_t wm = 0xFFFFFFFFu >> (32 - 2 * r);  // i16 pair lanes
+  // 16-channel step: 128-bit unpack is linear across the register, so no
+  // reordering is needed (same shape as the AVX2 kernel, dpwssd-fused).
+  for (; c + 16 <= C; c += 16) {
+    __m256i a0v = _mm256_setzero_si256();
+    __m256i a1v = _mm256_setzero_si256();
+    for (std::int64_t p = 0; p < pairs; ++p) {
+      const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
+      const __m128i x0 = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(x + toff[2 * p] + c));
+      const __m128i x1 = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(x + toff[t1] + c));
+      const __m256i vlo = _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1));
+      const __m256i vhi = _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1));
+      const __m256i wlo = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c));
+      const __m256i whi = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c + 16));
+      a0v = _mm256_dpwssd_epi32(a0v, vlo, wlo);
+      a1v = _mm256_dpwssd_epi32(a1v, vhi, whi);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), a0v);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c + 8), a1v);
+  }
+  // The C % 16 tail: the same step under masks. Masked-off activation and
+  // weight lanes load as zero without touching memory, and their sums are
+  // never stored. (Full steps stay unmasked: masking every step made the
+  // C = 16 first depthwise layer of bench_runtime's net, which has no
+  // tail, about 12% slower per MAC.)
+  if (c < C) {
+    const auto r = static_cast<unsigned>(C - c);
+    const auto cm = static_cast<__mmask16>((1u << r) - 1);
+    const std::uint32_t wm = (1u << (2 * r)) - 1;  // i16 pair lanes
     __m256i a0v = _mm256_setzero_si256();
     __m256i a1v = _mm256_setzero_si256();
     for (std::int64_t p = 0; p < pairs; ++p) {
@@ -209,10 +232,19 @@ void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
 
 void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
                     const std::int16_t* w, std::int64_t n) {
-  // 16 lanes per step; the last step (n % 16) runs under a mask.
-  for (std::int64_t i = 0; i < n; i += 16) {
-    const auto r = static_cast<unsigned>(std::min<std::int64_t>(n - i, 16));
-    const auto m = static_cast<__mmask16>(0xFFFFu >> (16 - r));
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i xv = _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
+    const __m512i wv = _mm512_cvtepi16_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i)));
+    const __m512i av = _mm512_loadu_si512(acc + i);
+    _mm512_storeu_si512(acc + i,
+                        _mm512_add_epi32(av, _mm512_mullo_epi32(xv, wv)));
+  }
+  // The n % 16 tail: one more step under a mask.
+  if (i < n) {
+    const auto m = static_cast<__mmask16>((1u << (n - i)) - 1);
     const __m512i xv = _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, x + i));
     const __m512i wv = _mm512_cvtepi16_epi32(_mm256_maskz_loadu_epi16(m, w + i));
     const __m512i av = _mm512_maskz_loadu_epi32(m, acc + i);
