@@ -21,6 +21,7 @@
 #include <cstring>
 
 #if defined(MIXQ_VNNI_NATIVE)
+#if defined(__GNUC__) && !defined(__clang__)
 // GCC 12's AVX-512 headers seed the pass-through operand of unmasked
 // intrinsics (_mm512_cvtepu8_epi32, _mm512_max_epi64, ...) with a
 // self-initialized `__Y = __Y` placeholder, which -Wall flags as
@@ -31,6 +32,9 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
+#else
+#include <immintrin.h>
+#endif
 #endif
 
 namespace mixq::runtime::simd {
