@@ -250,7 +250,8 @@ void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
   if (i < n) {
     const auto m = static_cast<__mmask16>((1u << (n - i)) - 1);
     const __m512i xv = _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, x + i));
-    const __m512i wv = _mm512_cvtepi16_epi32(_mm256_maskz_loadu_epi16(m, w + i));
+    const __m512i wv =
+        _mm512_cvtepi16_epi32(_mm256_maskz_loadu_epi16(m, w + i));
     const __m512i av = _mm512_maskz_loadu_epi32(m, acc + i);
     _mm512_mask_storeu_epi32(acc + i, m,
                              _mm512_add_epi32(av, _mm512_mullo_epi32(xv, wv)));

@@ -251,10 +251,14 @@ TEST(SimdVnni, DwDotMatchesScalar) {
   Rng rng(14);
   constexpr std::int32_t kSentinel = 0x5A5A5A5A;
   // Every channel count through three 16-channel steps (the 32-step, the
-  // 16-step and the masked tail in every combination) by every tap count.
-  // The buffers are exact-size heap blocks, so an over-read of x or wtp
-  // is a sanitizer finding, and acc carries sentinels past C.
-  for (std::int64_t C = 1; C <= 48; ++C) {
+  // 16-step and the masked tail in every combination), and two 32-steps,
+  // by every tap count. The buffers are exact-size heap blocks, so an
+  // over-read of x or wtp is a sanitizer finding, and acc carries
+  // sentinels past C.
+  std::vector<std::int64_t> channels;
+  for (std::int64_t C = 1; C <= 48; ++C) channels.push_back(C);
+  channels.push_back(64);
+  for (const std::int64_t C : channels) {
     for (std::int64_t taps = 1; taps <= 9; ++taps) {
       const auto x = random_u8(rng, taps * C);
       std::vector<std::int16_t> wt(static_cast<std::size_t>(taps * C));
@@ -294,7 +298,11 @@ TEST(SimdVnni, MacAndDotMatchScalar) {
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(15);
   constexpr std::int32_t kSentinel = -0x3C3C3C3C;
-  for (std::int64_t n = 0; n <= 48; ++n) {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 48; ++n) lengths.push_back(n);
+  lengths.push_back(64);
+  lengths.push_back(100);
+  for (const std::int64_t n : lengths) {
     const auto x = random_u8(rng, n);
     std::vector<std::int16_t> w(static_cast<std::size_t>(n));
     for (auto& v : w) {
