@@ -78,7 +78,7 @@ constexpr std::uint64_t kPow10u[9] = {1,      10,      100,      1000,
                                       100000000};
 
 /// The exact double of (-)m * 10^e10, or false when the pair is outside
-/// the fast path's exactness conditions.
+/// the exact range.
 inline bool exact_decimal(std::uint64_t m, int e10, bool negative,
                           double& out) {
   if (m > kMaxExactMantissa || e10 < -kMaxExactPow10 ||
@@ -117,6 +117,16 @@ inline std::uint32_t eight_digits(std::uint64_t w) {
   return static_cast<std::uint32_t>(w);
 }
 
+/// The value of the word's first n (1-8) digits: they are left-padded
+/// with '0' bytes to a full word.
+inline std::uint32_t leading_value(std::uint64_t w, int n) {
+  if (n < 8) {
+    const int pad = 8 * (8 - n);
+    w = (w << pad) | (kAsciiZeros >> (64 - pad));
+  }
+  return eight_digits(w);
+}
+
 /// One top-level member the protocol reads, as first written in the line
 /// (a repeated key is validated and ignored, like a first-match lookup).
 struct Member {
@@ -144,8 +154,9 @@ struct Member {
 /// byte N") of a recursive-descent parser, without building a tree. The
 /// root object's protocol members are captured as they pass; the first
 /// "input" array's numbers go straight to floats (the exact double, then a
-/// narrowing cast): plain decimals by an 8-byte-word walk and one IEEE
-/// divide, everything else through number() and, past the exact range,
+/// narrowing cast). number() walks digit runs 8 bytes per step, building
+/// the mantissa as it goes; exact_decimal() converts it with one IEEE
+/// multiply or divide, and only a number outside its range goes to
 /// std::from_chars. Throws std::runtime_error on the first malformed
 /// byte.
 class Scanner {
@@ -256,10 +267,6 @@ class Scanner {
     while (true) {
       skip_ws();
       if (is_input && at_number()) {
-        if (const char sep = input_fast()) {
-          if (sep == ']') return;
-          continue;
-        }
         input.push_back(static_cast<float>(number()));
       } else {
         value(depth + 1);
@@ -366,73 +373,24 @@ class Scanner {
     }
   }
 
-  /// Bytes that must remain before end_ for input_fast() to run. Its walk
-  /// reads whole 8-byte words, and it starts a word only while it has
-  /// taken at most 19 digits: the sign, 19 digits and the point put the
-  /// last word's start at most 21 bytes in, so it reads at most 29 bytes.
-  static constexpr std::ptrdiff_t kFastSpan = 32;
-
-  /// Appends the digit run at p to m, one 8-byte word per step; false
-  /// once the number has more than kMaxDigits digits.
-  static bool swar_digits(const char*& p, std::uint64_t& m, int& nd) {
-    while (true) {
-      std::uint64_t w;
-      std::memcpy(&w, p, sizeof(w));
-      const int n = leading_digits(w);
-      nd += n;
-      if (nd > kMaxDigits) return false;
-      if (n == 8) {
-        m = m * kPow10u[8] + eight_digits(w);
-        p += 8;
-        continue;
-      }
-      if (n > 0) {
-        // Left-pad the n digits with '0' bytes to a full word.
-        const int pad = 8 * (8 - n);
-        m = m * kPow10u[n] +
-            eight_digits((w << pad) | (kAsciiZeros >> (64 - pad)));
-        p += n;
-      }
-      return true;
-    }
-  }
-
-  /// The "input" fast path: an element -?I(.F)? followed directly by ','
-  /// or ']' whose value exact_decimal() converts. Stores the float,
-  /// consumes the element and its separator, and returns the separator;
-  /// returns 0 with nothing consumed for every other element (whitespace,
-  /// an exponent, too many digits, a malformed byte), which number() then
-  /// reads from the same byte, errors and offsets included.
-  char input_fast() {
-    if constexpr (std::endian::native != std::endian::little) return 0;
-    if (end_ - cur_ < kFastSpan) return 0;
-    const char* p = cur_;
-    const bool negative = *p == '-';
-    p += negative ? 1 : 0;
-    std::uint64_t m = 0;
-    int nd = 0;
-    if (!swar_digits(p, m, nd) || nd == 0) return 0;
-    int e10 = 0;
-    if (*p == '.') {
-      ++p;
-      const int int_digits = nd;
-      if (!swar_digits(p, m, nd) || nd == int_digits) return 0;
-      e10 = int_digits - nd;
-    }
-    const char sep = *p;
-    double v = 0.0;
-    if ((sep != ',' && sep != ']') || !exact_decimal(m, e10, negative, v)) {
-      return 0;
-    }
-    input.push_back(static_cast<float>(v));
-    cur_ = p + 1;
-    return sep;
-  }
-
-  /// A digit run, its first kMaxDigits digits appended to m; nd counts
-  /// them all.
+  /// A digit run: nd counts its digits, and m takes them while the
+  /// number has at most kMaxDigits (past that m is stale, and number()
+  /// does not read it). Whole 8-byte words while at least 8 bytes remain
+  /// before end_, so no load reads past the line; then byte by byte.
   bool digits(std::uint64_t& m, int& nd) {
     const char* start = cur_;
+    if constexpr (std::endian::native == std::endian::little) {
+      while (end_ - cur_ >= 8) {
+        std::uint64_t w;
+        std::memcpy(&w, cur_, sizeof(w));
+        const int n = leading_digits(w);
+        if (n == 0) return cur_ != start;
+        if (nd + n <= kMaxDigits) m = m * kPow10u[n] + leading_value(w, n);
+        nd += n;
+        cur_ += n;
+        if (n < 8) return true;
+      }
+    }
     while (cur_ != end_ && *cur_ >= '0' && *cur_ <= '9') {
       if (nd < kMaxDigits) m = m * 10 + static_cast<std::uint64_t>(*cur_ - '0');
       ++nd;

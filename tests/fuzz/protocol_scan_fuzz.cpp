@@ -3,7 +3,7 @@
 // does (support/protocol_ref.hpp) -- same kind, error text and offset,
 // echoed id and every input float bit -- with no crash, hang or sanitizer
 // finding. libFuzzer hands each input over in an exact-size buffer, so a
-// read past the line's last byte (the number fast path reads 8-byte
+// read past the line's last byte (the scanner reads digit runs in 8-byte
 // words) is an ASan report. Seed with the committed corpus:
 //
 //   protocol_scan_fuzz tests/corpus/protocol -max_total_time=60

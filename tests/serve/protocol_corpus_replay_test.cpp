@@ -3,10 +3,10 @@
 // so a GCC build with no libFuzzer still runs every seed: each line must
 // read exactly as the tree-based reference reads it. Each line is parsed
 // from an exact-size heap copy, so under ASan (the fuzz-loader CI job) a
-// read past its last byte -- the number fast path reads 8-byte words
-// within a fixed bound of the end -- is a finding. The seeds include long
-// arrays, and lines whose last element starts 27-33 bytes before the end,
-// on both sides of that bound.
+// read past its last byte -- the scanner reads digit runs in 8-byte words
+// while 8 bytes remain -- is a finding. The seeds include long arrays, and
+// lines whose last element (16 fraction digits) starts 27-33 bytes before
+// the end, so its last word load falls on both sides of that bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,7 +62,7 @@ TEST(ProtocolCorpusReplay, EverySeedReadsLikeTheReference) {
         parse_protocol_line(line, 600, std::size_t{1} << 20, 0, &models);
     long_requests += parsed.kind == ParsedLine::Kind::kRequest ? 1 : 0;
   }
-  // The 600-element seeds reach the fast path over their whole length.
+  // The 600-element seeds are read as requests over their whole length.
   EXPECT_GE(long_requests, 2);
 }
 

@@ -5,8 +5,8 @@
 // dom_parse_protocol_line). Kind, error code, error text (with its byte
 // offset), echoed id, model, path and every float bit must agree, on a
 // seeded corpus of random and mutated lines and on named edge cases; the
-// scanner's number fast paths must also match std::from_chars plus the
-// float cast bit for bit.
+// scanner's exact number conversion must also match std::from_chars plus
+// the float cast bit for bit.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -262,7 +262,7 @@ TEST(ProtocolScan, CommandsAndTheLineBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Numbers: the scanner's exact fast paths against std::from_chars.
+// Numbers: the scanner's exact conversion against std::from_chars.
 // ---------------------------------------------------------------------------
 
 /// std::from_chars to double, then the float cast; nullopt when from_chars
@@ -292,7 +292,7 @@ std::string random_digits(Rng& rng, int n) {
   return s;
 }
 
-/// Spellings across the fast paths' conditions and just past them.
+/// Spellings across the exact conversion's range and just past it.
 std::vector<std::string> number_spellings() {
   std::vector<std::string> out = {
       "0", "-0", "0.0", "-0.0", "7", "00012", "0.5", "0.05", "0.000123",
@@ -351,7 +351,8 @@ TEST(ProtocolScan, NumbersMatchFromCharsBitForBit) {
     const std::optional<float> want = from_chars_float(text);
     // Six copies in an input array, the line padded with 0-40 trailing
     // spaces: the last elements start every distance from the end of the
-    // line, inside the fast path's 32-byte bound and beyond it.
+    // line, so their digit runs end on both sides of the last whole
+    // 8-byte word.
     for (int pad = 0; pad <= 40; ++pad) {
       std::string line = "{\"id\":1,\"input\":[";
       for (int i = 0; i < 6; ++i) line += (i > 0 ? "," : "") + text;
@@ -370,7 +371,18 @@ TEST(ProtocolScan, NumbersMatchFromCharsBitForBit) {
       }
     }
     converted += want.has_value() ? 1 : 0;
-    // Root members and a nested array: number()'s path.
+    // The bare number as the whole line (a document, but not a request),
+    // padded with 0-9 spaces: its digits run up to the last byte.
+    for (int pad = 0; pad <= 9; ++pad) {
+      const std::string line =
+          text + std::string(static_cast<std::size_t>(pad), ' ');
+      ASSERT_EQ(protocol_difference(
+                    parse_exact(line, 6),
+                    dom_parse_protocol_line(line, 6, 1 << 20, 0, nullptr)),
+                "")
+          << line;
+    }
+    // Root members and a nested array.
     const std::string in = ",\"input\":" + floats(4);
     EXPECT_EQ(check("{\"id\":" + text + in + "}").diff, "") << text;
     EXPECT_EQ(check("{\"id\":2,\"deadline_ms\":" + text + in + "}").diff, "")
