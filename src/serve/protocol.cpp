@@ -268,6 +268,10 @@ class Scanner {
       skip_ws();
       if (is_input && at_number()) {
         input.push_back(static_cast<float>(number()));
+        if (cur_ != end_ && *cur_ == ',') {  // the common separator
+          ++cur_;
+          continue;
+        }
       } else {
         value(depth + 1);
         input_other += is_input ? 1 : 0;
@@ -399,7 +403,9 @@ class Scanner {
     return cur_ != start;
   }
 
-  double number() {
+  // Inlined: as a call per "input" element it cost about a tenth of a
+  // request line's parse.
+  [[gnu::always_inline]] double number() {
     const char* start = cur_;
     const bool negative = consume('-');
     std::uint64_t m = 0;
