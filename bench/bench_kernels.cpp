@@ -3,12 +3,10 @@
 // thresholds) and kernel kinds (conv / depthwise / pointwise / linear).
 // These support the cycle-model factors documented in mcu/cycle_model.hpp.
 //
-// The `BM_*Micro*` group tracks the narrow-domain SIMD kernels against
-// their INT32 counterparts in isolation (panel GEMM u8 x s8 and the
-// widening u8 x s16 dots vs the i32 register-blocked GEMM; the direct
-// pair-interleaved depthwise u8 kernel vs the tap-major i32 one), so
-// per-kernel gains stay visible independently of the end-to-end
-// bench_runtime number.
+// The `BM_*Micro*` group tracks the u8-activation SIMD kernels in
+// isolation (panel GEMM u8 x s8, the widening u8 x s16 dots, the VNNI
+// panel; the direct pair-interleaved depthwise u8 kernels), so per-kernel
+// gains stay visible independently of the end-to-end bench_runtime number.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -156,43 +154,14 @@ void BM_ActPrecisionSweep(benchmark::State& state) {
 BENCHMARK(BM_ActPrecisionSweep)->Arg(8)->Arg(4)->Arg(2);
 
 // ---------------------------------------------------------------------------
-// Narrow-vs-wide SIMD micro-kernels (runtime/simd.hpp), independent of the
-// layer plumbing: one iteration computes M x co output accumulators over
+// SIMD micro-kernels (runtime/simd.hpp), independent of the layer
+// plumbing: one iteration computes M x co output accumulators over
 // fan-in K, matching what the planned GEMM does per row block.
 // ---------------------------------------------------------------------------
 
 constexpr std::int64_t kMicroM = 64;
 constexpr std::int64_t kMicroCo = 64;
 constexpr std::int64_t kMicroK = 128;
-
-void BM_GemmMicro_i32(benchmark::State& state) {
-  Rng rng(11);
-  std::vector<std::int32_t> a(static_cast<std::size_t>(kMicroM * kMicroK));
-  std::vector<std::int32_t> w(static_cast<std::size_t>(kMicroCo * kMicroK));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(2 * kMicroCo));
-  for (auto& v : a) v = static_cast<std::int32_t>(rng.uniform_int(256));
-  for (auto& v : w) {
-    v = static_cast<std::int32_t>(rng.uniform_int(31)) - 15;
-  }
-  for (auto _ : state) {
-    for (std::int64_t m = 0; m < kMicroM; m += 2) {
-      const std::int32_t* a0 = a.data() + m * kMicroK;
-      const std::int32_t* a1 = a0 + kMicroK;
-      std::fill(acc.begin(), acc.end(), 0);
-      for (std::int64_t oc = 0; oc < kMicroCo; oc += 4) {
-        const std::int32_t* wr = w.data() + oc * kMicroK;
-        runtime::simd::dot2x4_i32(a0, a1, wr, wr + kMicroK, wr + 2 * kMicroK,
-                                  wr + 3 * kMicroK, kMicroK, acc.data() + oc,
-                                  acc.data() + kMicroCo + oc);
-      }
-      benchmark::DoNotOptimize(acc.data());
-    }
-  }
-  state.counters["MACs/s"] = benchmark::Counter(
-      static_cast<double>(kMicroM * kMicroCo * kMicroK),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_GemmMicro_i32);
 
 void BM_GemmMicro_u8s8_panel(benchmark::State& state) {
   Rng rng(12);
@@ -265,35 +234,6 @@ BENCHMARK(BM_GemmMicro_u8s16);
 constexpr std::int64_t kDwC = 128;
 constexpr std::int64_t kDwTaps = 9;
 constexpr std::int64_t kDwPixels = 64;
-
-void BM_DwMicro_i32(benchmark::State& state) {
-  Rng rng(14);
-  const std::int64_t in_w = kDwPixels + 2;
-  std::vector<std::int32_t> x(static_cast<std::size_t>(3 * in_w * kDwC));
-  std::vector<std::int32_t> wt(static_cast<std::size_t>(kDwTaps * kDwC));
-  std::vector<std::int64_t> toff(static_cast<std::size_t>(kDwTaps));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(kDwC));
-  for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(256));
-  for (auto& v : wt) {
-    v = static_cast<std::int32_t>(rng.uniform_int(511)) - 255;
-  }
-  for (std::int64_t ky = 0; ky < 3; ++ky) {
-    for (std::int64_t kx = 0; kx < 3; ++kx) {
-      toff[static_cast<std::size_t>(ky * 3 + kx)] = (ky * in_w + kx) * kDwC;
-    }
-  }
-  for (auto _ : state) {
-    for (std::int64_t p = 0; p < kDwPixels; ++p) {
-      runtime::simd::dw_dot_i32(x.data() + p * kDwC, toff.data(), wt.data(),
-                                kDwTaps, kDwC, acc.data());
-      benchmark::DoNotOptimize(acc.data());
-    }
-  }
-  state.counters["MACs/s"] = benchmark::Counter(
-      static_cast<double>(kDwPixels * kDwTaps * kDwC),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_DwMicro_i32);
 
 void BM_DwMicro_u8s16(benchmark::State& state) {
   Rng rng(15);

@@ -170,11 +170,10 @@ int main(int argc, char** argv) {
   const double plan_ns =
       time_ns_per_run(iters, [&] { plan.run_into(img.data()); });
 
-  // Arena-footprint comparison: the narrow domain's u8 arenas vs what the
-  // same workload costs when every layer is forced onto the INT32 path.
-  const ExecutionPlan plan_i32(net, PlanOptions{/*allow_i8=*/false});
-  const std::int64_t arena_i8 = plan.arena_bytes();
-  const std::int64_t arena_i32 = plan_i32.arena_bytes();
+  // Arena footprint: the plan's u8 arenas next to the net's Eq. 7 RW peak
+  // (the packed activation buffers an MCU deployment holds).
+  const std::int64_t arena_u8 = plan.arena_bytes();
+  const std::int64_t rw_peak = net.rw_peak_bytes();
 
   const PlannedProfile prof =
       profile_planned(plan, img, quick ? 5 : 50);
@@ -186,10 +185,8 @@ int main(int argc, char** argv) {
             << "reference: " << ref_ns / 1e6 << " ms/inference\n"
             << "planned:   " << plan_ns / 1e6 << " ms/inference\n"
             << "speedup planned vs reference: " << ref_ns / plan_ns << "x\n"
-            << "activation arenas: " << arena_i8 << " B (i8 domain) vs "
-            << arena_i32 << " B (all-INT32), "
-            << static_cast<double>(arena_i32) / static_cast<double>(arena_i8)
-            << "x smaller\n\n"
+            << "activation arenas: " << arena_u8 << " B (u8), Eq. 7 RW peak "
+            << rw_peak << " B\n\n"
             << prof.str();
 
   // Batch serving sweep: samples/s of the registry's infer_batch at
@@ -281,19 +278,18 @@ int main(int argc, char** argv) {
      << "    \"planned_macs_per_ns\": " << prof.total_macs_per_ns() << "\n"
      << "  },\n"
      << "  \"arena\": {\n"
-     << "    \"i8_bytes\": " << arena_i8 << ",\n"
-     << "    \"i32_bytes\": " << arena_i32 << ",\n"
-     << "    \"reduction\": "
-     << static_cast<double>(arena_i32) / static_cast<double>(arena_i8)
-     << "\n  },\n"
+     << "    \"u8_bytes\": " << arena_u8 << ",\n"
+     << "    \"rw_peak_bytes\": " << rw_peak << "\n"
+     << "  },\n"
      << "  \"quantize_ns\": " << prof.quantize_ns << ",\n"
      << "  \"layers\": [\n";
   for (std::size_t i = 0; i < prof.layers.size(); ++i) {
     const auto& l = prof.layers[i];
     os << "    {\"i\": " << i << ", \"kind\": \"" << kind_name(l.kind)
-       << "\", \"domain\": \"" << domain_name(l.domain) << "\", \"tier\": \""
-       << tier_name(l.tier) << "\", \"tile\": {\"rows\": " << l.tile.rows
-       << ", \"kb\": " << l.tile.kb << ", \"nb\": " << l.tile.nb << "}"
+       << "\", \"tier\": \"" << tier_name(l.tier) << "\", \"requant\": \""
+       << requant_name(plan.layers()[i]) << "\", \"tile\": {\"rows\": "
+       << l.tile.rows << ", \"kb\": " << l.tile.kb << ", \"nb\": " << l.tile.nb
+       << "}"
        << ", \"macs\": " << l.macs << ", \"planned_ns\": " << l.ns
        << ", \"macs_per_ns\": " << l.macs_per_ns() << "}"
        << (i + 1 < prof.layers.size() ? "," : "") << "\n";

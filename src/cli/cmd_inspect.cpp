@@ -1,10 +1,10 @@
 // `mixq inspect` -- decode a flash image without running it: per-layer
 // precisions and schemes, static MAC counts from the profiler, Table-1
 // read-only footprint, the Eq. 7 activation peak, the host executor's
-// per-layer domain decision (narrow i8 vs INT32 fallback, what the
-// eligibility prover decided) with its arena footprint, and (with
-// --device) the linker-map-level memory layout an MCU engineer would
-// review before flashing.
+// per-layer kernel tier and requant epilogue (what its proofs decided)
+// with its arena and weight footprint, and (with --device) the
+// linker-map-level memory layout an MCU engineer would review before
+// flashing.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -66,11 +66,15 @@ int cmd_inspect(Args& args) {
           std::chrono::duration<double, std::micro>(t1 - t0).count();
     }
   }
-  // Host-executor plan: which domain the eligibility prover chose per
-  // layer and what the ping-pong arenas cost (vs forcing all-INT32).
+  // Host-executor plan: the tier and epilogue its proofs chose per layer,
+  // and what its ping-pong arenas and weight banks cost.
   const runtime::ExecutionPlan plan(net);
-  const runtime::ExecutionPlan plan_i32(
-      net, runtime::PlanOptions{/*allow_i8=*/false});
+  std::int64_t weight_count = 0;
+  for (const runtime::QLayer& l : net.layers) {
+    if (l.kind != runtime::QLayerKind::kGlobalAvgPool) {
+      weight_count += l.weights_numel();
+    }
+  }
 
   if (json) {
     std::string out = "{\"file\":";
@@ -104,11 +108,9 @@ int cmd_inspect(Args& args) {
       out += ",\"macs\":" + std::to_string(lp.macs);
       out += ",\"weight_bytes\":" + std::to_string(lp.weight_bytes);
       out += ",\"static_bytes\":" + std::to_string(lp.static_bytes);
-      out += ",\"domain\":\"";
-      out += runtime::domain_name(plan.layers()[i].domain);
-      out += "\"";
       const runtime::PlannedLayer& pl = plan.layers()[i];
       out += ",\"tier\":\"" + std::string(runtime::tier_name(pl.tier)) + "\"";
+      out += ",\"requant\":\"" + std::string(runtime::requant_name(pl)) + "\"";
       out += ",\"tile\":{\"rows\":" + std::to_string(pl.tile.rows) +
              ",\"kb\":" + std::to_string(pl.tile.kb) +
              ",\"nb\":" + std::to_string(pl.tile.nb) + "}";
@@ -126,13 +128,11 @@ int cmd_inspect(Args& args) {
     out += "],\"total_macs\":" + std::to_string(prof.total_macs);
     out += ",\"ro_bytes\":" + std::to_string(prof.total_ro_bytes);
     out += ",\"rw_peak_bytes\":" + std::to_string(prof.peak_rw_bytes);
-    out += ",\"host\":{\"i8_layers\":" + std::to_string(plan.i8_layer_count());
-    out += ",\"vnni_host\":";
+    out += ",\"host\":{\"vnni_host\":";
     out += runtime::simd::vnni_enabled() ? "true" : "false";
     out += ",\"arena_bytes\":" + std::to_string(plan.arena_bytes());
-    out += ",\"arena_bytes_i32\":" + std::to_string(plan_i32.arena_bytes());
     out += ",\"weight_bytes\":" + std::to_string(plan.weight_bytes());
-    out += ",\"weight_bytes_i32\":" + std::to_string(plan_i32.weight_bytes());
+    out += ",\"weight_count\":" + std::to_string(weight_count);
     out += "}";
     out += ",\"image\":{\"payload_bytes\":" +
            std::to_string(img.payload_bytes);
@@ -185,8 +185,8 @@ int cmd_inspect(Args& args) {
               (long long)in.h, (long long)in.w, (long long)in.c,
               core::bits(net.input_qp.q), net.input_qp.scale,
               net.input_qp.zero);
-  std::printf("\n%3s %-5s %-7s %-4s %-8s %-11s %-14s %-14s %-8s %12s %10s\n",
-              "i", "kind", "scheme", "dom", "tier", "tile", "in", "out",
+  std::printf("\n%3s %-5s %-7s %-8s %-7s %-11s %-14s %-14s %-8s %12s %10s\n",
+              "i", "kind", "scheme", "tier", "requant", "tile", "in", "out",
               "Qx/Qw/Qy", "MACs", "RO bytes");
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
     const runtime::QLayer& l = net.layers[i];
@@ -208,12 +208,12 @@ int cmd_inspect(Args& args) {
                       (long long)pl.tile.nb);
       }
     }
-    std::printf("%3zu %-5s %-7s %-4s %-8s %-11s %-14s %-14s %-8s %12lld "
+    std::printf("%3zu %-5s %-7s %-8s %-7s %-11s %-14s %-14s %-8s %12lld "
                 "%10lld\n",
                 i, runtime::kind_name(l.kind), scheme_slug(l.scheme),
-                runtime::domain_name(pl.domain), runtime::tier_name(pl.tier),
-                tbuf, l.in_shape.str().c_str(), l.out_shape.str().c_str(),
-                qbuf, (long long)lp.macs, (long long)lp.ro_bytes());
+                runtime::tier_name(pl.tier), runtime::requant_name(pl), tbuf,
+                l.in_shape.str().c_str(), l.out_shape.str().c_str(), qbuf,
+                (long long)lp.macs, (long long)lp.ro_bytes());
   }
   std::printf("\ntotal: %lld MACs, RO %lld bytes, RW peak %lld bytes\n",
               (long long)prof.total_macs, (long long)prof.total_ro_bytes,
@@ -242,15 +242,11 @@ int cmd_inspect(Args& args) {
                     : 1.0);
   }
   std::printf(
-      "host executor: %lld/%zu layers in the i8 domain, activation arenas "
-      "%lld bytes (all-INT32 plan: %lld bytes, %.2fx larger), weights "
-      "%lld bytes (%.2fx the RO bytes; all-INT32 plan: %lld bytes)\n",
-      (long long)plan.i8_layer_count(), net.layers.size(),
-      (long long)plan.arena_bytes(), (long long)plan_i32.arena_bytes(),
-      (double)plan_i32.arena_bytes() / (double)plan.arena_bytes(),
-      (long long)plan.weight_bytes(),
-      (double)plan.weight_bytes() / (double)prof.total_ro_bytes,
-      (long long)plan_i32.weight_bytes());
+      "host executor: u8 activation arenas %lld bytes (RW peak %lld bytes), "
+      "weights %lld bytes for %lld weights (%.2fx the RO bytes)\n",
+      (long long)plan.arena_bytes(), (long long)prof.peak_rw_bytes,
+      (long long)plan.weight_bytes(), (long long)weight_count,
+      (double)plan.weight_bytes() / (double)prof.total_ro_bytes);
   if (device_name) {
     const mcu::DeviceSpec dev = parse_device(*device_name);
     const mcu::MemoryMap map = mcu::build_memory_map(net, dev);

@@ -27,13 +27,16 @@ QuantParams make_symmetric_params(float b, BitWidth q) {
 }
 
 std::int32_t quantize_value(float t, const QuantParams& p, RoundMode mode) {
+  // Clamp in float before converting: any magnitude, infinities included,
+  // saturates, and the conversion below is always in range. Clamping to
+  // [-1, qmax] changes no other code; NaN codes as 0.
   const float scaled = t / p.scale + static_cast<float>(p.zero);
-  std::int32_t code;
-  if (mode == RoundMode::kNearest) {
-    code = static_cast<std::int32_t>(std::lround(scaled));
-  } else {
-    code = static_cast<std::int32_t>(std::floor(scaled));
-  }
+  if (std::isnan(scaled)) return 0;
+  const float s = std::clamp(scaled, -1.0f, static_cast<float>(qmax(p.q)));
+  const std::int32_t code =
+      mode == RoundMode::kNearest
+          ? static_cast<std::int32_t>(std::lround(s))
+          : static_cast<std::int32_t>(std::floor(s));
   return std::clamp(code, 0, qmax(p.q));
 }
 

@@ -33,17 +33,24 @@ std::vector<std::vector<float>*> all_arrays(core::QatModel& model) {
 
 std::vector<std::uint8_t> save_checkpoint(core::QatModel& model) {
   const auto arrays = all_arrays(model);
-  std::vector<std::uint8_t> blob;
-  blob.insert(blob.end(), kMagic, kMagic + sizeof(kMagic));
-  const auto put_u64 = [&](std::uint64_t v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    blob.insert(blob.end(), p, p + sizeof(v));
+  // Sized once and filled by memcpy: GCC 12 at -O3 reports false
+  // -Wstringop-overflow / -Warray-bounds on a vector grown by insert().
+  std::size_t bytes = sizeof(kMagic) + sizeof(std::uint64_t);
+  for (const auto* a : arrays) {
+    bytes += sizeof(std::uint64_t) + a->size() * sizeof(float);
+  }
+  std::vector<std::uint8_t> blob(bytes);
+  std::size_t pos = 0;
+  const auto put = [&](const void* p, std::size_t n) {
+    if (n > 0) std::memcpy(blob.data() + pos, p, n);
+    pos += n;
   };
+  const auto put_u64 = [&](std::uint64_t v) { put(&v, sizeof(v)); };
+  put(kMagic, sizeof(kMagic));
   put_u64(arrays.size());
   for (const auto* a : arrays) {
     put_u64(a->size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(a->data());
-    blob.insert(blob.end(), p, p + a->size() * sizeof(float));
+    put(a->data(), a->size() * sizeof(float));
   }
   return blob;
 }

@@ -564,12 +564,12 @@ QuantizedNet parse_image(const std::uint8_t* data, std::size_t size,
   net.validate();
   // Finally the resource ceiling: the declared geometry fixes the
   // input+output activation pair every layer needs (Eq. 7). The bound is
-  // taken on the UNPACKED INT32 working set -- 4 bytes per element, what
-  // the host executor's ping-pong arenas actually allocate when a plan is
-  // compiled -- not on the packed bit-width bytes, which understate the
-  // host cost by up to 16x at Q2. A CRC-valid image whose geometry
-  // implies more than the limit is rejected here, before any executor
-  // allocates for it.
+  // taken at 4 bytes per element, not on the packed bit-width bytes. That
+  // is conservative: the plan's ping-pong arenas hold one u8 byte per
+  // element, and no host arena holds INT32 activations any more (the
+  // reference executor's packed buffers hold less still). A CRC-valid
+  // image whose geometry implies more than the limit is rejected here,
+  // before any executor allocates for it.
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
     const QLayer& l = net.layers[i];
     const std::int64_t pair_bytes =

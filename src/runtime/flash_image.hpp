@@ -71,10 +71,10 @@ inline constexpr std::uint32_t kFlashImageVersion = 2;
 ///     (so a crafted length can never drive an allocation; this check is
 ///     unconditional, not configurable), and
 ///   * any layer whose input+output activation pair (the Eq. 7 quantity)
-///     exceeds `max_activation_pair_bytes`, measured as the UNPACKED
-///     INT32 working set (4 bytes/element) the host executor's ping-pong
-///     arenas allocate when a plan is compiled -- the packed bit-width
-///     bytes would understate the host cost by up to 16x at Q2.
+///     exceeds `max_activation_pair_bytes`, measured at 4 bytes/element.
+///     That is conservative: a compiled plan's ping-pong arenas hold one
+///     u8 byte per element (no host arena holds INT32 activations), and
+///     the packed bit-width bytes are smaller still.
 /// The default is far above every real MCU deployment (the paper's
 /// largest target has 512 kB of RAM) while still bounding what a loaded
 /// image can make the host allocate.

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/quantizer.hpp"
 #include "core/thresholds.hpp"
@@ -74,142 +73,92 @@ std::vector<T> tap_major(const std::int32_t* w, std::int64_t taps,
 }
 
 /// Requantize the channel chunk [c0, c0 + len) of one output row of raw
-/// int32 accumulators (sum X*(W-Zw)): the vectorized table when provably
-/// exact (the VNNI requantizer on VNNI-tier layers, whose vpsravq needs no
-/// bias trick), the scalar reference otherwise. `acc`/`o` point AT the
-/// chunk; c0 offsets the per-channel tables. Bit-exact on every path; the
-/// u8 store never truncates (codes are in [0, qmax(qy)] <= 255).
-template <typename OutT>
+/// int32 accumulators (sum X*(W-Zw)) into u8 codes, through the epilogue
+/// the plan chose for the layer: the vectorized table when provably exact
+/// (the VNNI requantizer on VNNI-tier layers, whose vpsravq needs no bias
+/// trick), the scalar requantize() otherwise (threshold scheme, or a table
+/// refused by its exactness check). `acc`/`o` point AT the chunk; c0
+/// offsets the per-channel tables. Bit-exact on every path; the u8 store
+/// never truncates (codes are in [0, qmax(qy)] <= 255).
 inline void requant_chunk(const PlannedLayer& pl, const std::int32_t* acc,
-                          OutT* o, std::int64_t c0, std::int64_t len) {
+                          std::uint8_t* o, std::int64_t c0,
+                          std::int64_t len) {
   if (pl.rq.usable) {
-    if constexpr (std::is_same_v<OutT, std::uint8_t>) {
-      if (pl.tier == KernelTier::kVnni) {
-        simd::vnni_requant_u8(acc, pl.rq.add.data() + c0,
-                              pl.rq.m0.data() + c0, pl.rq.shift.data() + c0,
-                              pl.rq.zy, pl.rq.hi, o, len);
-        return;
-      }
-      simd::requant_icn_u8(pl.rq, acc, pl.rq.add.data() + c0, o, len, c0);
-    } else {
-      simd::requant_icn_i32(pl.rq, acc, pl.rq.add.data() + c0, o, len, c0);
+    if (pl.tier == KernelTier::kVnni) {
+      simd::vnni_requant_u8(acc, pl.rq.add.data() + c0, pl.rq.m0.data() + c0,
+                            pl.rq.shift.data() + c0, pl.rq.zy, pl.rq.hi, o,
+                            len);
+      return;
     }
+    simd::requant_icn_u8(pl.rq, acc, pl.rq.add.data() + c0, o, len, c0);
     return;
   }
   const QLayer& l = *pl.layer;
   const std::int64_t zx = l.zx;
   for (std::int64_t j = 0; j < len; ++j) {
     const std::int64_t oc = c0 + j;
-    o[j] = static_cast<OutT>(requantize(
+    o[j] = static_cast<std::uint8_t>(requantize(
         l, static_cast<std::int64_t>(acc[j]) - zx * pl.wsum[oc], oc));
   }
 }
 
 /// Whole-row requantize (the unblocked common case).
-template <typename OutT>
 inline void requant_row(const PlannedLayer& pl, const std::int32_t* acc,
-                        OutT* o, std::int64_t co) {
+                        std::uint8_t* o, std::int64_t co) {
   requant_chunk(pl, acc, o, 0, co);
 }
 
-/// Border-config requantize (depthwise): vector table with the window's
-/// pre-add, stored at either width.
-template <typename OutT>
+/// Border-config requantize (depthwise, vector table only): the window's
+/// pre-add in place of rq.add.
 inline void requant_border(const PlannedLayer& pl, const std::int32_t* acc,
-                           const std::int32_t* addv, OutT* o,
+                           const std::int32_t* addv, std::uint8_t* o,
                            std::int64_t co) {
-  if constexpr (std::is_same_v<OutT, std::uint8_t>) {
-    if (pl.tier == KernelTier::kVnni) {
-      simd::vnni_requant_u8(acc, addv, pl.rq.m0.data(), pl.rq.shift.data(),
-                            pl.rq.zy, pl.rq.hi, o, co);
-      return;
-    }
-    simd::requant_icn_u8(pl.rq, acc, addv, o, co);
-  } else {
-    simd::requant_icn_i32(pl.rq, acc, addv, o, co);
+  if (pl.tier == KernelTier::kVnni) {
+    simd::vnni_requant_u8(acc, addv, pl.rq.m0.data(), pl.rq.shift.data(),
+                          pl.rq.zy, pl.rq.hi, o, co);
+    return;
   }
+  simd::requant_icn_u8(pl.rq, acc, addv, o, co);
 }
 
-/// Register-blocked integer GEMM over an im2col matrix A (rows [m0, m1) of
-/// K raw input codes), INT32 accumulators (the plan proved them
-/// overflow-free, which is also why SIMD re-association is exact). The
-/// micro-kernel is 4 output channels x 8 int32 lanes (x 2 rows so each
-/// weight vector load is shared); accumulator rows land in row_acc, then
-/// requantize as a row. The input zero-point is folded in via the
-/// precomputed full-kernel weight sums (every tap of a GEMM layer is
-/// always valid).
-template <typename OutT>
-void gemm_rows_i32(const PlannedLayer& pl, const std::int32_t* A,
-                   std::int64_t m0, std::int64_t m1, std::int64_t K,
-                   OutT* out, std::int32_t* row_acc) {
-  const std::int64_t co = pl.layer->wshape.co;
-  const std::int32_t* W = pl.w.data();
-  std::int64_t m = m0;
-  for (; m + 2 <= m1; m += 2) {
-    const std::int32_t* a0 = A + m * K;
-    const std::int32_t* a1 = a0 + K;
-    std::int32_t* acc0 = row_acc;
-    std::int32_t* acc1 = row_acc + co;
-    std::fill(row_acc, row_acc + 2 * co, 0);
-    std::int64_t oc = 0;
-    for (; oc + 4 <= co; oc += 4) {
-      const std::int32_t* wr = W + oc * K;
-      simd::dot2x4_i32(a0, a1, wr, wr + K, wr + 2 * K, wr + 3 * K, K,
-                       acc0 + oc, acc1 + oc);
-    }
-    for (; oc < co; ++oc) {
-      acc0[oc] = simd::dot_i32(a0, W + oc * K, K);
-      acc1[oc] = simd::dot_i32(a1, W + oc * K, K);
-    }
-    requant_row(pl, acc0, out + m * co, co);
-    requant_row(pl, acc1, out + (m + 1) * co, co);
+// ---------------------------------------------------------------------------
+// Int64 loops: layers that fail acc32 (fan-in too large for provably safe
+// int32 sums). Scalar, u8 codes in and out, INT32 offset weights.
+// ---------------------------------------------------------------------------
+
+/// sum_k x[k] * w[k] in int64.
+inline std::int64_t dot_i64(const std::uint8_t* __restrict__ x,
+                            const std::int32_t* __restrict__ w,
+                            std::int64_t n) {
+  std::int64_t acc = 0;
+  for (std::int64_t k = 0; k < n; ++k) {
+    acc += static_cast<std::int64_t>(x[k]) * w[k];
   }
-  for (; m < m1; ++m) {
-    const std::int32_t* a = A + m * K;
-    std::fill(row_acc, row_acc + co, 0);
-    std::int64_t oc = 0;
-    for (; oc + 4 <= co; oc += 4) {
-      const std::int32_t* wr = W + oc * K;
-      simd::dot1x4_i32(a, wr, wr + K, wr + 2 * K, wr + 3 * K, K,
-                       row_acc + oc);
-    }
-    for (; oc < co; ++oc) row_acc[oc] = simd::dot_i32(a, W + oc * K, K);
-    requant_row(pl, row_acc, out + m * co, co);
-  }
+  return acc;
 }
 
-/// INT64-accumulator GEMM fallback (fan-in too large for provably safe
-/// INT32): plain scalar dots, requantized inline.
-template <typename OutT>
-void gemm_rows_i64(const PlannedLayer& pl, const std::int32_t* A,
+/// Rows [m0, m1) of K codes each against the layer's INT32 bank (a linear
+/// layer is one row), requantized inline.
+void gemm_rows_i64(const PlannedLayer& pl, const std::uint8_t* A,
                    std::int64_t m0, std::int64_t m1, std::int64_t K,
-                   OutT* out) {
+                   std::uint8_t* out) {
   const QLayer& l = *pl.layer;
   const std::int64_t co = l.wshape.co;
   const std::int64_t zx = l.zx;
-  const std::int32_t* W = pl.w.data();
   for (std::int64_t m = m0; m < m1; ++m) {
-    const std::int32_t* __restrict__ a = A + m * K;
-    OutT* o = out + m * co;
     for (std::int64_t oc = 0; oc < co; ++oc) {
-      const std::int32_t* __restrict__ w0 = W + oc * K;
-      std::int64_t acc = 0;
-      for (std::int64_t k = 0; k < K; ++k) {
-        acc += static_cast<std::int64_t>(a[k]) * w0[k];
-      }
-      o[oc] = static_cast<OutT>(
+      const std::int64_t acc = dot_i64(A + m * K, pl.w.data() + oc * K, K);
+      out[m * co + oc] = static_cast<std::uint8_t>(
           requantize(l, acc - zx * pl.wsum[oc], oc));
     }
   }
 }
 
-/// General KxK convolution over output rows [r0, r1), interior/border
-/// split, INT32 accumulators. Interior pixels accumulate all `co` channels
-/// into row_acc (4-channel dot blocks, each tap row a contiguous kw*ci dot
-/// product), then requantize as a row.
-template <typename OutT>
-void conv_rows_i32(const PlannedLayer& pl, const std::int32_t* x, OutT* y,
-                   std::int64_t r0, std::int64_t r1, std::int32_t* row_acc) {
+/// KxK convolution over output rows [r0, r1): each tap row is a contiguous
+/// kw*ci dot; border pixels dot their clamped rectangle and fold Zx in
+/// through the valid taps' weight sums.
+void conv_rows_i64(const PlannedLayer& pl, const std::uint8_t* x,
+                   std::uint8_t* y, std::int64_t r0, std::int64_t r1) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
   const Shape& os = l.out_shape;
@@ -220,130 +169,34 @@ void conv_rows_i32(const PlannedLayer& pl, const std::int32_t* x, OutT* y,
   const std::int64_t stride = l.spec.stride;
   const std::int64_t pad = l.spec.pad;
   const std::int64_t row = is.w * C;
-  const std::int64_t klen = kw * C;
   const std::int64_t per = l.wshape.per_channel();
   const std::int64_t zx = l.zx;
   const std::int32_t* W = pl.w.data();
 
   for (std::int64_t oh = r0; oh < r1; ++oh) {
-    const bool row_interior = oh >= pl.oh0 && oh < pl.oh1;
     const std::int64_t ih0 = oh * stride - pad;
-    OutT* orow = y + oh * os.w * co;
+    const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
+    const std::int64_t ky1 = std::min(kh, is.h - ih0);
     for (std::int64_t ow = 0; ow < os.w; ++ow) {
-      OutT* o = orow + ow * co;
+      std::uint8_t* o = y + (oh * os.w + ow) * co;
       const std::int64_t iw0 = ow * stride - pad;
-      if (row_interior && ow >= pl.ow0 && ow < pl.ow1) {
-        const std::int32_t* xb = x + ih0 * row + iw0 * C;
-        std::fill(row_acc, row_acc + co, 0);
-        std::int64_t oc = 0;
-        for (; oc + 4 <= co; oc += 4) {
-          const std::int32_t* w0 = W + oc * per;
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int32_t* xr = xb + ky * row;
-            const std::int64_t wb = ky * klen;
-            simd::dot1x4_i32(xr, w0 + wb, w0 + per + wb, w0 + 2 * per + wb,
-                             w0 + 3 * per + wb, klen, row_acc + oc);
-          }
-        }
-        for (; oc < co; ++oc) {
-          const std::int32_t* w0 = W + oc * per;
-          std::int32_t acc = 0;
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            acc += simd::dot_i32(xb + ky * row, w0 + ky * klen, klen);
-          }
-          row_acc[oc] = acc;
-        }
-        requant_row(pl, row_acc, o, co);
-      } else {
-        // Border: the valid taps form a clamped rectangle, so the dot is
-        // still contiguous per tap row and the Zx correction is a
-        // rectangle sum over the precomputed tap sums.
-        const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
-        const std::int64_t ky1 = std::min(kh, is.h - ih0);
-        const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
-        const std::int64_t kx1 = std::min(kw, is.w - iw0);
-        const std::int64_t seg = (kx1 - kx0) * C;
-        for (std::int64_t oc = 0; oc < co; ++oc) {
-          const std::int32_t* wch = W + oc * per;
-          const std::int64_t* ts = pl.tap_sum.data() + oc * kh * kw;
-          std::int32_t acc = 0;
-          std::int64_t svalid = 0;
-          for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-            const std::int32_t* xr = x + (ih0 + ky) * row + (iw0 + kx0) * C;
-            const std::int32_t* wr = wch + (ky * kw + kx0) * C;
-            acc += simd::dot_i32(xr, wr, seg);
-            for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-              svalid += ts[ky * kw + kx];
-            }
-          }
-          o[oc] = static_cast<OutT>(requantize(
-              l, static_cast<std::int64_t>(acc) - zx * svalid, oc));
-        }
-      }
-    }
-  }
-}
-
-/// INT64-accumulator KxK convolution fallback over output rows [r0, r1).
-template <typename OutT>
-void conv_rows_i64(const PlannedLayer& pl, const std::int32_t* x, OutT* y,
-                   std::int64_t r0, std::int64_t r1) {
-  const QLayer& l = *pl.layer;
-  const Shape& is = l.in_shape;
-  const Shape& os = l.out_shape;
-  const std::int64_t C = is.c;
-  const std::int64_t co = os.c;
-  const std::int64_t kh = l.spec.kh;
-  const std::int64_t kw = l.spec.kw;
-  const std::int64_t stride = l.spec.stride;
-  const std::int64_t pad = l.spec.pad;
-  const std::int64_t row = is.w * C;
-  const std::int64_t klen = kw * C;
-  const std::int64_t per = l.wshape.per_channel();
-  const std::int64_t zx = l.zx;
-  const std::int32_t* W = pl.w.data();
-
-  for (std::int64_t oh = r0; oh < r1; ++oh) {
-    const bool row_interior = oh >= pl.oh0 && oh < pl.oh1;
-    const std::int64_t ih0 = oh * stride - pad;
-    OutT* orow = y + oh * os.w * co;
-    for (std::int64_t ow = 0; ow < os.w; ++ow) {
-      OutT* o = orow + ow * co;
-      const std::int64_t iw0 = ow * stride - pad;
-      const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
-      const std::int64_t ky1 = std::min(kh, is.h - ih0);
       const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
       const std::int64_t kx1 = std::min(kw, is.w - iw0);
-      const bool interior = row_interior && ow >= pl.ow0 && ow < pl.ow1;
       const std::int64_t seg = (kx1 - kx0) * C;
       for (std::int64_t oc = 0; oc < co; ++oc) {
         const std::int32_t* wch = W + oc * per;
+        const std::int64_t* ts = pl.tap_sum.data() + oc * kh * kw;
         std::int64_t acc = 0;
-        if (interior) {
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int32_t* xr = x + ih0 * row + iw0 * C + ky * row;
-            const std::int32_t* wr = wch + ky * klen;
-            for (std::int64_t k = 0; k < klen; ++k) {
-              acc += static_cast<std::int64_t>(xr[k]) * wr[k];
-            }
+        std::int64_t svalid = 0;
+        for (std::int64_t ky = ky0; ky < ky1; ++ky) {
+          acc += dot_i64(x + (ih0 + ky) * row + (iw0 + kx0) * C,
+                         wch + (ky * kw + kx0) * C, seg);
+          for (std::int64_t kx = kx0; kx < kx1; ++kx) {
+            svalid += ts[ky * kw + kx];
           }
-          o[oc] = static_cast<OutT>(
-              requantize(l, acc - zx * pl.wsum[oc], oc));
-        } else {
-          const std::int64_t* ts = pl.tap_sum.data() + oc * kh * kw;
-          std::int64_t svalid = 0;
-          for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-            const std::int32_t* xr = x + (ih0 + ky) * row + (iw0 + kx0) * C;
-            const std::int32_t* wr = wch + (ky * kw + kx0) * C;
-            for (std::int64_t k = 0; k < seg; ++k) {
-              acc += static_cast<std::int64_t>(xr[k]) * wr[k];
-            }
-            for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-              svalid += ts[ky * kw + kx];
-            }
-          }
-          o[oc] = static_cast<OutT>(requantize(l, acc - zx * svalid, oc));
         }
+        o[oc] =
+            static_cast<std::uint8_t>(requantize(l, acc - zx * svalid, oc));
       }
     }
   }
@@ -368,13 +221,12 @@ inline const std::int32_t* border_add_for(const PlannedLayer& pl,
 }
 
 /// Depthwise border pixel: per-channel scalar taps over the clamped
-/// rectangle of the tap-major bank `wt` (taps x C: the INT32 transpose in
-/// the wide domain, the s16 bank in the narrow one). Shared by every
-/// depthwise kernel -- XT is the activation storage type, AccT the proven
-/// accumulator width.
-template <typename AccT, typename XT, typename WT, typename OutT>
-void depthwise_border_pixel(const PlannedLayer& pl, const XT* x,
-                            const WT* wt, OutT* o, std::int64_t ih0,
+/// rectangle of the tap-major bank `wt` (taps x C: the s16 bank of a
+/// tiered layer, the INT32 one of an int64 layer) with the scalar
+/// requantize(). AccT is the proven accumulator width.
+template <typename AccT, typename WT>
+void depthwise_border_pixel(const PlannedLayer& pl, const std::uint8_t* x,
+                            const WT* wt, std::uint8_t* o, std::int64_t ih0,
                             std::int64_t iw0) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
@@ -389,145 +241,39 @@ void depthwise_border_pixel(const PlannedLayer& pl, const XT* x,
     AccT acc = 0;
     std::int64_t svalid = 0;
     for (std::int64_t ky = win.ky0; ky < win.ky1; ++ky) {
-      const XT* xr = x + (ih0 + ky) * row + c;
+      const std::uint8_t* xr = x + (ih0 + ky) * row + c;
       for (std::int64_t kx = win.kx0; kx < win.kx1; ++kx) {
         acc += static_cast<AccT>(xr[(iw0 + kx) * C]) *
                wt[(ky * kw + kx) * C + c];
         svalid += ts[ky * kw + kx];
       }
     }
-    o[c] = static_cast<OutT>(requantize(
+    o[c] = static_cast<std::uint8_t>(requantize(
         l, static_cast<std::int64_t>(acc) - zx * svalid, c));
   }
 }
 
-/// Depthwise interior with INT32 accumulators over output rows [r0, r1):
-/// tap-major loop over the transposed weight bank, so every inner
-/// iteration is a contiguous SIMD multiply-accumulate across channels.
-template <typename OutT>
-void depthwise_rows_i32(const PlannedLayer& pl, const std::int32_t* x,
-                        OutT* y, std::int64_t r0, std::int64_t r1,
-                        std::int32_t* __restrict__ acc) {
+/// Depthwise over output rows [r0, r1) in int64: every pixel takes the
+/// clamped-window loop (an interior window is the whole kernel).
+void depthwise_rows_i64(const PlannedLayer& pl, const std::uint8_t* x,
+                        std::uint8_t* y, std::int64_t r0, std::int64_t r1) {
   const QLayer& l = *pl.layer;
-  const Shape& is = l.in_shape;
-  const Shape& os = l.out_shape;
-  const std::int64_t C = is.c;
-  const std::int64_t kh = l.spec.kh;
-  const std::int64_t kw = l.spec.kw;
-  const std::int64_t stride = l.spec.stride;
-  const std::int64_t pad = l.spec.pad;
-  const std::int64_t row = is.w * C;
-  const std::int64_t per = kh * kw;
-  const std::int64_t* toff = pl.tap_off.data();
-  const std::int32_t* wt = pl.wt.data();
-
-  for (std::int64_t oh = r0; oh < r1; ++oh) {
-    const bool row_interior = oh >= pl.oh0 && oh < pl.oh1;
-    const std::int64_t ih0 = oh * stride - pad;
-    OutT* orow = y + oh * os.w * C;
-    for (std::int64_t ow = 0; ow < os.w; ++ow) {
-      OutT* o = orow + ow * C;
-      const std::int64_t iw0 = ow * stride - pad;
-      if (row_interior && ow >= pl.ow0 && ow < pl.ow1) {
-        simd::dw_dot_i32(x + ih0 * row + iw0 * C, toff, wt, per, C, acc);
-        requant_row(pl, acc, o, C);
-      } else if (pl.rq.usable) {
-        // Vector border: MAC the valid-tap rectangle across channels, then
-        // requantize with this window's precomputed pre-add.
-        const TapWindow win = tap_window(l, ih0, iw0);
-        const std::int32_t* addv = border_add_for(pl, win);
-        if (addv == nullptr) {
-          depthwise_border_pixel<std::int32_t>(pl, x, wt, o, ih0, iw0);
-          continue;
-        }
-        std::fill(acc, acc + C, 0);
-        for (std::int64_t ky = win.ky0; ky < win.ky1; ++ky) {
-          for (std::int64_t kx = win.kx0; kx < win.kx1; ++kx) {
-            simd::mac_i32(acc, x + (ih0 + ky) * row + (iw0 + kx) * C,
-                          wt + (ky * kw + kx) * C, C);
-          }
-        }
-        requant_border(pl, acc, addv, o, C);
-      } else {
-        depthwise_border_pixel<std::int32_t>(pl, x, wt, o, ih0, iw0);
-      }
-    }
-  }
-}
-
-/// INT64-accumulator depthwise fallback over output rows [r0, r1).
-template <typename OutT>
-void depthwise_rows_i64(const PlannedLayer& pl, const std::int32_t* x,
-                        OutT* y, std::int64_t r0, std::int64_t r1) {
-  const QLayer& l = *pl.layer;
-  const Shape& is = l.in_shape;
-  const Shape& os = l.out_shape;
-  const std::int64_t C = is.c;
-  const std::int64_t stride = l.spec.stride;
-  const std::int64_t pad = l.spec.pad;
-  const std::int64_t row = is.w * C;
-  const std::int64_t per = l.spec.kh * l.spec.kw;
-  const std::int64_t zx = l.zx;
-  const std::int32_t* W = pl.w.data();
-  const std::int64_t* toff = pl.tap_off.data();
-
-  for (std::int64_t oh = r0; oh < r1; ++oh) {
-    const bool row_interior = oh >= pl.oh0 && oh < pl.oh1;
-    const std::int64_t ih0 = oh * stride - pad;
-    OutT* orow = y + oh * os.w * C;
-    for (std::int64_t ow = 0; ow < os.w; ++ow) {
-      OutT* o = orow + ow * C;
-      const std::int64_t iw0 = ow * stride - pad;
-      if (row_interior && ow >= pl.ow0 && ow < pl.ow1) {
-        const std::int32_t* xb = x + ih0 * row + iw0 * C;
-        for (std::int64_t c = 0; c < C; ++c) {
-          const std::int32_t* wch = W + c * per;
-          std::int64_t acc = 0;
-          for (std::int64_t t = 0; t < per; ++t) {
-            acc += static_cast<std::int64_t>(xb[toff[t] + c]) * wch[t];
-          }
-          o[c] = static_cast<OutT>(
-              requantize(l, acc - zx * pl.wsum[c], c));
-        }
-      } else {
-        depthwise_border_pixel<std::int64_t>(pl, x, pl.wt.data(), o, ih0,
-                                             iw0);
-      }
-    }
-  }
-}
-
-template <typename OutT>
-void gap_plan(const PlannedLayer& pl, const std::int32_t* x, OutT* y,
-              std::int32_t* row_acc) {
-  // Raw codes, floor division: preserves scale and zero-point exactly as
-  // the reference kernel does. Codes are non-negative, so the INT32
-  // vector-accumulated path divides to the identical quotient.
-  const QLayer& l = *pl.layer;
-  const std::int64_t hw = l.in_shape.h * l.in_shape.w;
+  const std::int64_t ow_n = l.out_shape.w;
   const std::int64_t C = l.in_shape.c;
-  if (pl.pool32) {
-    std::fill(row_acc, row_acc + C, 0);
-    for (std::int64_t r = 0; r < hw; ++r) {
-      simd::add_i32(row_acc, x + r * C, C);
+  for (std::int64_t oh = r0; oh < r1; ++oh) {
+    for (std::int64_t ow = 0; ow < ow_n; ++ow) {
+      depthwise_border_pixel<std::int64_t>(
+          pl, x, pl.wt.data(), y + (oh * ow_n + ow) * C,
+          oh * l.spec.stride - l.spec.pad, ow * l.spec.stride - l.spec.pad);
     }
-    for (std::int64_t c = 0; c < C; ++c) {
-      y[c] = static_cast<OutT>(row_acc[c] / hw);
-    }
-    return;
-  }
-  for (std::int64_t c = 0; c < C; ++c) {
-    std::int64_t sum = 0;
-    for (std::int64_t r = 0; r < hw; ++r) sum += x[r * C + c];
-    y[c] = static_cast<OutT>(sum / hw);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Narrow-domain (u8 activation) layer kernels.
+// Kernel-tier layer kernels.
 // ---------------------------------------------------------------------------
 
-/// u8 im2col for output pixels [m0, m1) of a narrow conv's GEMM, written
+/// u8 im2col for output pixels [m0, m1) of a tiered conv's GEMM, written
 /// to a row tile at `col` (pixel m lands at (m - m0) * kp): each output
 /// pixel becomes one row of kp bytes (the layer's padded K). Out-of-bounds
 /// taps are filled with the input zero-point Zx -- algebraically identical
@@ -613,8 +359,7 @@ void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
 }
 
 /// gemm8_rows epilogue of a requantizing layer: output rows co apart.
-template <typename OutT>
-auto requant_to(const PlannedLayer& pl, OutT* out) {
+auto requant_to(const PlannedLayer& pl, std::uint8_t* out) {
   const std::int64_t co = pl.layer->wshape.co;
   return [&pl, out, co](const std::int32_t* acc, std::int64_t m,
                         std::int64_t c0, std::int64_t len) {
@@ -622,7 +367,7 @@ auto requant_to(const PlannedLayer& pl, OutT* out) {
   };
 }
 
-/// Narrow GEMM over rows [m0, m1), dispatched on the layer's plan-time
+/// Tiered GEMM over rows [m0, m1), dispatched on the layer's plan-time
 /// kernel tier: the VNNI panel (vpdpbusd, no pair bound; zero-point split
 /// layers add (128 - Zw[oc]) * rowsum once a channel chunk's K loop is
 /// done), the AVX2-era s8 panel (i16-pair bound proven), or the u8 x s16
@@ -774,11 +519,11 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
 
 /// Direct depthwise u8 kernel over output rows [r0, r1): no im2col --
 /// interior pixels run the pair-interleaved widening dot across channels
-/// and requantize straight back to the output storage; border windows MAC
-/// their valid taps elementwise and requantize with the window's
-/// precomputed pre-add (rq is always usable in the narrow domain).
-template <typename OutT>
-void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
+/// and requantize straight back to u8; with a vector table, border windows
+/// MAC their valid taps elementwise and requantize with the window's
+/// precomputed pre-add, and without one they take the scalar border pixel.
+void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x,
+                     std::uint8_t* y,
                      std::int64_t r0, std::int64_t r1,
                      std::int32_t* __restrict__ acc) {
   const QLayer& l = *pl.layer;
@@ -796,9 +541,9 @@ void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
   for (std::int64_t oh = r0; oh < r1; ++oh) {
     const bool row_interior = oh >= pl.oh0 && oh < pl.oh1;
     const std::int64_t ih0 = oh * stride - pad;
-    OutT* orow = y + oh * os.w * C;
+    std::uint8_t* orow = y + oh * os.w * C;
     for (std::int64_t ow = 0; ow < os.w; ++ow) {
-      OutT* o = orow + ow * C;
+      std::uint8_t* o = orow + ow * C;
       const std::int64_t iw0 = ow * stride - pad;
       const bool vnni = pl.tier == KernelTier::kVnni;
       if (row_interior && ow >= pl.ow0 && ow < pl.ow1) {
@@ -836,10 +581,10 @@ void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
   }
 }
 
-/// Global average pool over u8 codes.
-template <typename OutT>
-void gap8_plan(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
-               std::int32_t* row_acc) {
+/// Global average pool over u8 codes. Raw codes, floor division: preserves
+/// scale and zero-point exactly as the reference kernel does.
+void gap8_plan(const PlannedLayer& pl, const std::uint8_t* x,
+               std::uint8_t* y, std::int32_t* row_acc) {
   const QLayer& l = *pl.layer;
   const std::int64_t hw = l.in_shape.h * l.in_shape.w;
   const std::int64_t C = l.in_shape.c;
@@ -849,14 +594,14 @@ void gap8_plan(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
       simd::add_u8_i32(row_acc, x + r * C, C);
     }
     for (std::int64_t c = 0; c < C; ++c) {
-      y[c] = static_cast<OutT>(row_acc[c] / hw);
+      y[c] = static_cast<std::uint8_t>(row_acc[c] / hw);
     }
     return;
   }
   for (std::int64_t c = 0; c < C; ++c) {
     std::int64_t sum = 0;
     for (std::int64_t r = 0; r < hw; ++r) sum += x[r * C + c];
-    y[c] = static_cast<OutT>(sum / hw);
+    y[c] = static_cast<std::uint8_t>(sum / hw);
   }
 }
 
@@ -868,11 +613,8 @@ void gap8_plan(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
 
 PlanArenas::PlanArenas(const ExecutionPlan& plan, int lanes_in)
     : lanes(std::max(1, lanes_in)) {
-  ping.resize(static_cast<std::size_t>(plan.ping_elems()));
-  pong.resize(static_cast<std::size_t>(plan.pong_elems()));
   ping8.resize(static_cast<std::size_t>(arena_u8_padded(plan.ping8_elems())));
   pong8.resize(static_cast<std::size_t>(arena_u8_padded(plan.pong8_elems())));
-  col.resize(static_cast<std::size_t>(plan.col_elems()));
   col8_per = arena_u8_padded(plan.col8_elems());
   col8.resize(static_cast<std::size_t>(col8_per * lanes));
   row_acc_per = plan.row_acc_elems();
@@ -999,63 +741,59 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       }
     }
 
-    if (l.kind == QLayerKind::kConv || l.kind == QLayerKind::kDepthwise) {
+    if (l.kind == QLayerKind::kDepthwise) {
       interior_bounds(l.in_shape.h, l.spec.kh, l.spec.stride, l.spec.pad,
                       l.out_shape.h, pl.oh0, pl.oh1);
       interior_bounds(l.in_shape.w, l.spec.kw, l.spec.stride, l.spec.pad,
                       l.out_shape.w, pl.ow0, pl.ow1);
-      pl.gemm = l.kind == QLayerKind::kConv && l.spec.kh == 1 &&
-                l.spec.kw == 1 && l.spec.pad == 0;
-      if (l.kind == QLayerKind::kDepthwise) {
-        const std::int64_t taps = l.spec.kh * l.spec.kw;
-        const std::int64_t C = l.in_shape.c;
-        pl.tap_off.resize(static_cast<std::size_t>(taps));
-        for (std::int64_t ky = 0; ky < l.spec.kh; ++ky) {
-          for (std::int64_t kx = 0; kx < l.spec.kw; ++kx) {
-            pl.tap_off[static_cast<std::size_t>(ky * l.spec.kw + kx)] =
-                (ky * l.in_shape.w + kx) * C;
-          }
+      const std::int64_t taps = l.spec.kh * l.spec.kw;
+      const std::int64_t C = l.in_shape.c;
+      pl.tap_off.resize(static_cast<std::size_t>(taps));
+      for (std::int64_t ky = 0; ky < l.spec.kh; ++ky) {
+        for (std::int64_t kx = 0; kx < l.spec.kw; ++kx) {
+          pl.tap_off[static_cast<std::size_t>(ky * l.spec.kw + kx)] =
+              (ky * l.in_shape.w + kx) * C;
         }
-        // Border requant configs: one pre-add vector (bq - Zx*svalid) per
-        // distinct clamped tap window, so border pixels stay on the
-        // vector path. Usability bounds: |svalid| is a tap subset of
-        // wsum, so |Zx*svalid| <= phi_bound and the |bq| + phi_bound
-        // check above covers every config.
-        if (pl.rq.usable) {
-          std::vector<std::pair<std::int64_t, std::int64_t>> kyw, kxw;
-          for (std::int64_t oh = 0; oh < l.out_shape.h; ++oh) {
-            const std::int64_t ih0 = oh * l.spec.stride - l.spec.pad;
-            kyw.emplace_back(ih0 < 0 ? -ih0 : 0,
-                             std::min(l.spec.kh, l.in_shape.h - ih0));
-          }
-          for (std::int64_t ow = 0; ow < l.out_shape.w; ++ow) {
-            const std::int64_t iw0 = ow * l.spec.stride - l.spec.pad;
-            kxw.emplace_back(iw0 < 0 ? -iw0 : 0,
-                             std::min(l.spec.kw, l.in_shape.w - iw0));
-          }
-          std::sort(kyw.begin(), kyw.end());
-          kyw.erase(std::unique(kyw.begin(), kyw.end()), kyw.end());
-          std::sort(kxw.begin(), kxw.end());
-          kxw.erase(std::unique(kxw.begin(), kxw.end()), kxw.end());
-          for (const auto& [ky0, ky1] : kyw) {
-            for (const auto& [kx0, kx1] : kxw) {
-              pl.border_key.push_back({ky0, ky1, kx0, kx1});
-              std::vector<std::int32_t> add(static_cast<std::size_t>(C));
-              for (std::int64_t c = 0; c < C; ++c) {
-                std::int64_t svalid = 0;
-                for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-                  for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-                    svalid += pl.tap_sum[static_cast<std::size_t>(
-                        c * taps + ky * l.spec.kw + kx)];
-                  }
+      }
+      // Border requant configs: one pre-add vector (bq - Zx*svalid) per
+      // distinct clamped tap window, so border pixels stay on the
+      // vector path. Usability bounds: |svalid| is a tap subset of
+      // wsum, so |Zx*svalid| <= phi_bound and the |bq| + phi_bound
+      // check above covers every config.
+      if (pl.rq.usable) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> kyw, kxw;
+        for (std::int64_t oh = 0; oh < l.out_shape.h; ++oh) {
+          const std::int64_t ih0 = oh * l.spec.stride - l.spec.pad;
+          kyw.emplace_back(ih0 < 0 ? -ih0 : 0,
+                           std::min(l.spec.kh, l.in_shape.h - ih0));
+        }
+        for (std::int64_t ow = 0; ow < l.out_shape.w; ++ow) {
+          const std::int64_t iw0 = ow * l.spec.stride - l.spec.pad;
+          kxw.emplace_back(iw0 < 0 ? -iw0 : 0,
+                           std::min(l.spec.kw, l.in_shape.w - iw0));
+        }
+        std::sort(kyw.begin(), kyw.end());
+        kyw.erase(std::unique(kyw.begin(), kyw.end()), kyw.end());
+        std::sort(kxw.begin(), kxw.end());
+        kxw.erase(std::unique(kxw.begin(), kxw.end()), kxw.end());
+        for (const auto& [ky0, ky1] : kyw) {
+          for (const auto& [kx0, kx1] : kxw) {
+            pl.border_key.push_back({ky0, ky1, kx0, kx1});
+            std::vector<std::int32_t> add(static_cast<std::size_t>(C));
+            for (std::int64_t c = 0; c < C; ++c) {
+              std::int64_t svalid = 0;
+              for (std::int64_t ky = ky0; ky < ky1; ++ky) {
+                for (std::int64_t kx = kx0; kx < kx1; ++kx) {
+                  svalid += pl.tap_sum[static_cast<std::size_t>(
+                      c * taps + ky * l.spec.kw + kx)];
                 }
-                add[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(
-                    static_cast<std::int64_t>(
-                        l.icn[static_cast<std::size_t>(c)].bq) -
-                    static_cast<std::int64_t>(l.zx) * svalid);
               }
-              pl.border_add.push_back(std::move(add));
+              add[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(
+                  static_cast<std::int64_t>(
+                      l.icn[static_cast<std::size_t>(c)].bq) -
+                  static_cast<std::int64_t>(l.zx) * svalid);
             }
+            pl.border_add.push_back(std::move(add));
           }
         }
       }
@@ -1067,16 +805,10 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
     }
 
     // -----------------------------------------------------------------
-    // Narrow-domain eligibility prover + weight repacking.
+    // Kernel tier + weight repacking (acc32 MAC layers). The epilogue
+    // follows rq.usable: the vector table, or the scalar requantize().
     // -----------------------------------------------------------------
-    if (l.kind == QLayerKind::kGlobalAvgPool ||
-        (l.raw_logits && !pl.acc32)) {
-      // Pool, and a head too wide for i32 sums, have no narrow MAC kernel;
-      // they read whatever codes arrive, so narrow storage is exact.
-      pl.domain = opts.allow_i8 ? ExecDomain::kI8 : ExecDomain::kI32;
-    } else if (opts.allow_i8 && pl.acc32 && (l.raw_logits || pl.rq.usable)) {
-      // The head's epilogue writes float logits: it needs only acc32.
-      pl.domain = ExecDomain::kI8;
+    if (l.kind != QLayerKind::kGlobalAvgPool && pl.acc32) {
       const std::int64_t per = l.wshape.per_channel();
       const std::int64_t co = l.wshape.co;
       if (l.kind == QLayerKind::kDepthwise) {
@@ -1194,81 +926,47 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         if (pl.tile.kb > 0) pl.tile.kb = simd::round_up(pl.tile.kb, gs.kq);
         if (pl.tile.nb > 0) pl.tile.nb = simd::round_up(pl.tile.nb, gs.ocb);
       }
-    }
-
-    // MAC layers without a narrow tier (wide, or a head failing acc32).
-    if (l.kind != QLayerKind::kGlobalAvgPool && pl.tier == KernelTier::kNone) {
+    } else if (l.kind == QLayerKind::kDepthwise) {
+      // Fails acc32: the int64 loops read the INT32 offset weights, the
+      // depthwise one tap-major.
+      pl.wt = tap_major<std::int32_t>(wbuf.data(), l.spec.kh * l.spec.kw,
+                                      l.in_shape.c);
+    } else if (l.kind != QLayerKind::kGlobalAvgPool) {
       pl.w.assign(wbuf.begin(), wbuf.begin() + l.weights_numel());
-      if (l.kind == QLayerKind::kDepthwise) {
-        pl.wt = tap_major<std::int32_t>(wbuf.data(), l.spec.kh * l.spec.kw,
-                                        l.in_shape.c);
-      }
     }
 
     layers_.push_back(std::move(pl));
   }
 
-  // -------------------------------------------------------------------
-  // Storage assignment: a tensor lives in the u8 arenas exactly when its
-  // CONSUMER runs in the narrow domain; the producer writes that type
-  // directly, so domain seams cost nothing extra.
-  // -------------------------------------------------------------------
-  const std::size_t n_layers = layers_.size();
-  for (std::size_t i = 0; i < n_layers; ++i) {
-    layers_[i].in_u8 = layers_[i].domain == ExecDomain::kI8;
-    layers_[i].out_u8 = i + 1 < n_layers
-                            ? layers_[i + 1].domain == ExecDomain::kI8
-                            : layers_[i].domain == ExecDomain::kI8;
-  }
-
-  // Arena sizing: tensor 0 (the quantized input) lives in the ping arena
-  // pair of its consumer's domain; layer i writes tensor i+1 into the
-  // opposite arena -- the same even/odd assignment mcu::build_memory_map
-  // uses for its RAM regions (Eq. 7).
-  {
-    const std::int64_t n_in = net.layers.front().in_shape.numel();
-    auto& in_cap = layers_.front().in_u8 ? ping8_elems_ : ping_elems_;
-    in_cap = std::max(in_cap, n_in);
-  }
-  for (std::size_t i = 0; i < n_layers; ++i) {
+  // Arena sizing: tensor 0 (the quantized input) lives in the ping arena;
+  // layer i writes tensor i+1 into the opposite arena -- the same even/odd
+  // assignment mcu::build_memory_map uses for its RAM regions (Eq. 7).
+  ping8_elems_ = net.layers.front().in_shape.numel();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
     const QLayer& l = net.layers[i];
-    const PlannedLayer& pl = layers_[i];
     if (l.raw_logits) continue;
-    const bool even = (i + 1) % 2 == 0;
-    auto& cap = pl.out_u8 ? (even ? ping8_elems_ : pong8_elems_)
-                          : (even ? ping_elems_ : pong_elems_);
+    auto& cap = (i + 1) % 2 == 0 ? ping8_elems_ : pong8_elems_;
     cap = std::max(cap, l.out_shape.numel());
   }
 
-  // Gather-buffer and row-accumulator sizing.
-  for (std::size_t i = 0; i < n_layers; ++i) {
+  // Gather-tile and row-accumulator sizing (tiered layers; the int64 loops
+  // need neither, and their co_pad is 0).
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
     const QLayer& l = net.layers[i];
     const PlannedLayer& pl = layers_[i];
-    if (l.kind == QLayerKind::kConv) {
-      const bool direct = l.spec.kh == 1 && l.spec.kw == 1 &&
-                          l.spec.pad == 0 && l.spec.stride == 1;
-      if (pl.domain == ExecDomain::kI8 && !direct) {
-        const std::int64_t trows =
-            pl.tile.rows > 0 ? pl.tile.rows : kIm2colTileRows;
-        const std::int64_t rows =
-            std::min(l.out_shape.h * l.out_shape.w, trows);
-        col8_elems_ = std::max(col8_elems_, rows * pl.kp);
-      } else if (pl.domain == ExecDomain::kI32 && pl.gemm &&
-                 l.spec.stride > 1) {
-        col_elems_ = std::max(
-            col_elems_, l.out_shape.h * l.out_shape.w * l.in_shape.c);
-      }
+    if (l.kind == QLayerKind::kConv && pl.tier != KernelTier::kNone &&
+        !(l.spec.kh == 1 && l.spec.kw == 1 && l.spec.pad == 0 &&
+          l.spec.stride == 1)) {
+      const std::int64_t trows =
+          pl.tile.rows > 0 ? pl.tile.rows : kIm2colTileRows;
+      const std::int64_t rows = std::min(l.out_shape.h * l.out_shape.w, trows);
+      col8_elems_ = std::max(col8_elems_, rows * pl.kp);
     }
-    if (l.kind == QLayerKind::kDepthwise) {
+    if (l.kind == QLayerKind::kDepthwise ||
+        (l.kind == QLayerKind::kGlobalAvgPool && pl.pool32)) {
       row_acc_elems_ = std::max(row_acc_elems_, l.in_shape.c);
-    } else if (l.kind == QLayerKind::kGlobalAvgPool) {
-      if (pl.pool32) {
-        row_acc_elems_ = std::max(row_acc_elems_, l.in_shape.c);
-      }
     } else {
-      const std::int64_t width =
-          pl.domain == ExecDomain::kI8 ? pl.co_pad : l.wshape.co;
-      row_acc_elems_ = std::max(row_acc_elems_, 2 * width);
+      row_acc_elems_ = std::max(row_acc_elems_, 2 * pl.co_pad);
     }
   }
 
@@ -1277,9 +975,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
 }
 
 std::int64_t ExecutionPlan::arena_bytes() const {
-  return static_cast<std::int64_t>(sizeof(std::int32_t)) *
-             (ping_elems_ + pong_elems_ + col_elems_) +
-         arena_u8_padded(ping8_elems_) + arena_u8_padded(pong8_elems_) +
+  return arena_u8_padded(ping8_elems_) + arena_u8_padded(pong8_elems_) +
          arena_u8_padded(col8_elems_);
 }
 
@@ -1296,15 +992,10 @@ std::int64_t ExecutionPlan::weight_bytes() const {
 }
 
 std::int64_t ExecutionPlan::i8_layer_count() const {
-  std::int64_t n = 0;
-  for (const PlannedLayer& pl : layers_) {
-    n += pl.domain == ExecDomain::kI8 ? 1 : 0;
-  }
-  return n;
+  return static_cast<std::int64_t>(layers_.size());
 }
 
-template <typename T>
-void ExecutionPlan::quantize_input_into(const float* sample, T* dst,
+void ExecutionPlan::quantize_input_into(const float* sample, std::uint8_t* dst,
                                         std::int64_t i0,
                                         std::int64_t i1) const {
   const core::QuantParams& qp = net_->input_qp;
@@ -1313,17 +1004,12 @@ void ExecutionPlan::quantize_input_into(const float* sample, T* dst,
   // a measurable slice of end-to-end latency (a libm lround call plus a
   // float divide per element), and it is what a build without AVX2 runs
   // unless the VNNI tier is on.
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    if (vnni_) {
-      simd::vnni_quantize_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
-                             core::qmax(qp.q), dst + i0);
-    } else {
-      simd::quantize_f32_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
-                            core::qmax(qp.q), dst + i0);
-    }
-  } else {
-    simd::quantize_f32_i32(sample + i0, i1 - i0, qp.scale, qp.zero,
+  if (vnni_) {
+    simd::vnni_quantize_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
                            core::qmax(qp.q), dst + i0);
+  } else {
+    simd::quantize_f32_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
+                          core::qmax(qp.q), dst + i0);
   }
 }
 
@@ -1331,9 +1017,8 @@ std::int64_t ExecutionPlan::partition_rows(const PlannedLayer& pl) {
   const QLayer& l = *pl.layer;
   switch (l.kind) {
     case QLayerKind::kConv:
-      return (pl.domain == ExecDomain::kI8 || pl.gemm)
-                 ? l.out_shape.h * l.out_shape.w
-                 : l.out_shape.h;
+      return pl.tier != KernelTier::kNone ? l.out_shape.h * l.out_shape.w
+                                          : l.out_shape.h;
     case QLayerKind::kDepthwise:
       return l.out_shape.h;
     case QLayerKind::kLinear:
@@ -1347,143 +1032,57 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
                                    int lane, std::int64_t r0,
                                    std::int64_t r1) const {
   const QLayer& l = *pl.layer;
+  const std::uint8_t* x = arenas.arena8(pl.src);
+  std::uint8_t* y = arenas.arena8(pl.dst);
   std::int32_t* row_acc = arenas.lane_row_acc(lane);
-
-  if (pl.domain == ExecDomain::kI8) {
-    const std::uint8_t* x = arenas.arena8(pl.src);
-    // Panel GEMM over rows [m0, m1) of A, requantized into this layer's
-    // output storage from output row `row0` on.
-    const auto gemm = [&](const std::uint8_t* A, std::int64_t lda,
-                          std::int64_t m0, std::int64_t m1,
-                          std::int64_t row0) {
-      const std::int64_t off = row0 * l.wshape.co;
-      if (pl.out_u8) {
-        gemm8_rows(pl, A, lda, m0, m1, row_acc,
-                   requant_to(pl, arenas.arena8(pl.dst) + off));
-      } else {
-        gemm8_rows(pl, A, lda, m0, m1, row_acc,
-                   requant_to(pl, arenas.arena(pl.dst) + off));
-      }
-    };
-    switch (l.kind) {
-      case QLayerKind::kConv:
-      case QLayerKind::kLinear: {
-        if (l.kind == QLayerKind::kLinear ||
-            (l.spec.kh == 1 && l.spec.kw == 1 && l.spec.pad == 0 &&
-             l.spec.stride == 1)) {
-          gemm(x, l.wshape.per_channel(), r0, r1, 0);
-          return;
-        }
-        // Cache-blocked: gather the autotuned number of output pixels into
-        // this lane's L1-resident u8 tile, run the panel GEMM, advance.
-        const std::int64_t trows =
-            pl.tile.rows > 0 ? pl.tile.rows : kIm2colTileRows;
-        std::uint8_t* tile = arenas.lane_col8(lane);
-        for (std::int64_t t0 = r0; t0 < r1; t0 += trows) {
-          const std::int64_t t1 = std::min(r1, t0 + trows);
-          im2col8_rows(pl, x, tile, t0, t1);
-          gemm(tile, pl.kp, 0, t1 - t0, t0);
-        }
-        return;
-      }
-      case QLayerKind::kDepthwise:
-        if (pl.out_u8) {
-          depthwise8_rows(pl, x, arenas.arena8(pl.dst), r0, r1, row_acc);
-        } else {
-          depthwise8_rows(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
-        }
-        return;
-      case QLayerKind::kGlobalAvgPool:
-        if (pl.out_u8) {
-          gap8_plan(pl, x, arenas.arena8(pl.dst), row_acc);
-        } else {
-          gap8_plan(pl, x, arenas.arena(pl.dst), row_acc);
-        }
-        return;
-    }
-    throw std::logic_error("ExecutionPlan: invalid layer kind");
-  }
-
-  const std::int32_t* x = arenas.arena(pl.src);
+  const bool tiered = pl.tier != KernelTier::kNone;
   switch (l.kind) {
     case QLayerKind::kConv:
-      if (pl.gemm) {
-        const std::int64_t K = l.in_shape.c;
-        const std::int32_t* A = x;
-        if (l.spec.stride > 1) {
-          // im2col gather for this lane's rows: strided pointwise rows
-          // become a dense slice of the shared (row-disjoint) col matrix.
-          std::int32_t* col = arenas.col.data();
-          const std::int64_t s = l.spec.stride;
-          const std::int64_t row = l.in_shape.w * K;
-          const std::int64_t ow_n = l.out_shape.w;
-          for (std::int64_t m = r0; m < r1; ++m) {
-            const std::int64_t oh = m / ow_n;
-            const std::int64_t ow = m % ow_n;
-            const std::int32_t* src = x + oh * s * row + ow * s * K;
-            std::copy(src, src + K, col + m * K);
-          }
-          A = col;
-        }
-        if (pl.acc32) {
-          if (pl.out_u8) {
-            gemm_rows_i32(pl, A, r0, r1, K, arenas.arena8(pl.dst), row_acc);
-          } else {
-            gemm_rows_i32(pl, A, r0, r1, K, arenas.arena(pl.dst), row_acc);
-          }
-        } else if (pl.out_u8) {
-          gemm_rows_i64(pl, A, r0, r1, K, arenas.arena8(pl.dst));
+    case QLayerKind::kLinear: {
+      const std::int64_t K = l.wshape.per_channel();
+      if (!tiered) {
+        if (l.kind == QLayerKind::kLinear) {
+          gemm_rows_i64(pl, x, r0, r1, K, y);
         } else {
-          gemm_rows_i64(pl, A, r0, r1, K, arenas.arena(pl.dst));
+          conv_rows_i64(pl, x, y, r0, r1);
         }
-      } else if (pl.acc32) {
-        if (pl.out_u8) {
-          conv_rows_i32(pl, x, arenas.arena8(pl.dst), r0, r1, row_acc);
-        } else {
-          conv_rows_i32(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
-        }
-      } else if (pl.out_u8) {
-        conv_rows_i64(pl, x, arenas.arena8(pl.dst), r0, r1);
-      } else {
-        conv_rows_i64(pl, x, arenas.arena(pl.dst), r0, r1);
+        return;
+      }
+      // Panel GEMM over rows [m0, m1) of A, requantized into the output
+      // from output row `row0` on.
+      const auto gemm = [&](const std::uint8_t* A, std::int64_t lda,
+                            std::int64_t m0, std::int64_t m1,
+                            std::int64_t row0) {
+        gemm8_rows(pl, A, lda, m0, m1, row_acc,
+                   requant_to(pl, y + row0 * l.wshape.co));
+      };
+      if (l.kind == QLayerKind::kLinear ||
+          (l.spec.kh == 1 && l.spec.kw == 1 && l.spec.pad == 0 &&
+           l.spec.stride == 1)) {
+        gemm(x, K, r0, r1, 0);
+        return;
+      }
+      // Cache-blocked: gather the autotuned number of output pixels into
+      // this lane's L1-resident u8 tile, run the panel GEMM, advance.
+      const std::int64_t trows =
+          pl.tile.rows > 0 ? pl.tile.rows : kIm2colTileRows;
+      std::uint8_t* tile = arenas.lane_col8(lane);
+      for (std::int64_t t0 = r0; t0 < r1; t0 += trows) {
+        const std::int64_t t1 = std::min(r1, t0 + trows);
+        im2col8_rows(pl, x, tile, t0, t1);
+        gemm(tile, pl.kp, 0, t1 - t0, t0);
       }
       return;
+    }
     case QLayerKind::kDepthwise:
-      if (pl.acc32) {
-        if (pl.out_u8) {
-          depthwise_rows_i32(pl, x, arenas.arena8(pl.dst), r0, r1, row_acc);
-        } else {
-          depthwise_rows_i32(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
-        }
-      } else if (pl.out_u8) {
-        depthwise_rows_i64(pl, x, arenas.arena8(pl.dst), r0, r1);
+      if (tiered) {
+        depthwise8_rows(pl, x, y, r0, r1, row_acc);
       } else {
-        depthwise_rows_i64(pl, x, arenas.arena(pl.dst), r0, r1);
-      }
-      return;
-    case QLayerKind::kLinear:
-      if (pl.acc32) {
-        if (pl.out_u8) {
-          gemm_rows_i32(pl, x, 0, 1, l.wshape.per_channel(),
-                        arenas.arena8(pl.dst), row_acc);
-        } else {
-          gemm_rows_i32(pl, x, 0, 1, l.wshape.per_channel(),
-                        arenas.arena(pl.dst), row_acc);
-        }
-      } else if (pl.out_u8) {
-        gemm_rows_i64(pl, x, 0, 1, l.wshape.per_channel(),
-                      arenas.arena8(pl.dst));
-      } else {
-        gemm_rows_i64(pl, x, 0, 1, l.wshape.per_channel(),
-                      arenas.arena(pl.dst));
+        depthwise_rows_i64(pl, x, y, r0, r1);
       }
       return;
     case QLayerKind::kGlobalAvgPool:
-      if (pl.out_u8) {
-        gap_plan(pl, x, arenas.arena8(pl.dst), row_acc);
-      } else {
-        gap_plan(pl, x, arenas.arena(pl.dst), row_acc);
-      }
+      gap8_plan(pl, x, y, row_acc);
       return;
   }
   throw std::logic_error("ExecutionPlan: invalid layer kind");
@@ -1494,6 +1093,7 @@ void ExecutionPlan::run_head(const PlannedLayer& pl,
   const QLayer& l = *pl.layer;
   const std::int64_t K = l.wshape.per_channel();
   const std::int64_t zx = l.zx;
+  const std::uint8_t* x = arenas.arena8(pl.src);
   float* logits = arenas.logits.data();
   // out_mult * (phi + bq) with phi = acc - Zx*wsum, as the reference head.
   const auto logit = [&](std::int64_t oc, std::int64_t acc) {
@@ -1503,46 +1103,25 @@ void ExecutionPlan::run_head(const PlannedLayer& pl,
                                             l.icn[c].bq));
   };
   if (pl.tier != KernelTier::kNone) {
-    gemm8_rows(pl, arenas.arena8(pl.src), K, 0, 1, arenas.lane_row_acc(0),
+    gemm8_rows(pl, x, K, 0, 1, arenas.lane_row_acc(0),
                [&](const std::int32_t* acc, std::int64_t, std::int64_t c0,
                    std::int64_t len) {
                  for (std::int64_t j = 0; j < len; ++j) logit(c0 + j, acc[j]);
                });
     return;
   }
-  // INT32 bank (the wide domain, or a fan-in too large for i32 sums):
-  // exact int64 dots over whichever storage the input arrives in.
-  const auto dots = [&](const auto* x) {
-    for (std::int64_t oc = 0; oc < l.wshape.co; ++oc) {
-      const std::int32_t* w0 = pl.w.data() + oc * K;
-      std::int64_t acc = 0;
-      for (std::int64_t k = 0; k < K; ++k) {
-        acc += static_cast<std::int64_t>(x[k]) * w0[k];
-      }
-      logit(oc, acc);
-    }
-  };
-  if (pl.in_u8) {
-    dots(arenas.arena8(pl.src));
-  } else {
-    dots(arenas.arena(pl.src));
+  // A fan-in too large for i32 sums: exact int64 dots over the INT32 bank.
+  for (std::int64_t oc = 0; oc < l.wshape.co; ++oc) {
+    logit(oc, dot_i64(x, pl.w.data() + oc * K, K));
   }
 }
 
 const std::vector<float>& ExecutionPlan::finish_logits(
     PlanArenas& arenas) const {
   // No raw head: the last codes become the logits, as in Executor::run.
-  const PlannedLayer& last = layers_.back();
-  if (last.out_u8) {
-    const std::uint8_t* fin = arenas.arena8(last.dst);
-    for (std::size_t i = 0; i < arenas.logits.size(); ++i) {
-      arenas.logits[i] = static_cast<float>(fin[i]);
-    }
-  } else {
-    const std::int32_t* fin = arenas.arena(last.dst);
-    for (std::size_t i = 0; i < arenas.logits.size(); ++i) {
-      arenas.logits[i] = static_cast<float>(fin[i]);
-    }
+  const std::uint8_t* fin = arenas.arena8(layers_.back().dst);
+  for (std::size_t i = 0; i < arenas.logits.size(); ++i) {
+    arenas.logits[i] = static_cast<float>(fin[i]);
   }
   return arenas.logits;
 }
@@ -1590,19 +1169,13 @@ const std::vector<float>& ExecutionPlan::run_layers(
   clock::time_point t0;
   if (quantize_ns != nullptr) t0 = clock::now();
   const std::int64_t n_in = net_->layers.front().in_shape.numel();
-  const auto quantize = [&](auto* input) {
-    if (pool != nullptr && n_in >= 4096) {
-      pool->parallel_for(n_in, [&](int, std::int64_t b, std::int64_t e) {
-        quantize_input_into(sample, input, b, e);
-      });
-    } else {
-      quantize_input_into(sample, input, 0, n_in);
-    }
-  };
-  if (layers_.front().in_u8) {
-    quantize(arenas.arena8(0));
+  std::uint8_t* input = arenas.arena8(0);
+  if (pool != nullptr && n_in >= 4096) {
+    pool->parallel_for(n_in, [&](int, std::int64_t b, std::int64_t e) {
+      quantize_input_into(sample, input, b, e);
+    });
   } else {
-    quantize(arenas.arena(0));
+    quantize_input_into(sample, input, 0, n_in);
   }
   if (quantize_ns != nullptr) *quantize_ns = ns_since(t0);
 

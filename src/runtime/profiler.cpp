@@ -72,11 +72,9 @@ PlannedProfile profile_planned(const ExecutionPlan& plan,
   for (std::size_t i = 0; i < stat.layers.size(); ++i) {
     out.layers[i].kind = stat.layers[i].kind;
     out.layers[i].macs = stat.layers[i].macs;
-    out.layers[i].domain = plan.layers()[i].domain;
     out.layers[i].tier = plan.layers()[i].tier;
     out.layers[i].tile = plan.layers()[i].tile;
   }
-  out.i8_layers = plan.i8_layer_count();
 
   std::vector<std::int64_t> per_layer_ns;
   std::int64_t quantize_ns = 0;
@@ -97,25 +95,26 @@ PlannedProfile profile_planned(const ExecutionPlan& plan,
 
 std::string PlannedProfile::str() const {
   std::ostringstream os;
-  os << "layer  kind  dom  tier  tile        MACs        ns    MACs/ns\n";
+  os << "layer  kind  tier  tile        MACs        ns    MACs/ns\n";
   os << std::fixed;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     const auto& l = layers[i];
     std::string tile = "-";
     if (l.tile.rows > 0 || l.tile.kb > 0 || l.tile.nb > 0) {
-      tile = "r" + std::to_string(l.tile.rows);
+      // Built with += (not operator+) to dodge a GCC 12 -Wrestrict false
+      // positive in the inlined string concatenation.
+      tile = "r";
+      tile += std::to_string(l.tile.rows);
       if (l.tile.kb > 0) tile += "/k" + std::to_string(l.tile.kb);
       if (l.tile.nb > 0) tile += "/n" + std::to_string(l.tile.nb);
     }
-    os << i << "\t" << kind_name(l.kind) << "\t" << domain_name(l.domain)
-       << "\t" << tier_name(l.tier) << "\t" << tile << "\t" << l.macs << "\t"
-       << std::setprecision(0) << l.ns << "\t" << std::setprecision(3)
+    os << i << "\t" << kind_name(l.kind) << "\t" << tier_name(l.tier) << "\t"
+       << tile << "\t" << l.macs << "\t" << std::setprecision(0) << l.ns << "\t" << std::setprecision(3)
        << l.macs_per_ns() << "\n";
   }
   os << "quantize " << std::setprecision(0) << quantize_ns << " ns, total "
      << total_ns << " ns, " << std::setprecision(3) << total_macs_per_ns()
-     << " MACs/ns (" << i8_layers << "/" << layers.size()
-     << " layers in the i8 domain)\n";
+     << " MACs/ns\n";
   return os.str();
 }
 

@@ -52,7 +52,6 @@ NetProfile profile(const QuantizedNet& net);
 
 struct PlannedLayerStat {
   QLayerKind kind{QLayerKind::kConv};
-  ExecDomain domain{ExecDomain::kI32};  ///< execution domain the plan chose
   KernelTier tier{KernelTier::kNone};   ///< kernel tier the plan selected
   TileConfig tile{};      ///< autotuned blocking (rows/kb/nb; 0 = n/a)
   std::int64_t macs{0};   ///< static MAC count (same as LayerProfile)
@@ -67,7 +66,6 @@ struct PlannedProfile {
   double quantize_ns{0.0};  ///< input-quantization stage
   double total_ns{0.0};     ///< quantize + all layers
   std::int64_t total_macs{0};
-  std::int64_t i8_layers{0};  ///< layers the plan compiled narrow
 
   [[nodiscard]] double total_macs_per_ns() const {
     return total_ns > 0.0 ? static_cast<double>(total_macs) / total_ns : 0.0;

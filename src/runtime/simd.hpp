@@ -17,7 +17,7 @@
 // where 32-bit accumulation provably cannot overflow (plan.cpp selects them
 // via phi_bound < 2^30), so re-associating the sums across SIMD lanes
 // cannot change the result; the requantization kernel reproduces
-// floor((v * m0) >> shift) exactly via a bias trick (see requant_icn_i32).
+// floor((v * m0) >> shift) exactly via a bias trick (see requant_icn_u8).
 // Enforced by tests/runtime/simd_test.cpp against the scalar references and
 // transitively by every randomized exactness suite over the planned engine.
 #pragma once
@@ -72,360 +72,6 @@ inline bool enabled() {
 const char* active_isa();
 
 // ---------------------------------------------------------------------------
-// Elementwise multiply-accumulate / accumulate (depthwise interior, pool).
-// ---------------------------------------------------------------------------
-
-/// acc[i] += x[i] * w[i] for i in [0, n).
-inline void mac_i32(std::int32_t* __restrict__ acc,
-                    const std::int32_t* __restrict__ x,
-                    const std::int32_t* __restrict__ w, std::int64_t n) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i xv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-      const __m256i wv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-      __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-      a = _mm256_add_epi32(a, _mm256_mullo_epi32(xv, wv));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a);
-    }
-    for (; i < n; ++i) acc[i] += x[i] * w[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128i xv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-      const __m128i wv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-      __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      a = _mm_add_epi32(a, _mm_mullo_epi32(xv, wv));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), a);
-    }
-    for (; i < n; ++i) acc[i] += x[i] * w[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const int32x4_t xv = vld1q_s32(x + i);
-      const int32x4_t wv = vld1q_s32(w + i);
-      int32x4_t a = vld1q_s32(acc + i);
-      a = vmlaq_s32(a, xv, wv);
-      vst1q_s32(acc + i, a);
-    }
-    for (; i < n; ++i) acc[i] += x[i] * w[i];
-    return;
-  }
-#endif
-  for (std::int64_t i = 0; i < n; ++i) acc[i] += x[i] * w[i];
-}
-
-/// acc[i] += x[i] for i in [0, n) (global-average-pool row accumulate).
-inline void add_i32(std::int32_t* __restrict__ acc,
-                    const std::int32_t* __restrict__ x, std::int64_t n) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i xv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-      __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                          _mm256_add_epi32(a, xv));
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128i xv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-      __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                       _mm_add_epi32(a, xv));
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      vst1q_s32(acc + i, vaddq_s32(vld1q_s32(acc + i), vld1q_s32(x + i)));
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
-#endif
-  for (std::int64_t i = 0; i < n; ++i) acc[i] += x[i];
-}
-
-/// Depthwise per-pixel dot across channels, tap-major:
-///   acc[c] = sum_t x[toff[t] + c] * wt[t*C + c],  c in [0, C).
-/// The channel block is the outer loop so the accumulator vector stays in
-/// a register across all taps (one store per 8 channels instead of one
-/// load+store per tap).
-inline void dw_dot_i32(const std::int32_t* __restrict__ x,
-                       const std::int64_t* __restrict__ toff,
-                       const std::int32_t* __restrict__ wt, std::int64_t taps,
-                       std::int64_t C, std::int32_t* __restrict__ acc) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    std::int64_t c = 0;
-    for (; c + 8 <= C; c += 8) {
-      __m256i a = _mm256_setzero_si256();
-      for (std::int64_t t = 0; t < taps; ++t) {
-        const __m256i xv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(x + toff[t] + c));
-        const __m256i wv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(wt + t * C + c));
-        a = _mm256_add_epi32(a, _mm256_mullo_epi32(xv, wv));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), a);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += x[toff[t] + c] * wt[t * C + c];
-      }
-      acc[c] = s;
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t c = 0;
-    for (; c + 4 <= C; c += 4) {
-      __m128i a = _mm_setzero_si128();
-      for (std::int64_t t = 0; t < taps; ++t) {
-        const __m128i xv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + toff[t] + c));
-        const __m128i wv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(wt + t * C + c));
-        a = _mm_add_epi32(a, _mm_mullo_epi32(xv, wv));
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + c), a);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += x[toff[t] + c] * wt[t * C + c];
-      }
-      acc[c] = s;
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t c = 0;
-    for (; c + 4 <= C; c += 4) {
-      int32x4_t a = vdupq_n_s32(0);
-      for (std::int64_t t = 0; t < taps; ++t) {
-        a = vmlaq_s32(a, vld1q_s32(x + toff[t] + c),
-                      vld1q_s32(wt + t * C + c));
-      }
-      vst1q_s32(acc + c, a);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += x[toff[t] + c] * wt[t * C + c];
-      }
-      acc[c] = s;
-    }
-    return;
-  }
-#endif
-  for (std::int64_t c = 0; c < C; ++c) {
-    std::int32_t s = 0;
-    for (std::int64_t t = 0; t < taps; ++t) {
-      s += x[toff[t] + c] * wt[t * C + c];
-    }
-    acc[c] = s;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Register-blocked integer dot products (GEMM micro-kernel). The block
-// shape is 4 output channels x 8 int32 lanes (x 2 rows in the widest
-// variant); all variants *accumulate into* their out slots.
-// ---------------------------------------------------------------------------
-
-#if defined(MIXQ_SIMD_AVX2)
-namespace detail {
-/// Reduce four 8-lane accumulators to their four scalar sums, in order.
-inline __m128i hsum4_epi32(__m256i v0, __m256i v1, __m256i v2, __m256i v3) {
-  const __m256i s01 = _mm256_hadd_epi32(v0, v1);
-  const __m256i s23 = _mm256_hadd_epi32(v2, v3);
-  const __m256i s = _mm256_hadd_epi32(s01, s23);
-  return _mm_add_epi32(_mm256_castsi256_si128(s),
-                       _mm256_extracti128_si256(s, 1));
-}
-}  // namespace detail
-#endif
-
-/// out[j] += sum_k a[k] * wj[k] for the four weight rows w0..w3.
-inline void dot1x4_i32(const std::int32_t* __restrict__ a,
-                       const std::int32_t* __restrict__ w0,
-                       const std::int32_t* __restrict__ w1,
-                       const std::int32_t* __restrict__ w2,
-                       const std::int32_t* __restrict__ w3, std::int64_t n,
-                       std::int32_t* __restrict__ out) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-    __m256i a2 = _mm256_setzero_si256(), a3 = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m256i av =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-      a0 = _mm256_add_epi32(
-          a0, _mm256_mullo_epi32(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w0 + k))));
-      a1 = _mm256_add_epi32(
-          a1, _mm256_mullo_epi32(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w1 + k))));
-      a2 = _mm256_add_epi32(
-          a2, _mm256_mullo_epi32(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w2 + k))));
-      a3 = _mm256_add_epi32(
-          a3, _mm256_mullo_epi32(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w3 + k))));
-    }
-    alignas(16) std::int32_t s[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(s),
-                    detail::hsum4_epi32(a0, a1, a2, a3));
-    out[0] += s[0];
-    out[1] += s[1];
-    out[2] += s[2];
-    out[3] += s[3];
-    for (; k < n; ++k) {
-      const std::int32_t av = a[k];
-      out[0] += av * w0[k];
-      out[1] += av * w1[k];
-      out[2] += av * w2[k];
-      out[3] += av * w3[k];
-    }
-    return;
-  }
-#endif
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const std::int32_t av = a[k];
-    s0 += av * w0[k];
-    s1 += av * w1[k];
-    s2 += av * w2[k];
-    s3 += av * w3[k];
-  }
-  out[0] += s0;
-  out[1] += s1;
-  out[2] += s2;
-  out[3] += s3;
-}
-
-/// Two-row variant: out0[j] += sum a0[k]*wj[k], out1[j] += sum a1[k]*wj[k].
-/// Each weight row is loaded once and shared by both activation rows.
-inline void dot2x4_i32(const std::int32_t* __restrict__ a0,
-                       const std::int32_t* __restrict__ a1,
-                       const std::int32_t* __restrict__ w0,
-                       const std::int32_t* __restrict__ w1,
-                       const std::int32_t* __restrict__ w2,
-                       const std::int32_t* __restrict__ w3, std::int64_t n,
-                       std::int32_t* __restrict__ out0,
-                       std::int32_t* __restrict__ out1) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    __m256i r0c0 = _mm256_setzero_si256(), r0c1 = _mm256_setzero_si256();
-    __m256i r0c2 = _mm256_setzero_si256(), r0c3 = _mm256_setzero_si256();
-    __m256i r1c0 = _mm256_setzero_si256(), r1c1 = _mm256_setzero_si256();
-    __m256i r1c2 = _mm256_setzero_si256(), r1c3 = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m256i av0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a0 + k));
-      const __m256i av1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a1 + k));
-      __m256i wv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w0 + k));
-      r0c0 = _mm256_add_epi32(r0c0, _mm256_mullo_epi32(av0, wv));
-      r1c0 = _mm256_add_epi32(r1c0, _mm256_mullo_epi32(av1, wv));
-      wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w1 + k));
-      r0c1 = _mm256_add_epi32(r0c1, _mm256_mullo_epi32(av0, wv));
-      r1c1 = _mm256_add_epi32(r1c1, _mm256_mullo_epi32(av1, wv));
-      wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w2 + k));
-      r0c2 = _mm256_add_epi32(r0c2, _mm256_mullo_epi32(av0, wv));
-      r1c2 = _mm256_add_epi32(r1c2, _mm256_mullo_epi32(av1, wv));
-      wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w3 + k));
-      r0c3 = _mm256_add_epi32(r0c3, _mm256_mullo_epi32(av0, wv));
-      r1c3 = _mm256_add_epi32(r1c3, _mm256_mullo_epi32(av1, wv));
-    }
-    alignas(16) std::int32_t s0[4], s1[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(s0),
-                    detail::hsum4_epi32(r0c0, r0c1, r0c2, r0c3));
-    _mm_store_si128(reinterpret_cast<__m128i*>(s1),
-                    detail::hsum4_epi32(r1c0, r1c1, r1c2, r1c3));
-    for (int j = 0; j < 4; ++j) {
-      out0[j] += s0[j];
-      out1[j] += s1[j];
-    }
-    for (; k < n; ++k) {
-      const std::int32_t x0 = a0[k];
-      const std::int32_t x1 = a1[k];
-      out0[0] += x0 * w0[k];
-      out0[1] += x0 * w1[k];
-      out0[2] += x0 * w2[k];
-      out0[3] += x0 * w3[k];
-      out1[0] += x1 * w0[k];
-      out1[1] += x1 * w1[k];
-      out1[2] += x1 * w2[k];
-      out1[3] += x1 * w3[k];
-    }
-    return;
-  }
-#endif
-  dot1x4_i32(a0, w0, w1, w2, w3, n, out0);
-  dot1x4_i32(a1, w0, w1, w2, w3, n, out1);
-}
-
-/// out += sum_k a[k] * w[k] (single-channel remainder).
-inline std::int32_t dot_i32(const std::int32_t* __restrict__ a,
-                            const std::int32_t* __restrict__ w,
-                            std::int64_t n) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    __m256i acc = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m256i av =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-      const __m256i wv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + k));
-      acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(av, wv));
-    }
-    const __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                                     _mm256_extracti128_si256(acc, 1));
-    const __m128i h = _mm_hadd_epi32(lo, lo);
-    std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += a[k] * w[k];
-    return s;
-  }
-#endif
-  std::int32_t s = 0;
-  for (std::int64_t k = 0; k < n; ++k) s += a[k] * w[k];
-  return s;
-}
-
-// ---------------------------------------------------------------------------
 // Vectorized ICN requantization (Eq. 5 clamp path).
 // ---------------------------------------------------------------------------
 
@@ -456,75 +102,12 @@ inline std::int32_t requant_icn_one(std::int64_t v, std::int64_t m0,
   return static_cast<std::int32_t>(y < 0 ? 0 : (y > hi ? hi : y));
 }
 
-/// out[c] = requantized code of raw accumulator acc[c], c in [0, n), with
-/// per-channel pre-add `add` (usually rq.add; depthwise border pixels pass
-/// their border-config pre-add bq - Zx*svalid instead).
-///
-/// The vector body reproduces the arithmetic right shift exactly with
-/// unsigned ops: |v*m0| < 2^62, so (v*m0 + 2^62) is non-negative and
-/// (v*m0 + 2^62) >>logical s  ==  (v*m0 >>arith s) + (2^62 >> s)
-/// because 2^62 is divisible by 2^s for every s <= 62.
-/// `c0` offsets the TABLE columns (m0/shift/bias_sub) only: N-blocked GEMMs
-/// requantize channel chunk [c0, c0+n) with acc/add/out already pointing at
-/// the chunk.
-inline void requant_icn_i32(const RequantTable& rq,
-                            const std::int32_t* __restrict__ acc,
-                            const std::int32_t* __restrict__ add,
-                            std::int32_t* __restrict__ out, std::int64_t n,
-                            std::int64_t c0 = 0) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << 62);
-    const __m256i zyv = _mm256_set1_epi64x(rq.zy);
-    const __m256i hiv = _mm256_set1_epi64x(rq.hi);
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    std::int64_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-      const __m128i a32 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + c));
-      const __m128i ad32 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + c));
-      // v = acc + add fits int32 by the usability conditions.
-      const __m256i v = _mm256_cvtepi32_epi64(_mm_add_epi32(a32, ad32));
-      const __m256i m0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rq.m0.data() + c0 + c));
-      const __m256i sh = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rq.shift.data() + c0 + c));
-      const __m256i bs = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rq.bias_sub.data() + c0 + c));
-      const __m256i prod = _mm256_mul_epi32(v, m0);
-      const __m256i t = _mm256_srlv_epi64(_mm256_add_epi64(prod, bias), sh);
-      __m256i y = _mm256_add_epi64(_mm256_sub_epi64(t, bs), zyv);
-      y = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, y), y);
-      y = _mm256_blendv_epi8(y, hiv, _mm256_cmpgt_epi64(y, hiv));
-      const __m256i packed = _mm256_permutevar8x32_epi32(y, pick);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + c),
-                       _mm256_castsi256_si128(packed));
-    }
-    for (; c < n; ++c) {
-      out[c] = requant_icn_one(
-          static_cast<std::int64_t>(acc[c]) + add[c],
-          rq.m0[static_cast<std::size_t>(c0 + c)],
-          rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi);
-    }
-    return;
-  }
-#endif
-  for (std::int64_t c = 0; c < n; ++c) {
-    out[c] = requant_icn_one(
-        static_cast<std::int64_t>(acc[c]) + add[c],
-        rq.m0[static_cast<std::size_t>(c0 + c)],
-        rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi);
-  }
-}
-
 // ===========================================================================
-// Narrow-domain kernels (u8 activations).
+// u8-activation MAC kernels.
 //
-// The planned engine's INT8 execution domain stores activations as packed
-// unsigned 8-bit codes (every post-ICN activation is an unsigned <= 8-bit
-// code, so u8 always holds it) and weights in one of two narrow banks:
+// The planned engine stores every activation as packed unsigned 8-bit codes
+// (every post-ICN activation is an unsigned <= 8-bit code, so u8 always
+// holds it) and the weights of its acc32 layers in one of two banks:
 //
 //   * s8 panel  -- zero-point-offset weights that provably fit int8 AND
 //     whose adjacent-pair magnitude satisfies the widening-MAC bound
@@ -535,7 +118,7 @@ inline void requant_icn_i32(const RequantTable& rq,
 //     sequence with the intermediate i16 pair sums proven exact by the
 //     bound above (the plan's eligibility prover enforces it; these
 //     kernels assume it).
-//   * s16 rows  -- any narrow layer's offset weights fit int16
+//   * s16 rows  -- any layer's offset weights fit int16
 //     unconditionally (|w - Zw| <= 255); activations widen u8 -> i16 on
 //     the fly and vpmaddwd's i16 x i16 -> i32 pair products are always
 //     exact (|x*w| <= 255*255, pair sum < 2^31).
@@ -742,6 +325,19 @@ inline void gemm_u8s8_x2(const std::uint8_t* __restrict__ a0,
   gemm_u8s8_x1(a0, block, kp, acc0, accumulate);
   gemm_u8s8_x1(a1, block, kp, acc1, accumulate);
 }
+
+#if defined(MIXQ_SIMD_AVX2)
+namespace detail {
+/// Reduce four 8-lane accumulators to their four scalar sums, in order.
+inline __m128i hsum4_epi32(__m256i v0, __m256i v1, __m256i v2, __m256i v3) {
+  const __m256i s01 = _mm256_hadd_epi32(v0, v1);
+  const __m256i s23 = _mm256_hadd_epi32(v2, v3);
+  const __m256i s = _mm256_hadd_epi32(s01, s23);
+  return _mm_add_epi32(_mm256_castsi256_si128(s),
+                       _mm256_extracti128_si256(s, 1));
+}
+}  // namespace detail
+#endif
 
 // ---------------------------------------------------------------------------
 // u8 x s16 register-blocked dot products (GEMM tier for weights that do
@@ -1146,7 +742,7 @@ inline void dw_dot_u8s16p(const std::uint8_t* __restrict__ x,
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise narrow helpers (depthwise border taps, pool).
+// Elementwise u8 helpers (depthwise border taps, pool).
 // ---------------------------------------------------------------------------
 
 /// acc[i] += x[i] * w[i] with u8 activations and i16 weights.
@@ -1260,10 +856,18 @@ inline void add_u8_i32(std::int32_t* __restrict__ acc,
   for (std::int64_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
-/// Narrow-store variant of requant_icn_i32: identical arithmetic, output
-/// stored as packed u8 codes (every requantized code is in [0, hi] with
-/// hi <= 255, so the narrowing never truncates).
-/// `c0` offsets the table columns as in requant_icn_i32.
+/// out[c] = requantized u8 code of raw accumulator acc[c], c in [0, n),
+/// with per-channel pre-add `add` (usually rq.add; depthwise border pixels
+/// pass their border-config pre-add bq - Zx*svalid instead). Every code is
+/// in [0, hi] with hi <= 255, so the narrowing store never truncates.
+///
+/// The AVX2 body reproduces the arithmetic right shift exactly with
+/// unsigned ops: |v*m0| < 2^62, so (v*m0 + 2^62) is non-negative and
+/// (v*m0 + 2^62) >>logical s  ==  (v*m0 >>arith s) + (2^62 >> s)
+/// because 2^62 is divisible by 2^s for every s <= 62.
+/// `c0` offsets the TABLE columns (m0/shift/bias_sub) only: N-blocked GEMMs
+/// requantize channel chunk [c0, c0+n) with acc/add/out already pointing at
+/// the chunk.
 inline void requant_icn_u8(const RequantTable& rq,
                            const std::int32_t* __restrict__ acc,
                            const std::int32_t* __restrict__ add,
@@ -1382,9 +986,11 @@ inline void requant_icn_u8(const RequantTable& rq,
 // (x - rne(x) == +0.5 exactly) and bumps up by one. Negative ties round the
 // other way under lround, but every candidate code there is <= 0 and the
 // [0, hi] clamp collapses both answers to 0, so no fix-up is needed.
-// Pre-clamping the scaled value into [-1, hi] in float space changes no
-// final code (monotone + idempotent under the integer clamp) and keeps the
-// int32 conversion in range for arbitrarily large inputs.
+// Every quantizer clamps the scaled value into [-1, hi] in float first: that
+// changes no in-range code (monotone + idempotent under the integer clamp),
+// saturates any magnitude, infinities included, and keeps the int32
+// conversion in range. NaN codes as 0 (vmaxps returns its second operand,
+// -1, for a NaN).
 // ---------------------------------------------------------------------------
 
 /// Scalar reference for one value (identical to core::quantize_value with
@@ -1392,8 +998,9 @@ inline void requant_icn_u8(const RequantTable& rq,
 inline std::int32_t quantize_f32_one(float x, float scale, std::int32_t zero,
                                      std::int32_t hi) {
   const float scaled = x / scale + static_cast<float>(zero);
-  const std::int32_t code = static_cast<std::int32_t>(std::lround(scaled));
-  return std::clamp(code, 0, hi);
+  if (std::isnan(scaled)) return 0;
+  const float s = std::clamp(scaled, -1.0f, static_cast<float>(hi));
+  return std::clamp(static_cast<std::int32_t>(std::lround(s)), 0, hi);
 }
 
 #if defined(MIXQ_SIMD_AVX2)
@@ -1439,30 +1046,6 @@ inline void quantize_f32_u8(const float* __restrict__ x, std::int64_t n,
 #endif
   for (; i < n; ++i) {
     dst[i] = static_cast<std::uint8_t>(quantize_f32_one(x[i], scale, zero, hi));
-  }
-}
-
-/// dst[i] = quantized code of x[i], stored as i32 (wide-domain input).
-inline void quantize_f32_i32(const float* __restrict__ x, std::int64_t n,
-                             float scale, std::int32_t zero, std::int32_t hi,
-                             std::int32_t* __restrict__ dst) {
-  std::int64_t i = 0;
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    const __m256 vscale = _mm256_set1_ps(scale);
-    const __m256 vzero = _mm256_set1_ps(static_cast<float>(zero));
-    const __m256 vhi = _mm256_set1_ps(static_cast<float>(hi));
-    const __m256 vlo = _mm256_set1_ps(-1.0f);
-    const __m256 vhalf = _mm256_set1_ps(0.5f);
-    for (; i + 8 <= n; i += 8) {
-      const __m256i r = detail::quantize8_ps(_mm256_loadu_ps(x + i), vscale,
-                                             vzero, vhi, vlo, vhalf);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), r);
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    dst[i] = quantize_f32_one(x[i], scale, zero, hi);
   }
 }
 

@@ -57,16 +57,6 @@ namespace {
   return (k / 4) * 64 + j * 4 + k % 4;
 }
 
-/// One input value's code, written exactly as simd::quantize_f32_one and
-/// core::quantize_value(kNearest) write it (this TU cannot include
-/// simd.hpp): std::lround, its long narrowed to int32, then the clamp.
-inline std::uint8_t quantize_one(float x, float scale, std::int32_t zero,
-                                 std::int32_t hi) {
-  const float scaled = x / scale + static_cast<float>(zero);
-  const std::int32_t code = static_cast<std::int32_t>(std::lround(scaled));
-  return static_cast<std::uint8_t>(std::clamp(code, 0, hi));
-}
-
 }  // namespace
 
 #if defined(MIXQ_VNNI_NATIVE)
@@ -311,7 +301,8 @@ void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
   const __m512 vscale = _mm512_set1_ps(scale);
   const __m512 vzero = _mm512_set1_ps(static_cast<float>(zero));
   const __m512 vhalf = _mm512_set1_ps(0.5f);
-  const __m512 vwide = _mm512_set1_ps(2147483648.0f);  // 2^31
+  const __m512 vlo = _mm512_set1_ps(-1.0f);
+  const __m512 vhif = _mm512_set1_ps(static_cast<float>(hi));
   const __m512i vhi = _mm512_set1_epi32(hi);
   const __m512i one = _mm512_set1_epi32(1);
   const __m512i zero_i = _mm512_setzero_si512();
@@ -319,21 +310,12 @@ void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
   for (std::int64_t i = 0; i < n; i += 16) {
     const auto r = static_cast<unsigned>(std::min<std::int64_t>(n - i, 16));
     const auto m = static_cast<__mmask16>(0xFFFFu >> (16 - r));
-    // vdivps/vaddps: the same correctly rounded IEEE steps as the scalar.
-    const __m512 s = _mm512_add_ps(
+    // vdivps/vaddps: the same correctly rounded IEEE steps as the scalar,
+    // then its float clamp to [-1, hi]: every magnitude saturates, and a
+    // NaN becomes -1 (vmaxps returns its second operand), so code 0.
+    __m512 s = _mm512_add_ps(
         _mm512_div_ps(_mm512_maskz_loadu_ps(m, x + i), vscale), vzero);
-    // NaN or |s| >= 2^31: lround's long, narrowed to int32, is not the
-    // saturating answer a clamp would give (+inf and 1e30 code as 0), so
-    // a step holding such a value -- 2^31 quantization steps from the
-    // zero-point -- runs the scalar formula.
-    const __mmask16 wide =
-        _mm512_mask_cmp_ps_mask(m, _mm512_abs_ps(s), vwide, _CMP_NLT_UQ);
-    if (wide != 0) {
-      for (unsigned j = 0; j < r; ++j) {
-        out[i + j] = quantize_one(x[i + j], scale, zero, hi);
-      }
-      continue;
-    }
+    s = _mm512_min_ps(_mm512_max_ps(s, vlo), vhif);
     __m512i q = _mm512_cvt_roundps_epi32(
         s, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
     // Exact positive tie: round-to-even went down, lround goes away from
@@ -348,6 +330,23 @@ void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
 }
 
 #else  // !MIXQ_VNNI_NATIVE: portable scalar bodies, identical arithmetic.
+
+namespace {
+
+/// One input value's code, written exactly as simd::quantize_f32_one and
+/// core::quantize_value(kNearest) write it (this TU cannot include
+/// simd.hpp): the float clamp to [-1, hi] (NaN codes as 0), std::lround,
+/// then the integer clamp.
+inline std::uint8_t quantize_one(float x, float scale, std::int32_t zero,
+                                 std::int32_t hi) {
+  const float scaled = x / scale + static_cast<float>(zero);
+  if (std::isnan(scaled)) return 0;
+  const float s = std::clamp(scaled, -1.0f, static_cast<float>(hi));
+  return static_cast<std::uint8_t>(
+      std::clamp(static_cast<std::int32_t>(std::lround(s)), 0, hi));
+}
+
+}  // namespace
 
 void vnni_gemm_x1(const std::uint8_t* a, const std::int8_t* block,
                   std::int64_t klen, std::int32_t* acc, int accumulate) {

@@ -130,10 +130,10 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
 /// Input quantization into u8 codes (hi <= 255): out[i] =
 /// clamp(lround(x[i] / scale + zero), 0, hi), element for element what
 /// simd::quantize_f32_one and core::quantize_value(kNearest) return --
-/// 16 lanes of vdivps, a round-to-nearest-even conversion with a fix-up
-/// for exact positive ties, and the integer clamp; a step holding a NaN
-/// or a scaled value of magnitude >= 2^31 runs the scalar formula. The
-/// n % 16 tail is masked (no read past x + n, no write past out + n).
+/// 16 lanes of vdivps, the float clamp to [-1, hi] (every magnitude
+/// saturates; NaN codes as 0), a round-to-nearest-even conversion with a
+/// fix-up for exact positive ties, and the integer clamp. The n % 16 tail
+/// is masked (no read past x + n, no write past out + n).
 void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
                       std::int32_t zero, std::int32_t hi, std::uint8_t* out);
 

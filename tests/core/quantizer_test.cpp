@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/quantizer.hpp"
 #include "tensor/rng.hpp"
@@ -41,6 +42,35 @@ TEST(QuantizeValue, ClampsToCodeRange) {
   const QuantParams p = make_quant_params(0.0f, 1.0f, BitWidth::kQ4);
   EXPECT_EQ(quantize_value(-10.0f, p, RoundMode::kNearest), 0);
   EXPECT_EQ(quantize_value(10.0f, p, RoundMode::kNearest), 15);
+}
+
+TEST(QuantizeValue, SaturatesEveryMagnitudeAndCodesNanAsZero) {
+  // The scaled value is clamped in float before it is converted, so a
+  // value 2^31 or more steps from the zero-point saturates (it used to
+  // wrap through lround's long narrowed to int32: +inf and 1e30 coded as
+  // 0), in both rounding modes; NaN codes as 0.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const QuantParams p = make_quant_params(-1.0f, 1.0f, BitWidth::kQ8);
+  for (const RoundMode mode : {RoundMode::kNearest, RoundMode::kFloor}) {
+    EXPECT_EQ(quantize_value(kInf, p, mode), 255);
+    EXPECT_EQ(quantize_value(1e30f, p, mode), 255);
+    EXPECT_EQ(quantize_value(std::numeric_limits<float>::max(), p, mode),
+              255);
+    EXPECT_EQ(quantize_value(-kInf, p, mode), 0);
+    EXPECT_EQ(quantize_value(-1e30f, p, mode), 0);
+    EXPECT_EQ(quantize_value(kNan, p, mode), 0);
+    EXPECT_EQ(quantize_value(-kNan, p, mode), 0);
+  }
+  // Scale 0.5, zero 1: these scale to about -2^33 and +2^33, which the
+  // int32 narrowing wrapped to 255 and 0.
+  const QuantParams q{0.5f, 1, BitWidth::kQ8};
+  EXPECT_EQ(quantize_value(-4294966784.0f, q, RoundMode::kNearest), 0);
+  EXPECT_EQ(quantize_value(4294967808.0f, q, RoundMode::kNearest), 255);
+  // In-range codes do not move: the float clamp is [-1, qmax].
+  EXPECT_EQ(quantize_value(-0.75f, q, RoundMode::kNearest), 0);
+  EXPECT_EQ(quantize_value(126.75f, q, RoundMode::kNearest), 255);
+  EXPECT_EQ(quantize_value(126.0f, q, RoundMode::kFloor), 253);
 }
 
 TEST(QuantizeValue, FloorVsNearest) {

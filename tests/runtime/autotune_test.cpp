@@ -259,7 +259,7 @@ TEST(Autotune, TierSelectionHonoursVnniForce) {
         EXPECT_EQ(pl.tier, KernelTier::kNone) << "layer " << i;
         continue;
       }
-      ASSERT_EQ(pl.domain, ExecDomain::kI8) << "q8=" << q8 << " layer " << i;
+      ASSERT_NE(pl.tier, KernelTier::kNone) << "q8=" << q8 << " layer " << i;
       EXPECT_EQ(pl.tier, KernelTier::kVnni) << "q8=" << q8 << " layer " << i;
       if (q8) {
         EXPECT_EQ(pl.zp_split.size(), static_cast<std::size_t>(l.wshape.co))

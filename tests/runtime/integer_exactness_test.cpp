@@ -187,8 +187,8 @@ ThreadPool& lanes_pool(int lanes) {
   return lanes == 2 ? two : four;
 }
 
-/// Compiles `net` under allow_i8 x vnni (off, and force where it can run)
-/// x autotune (analytic, probe, fixed) and runs each plan serially and
+/// Compiles `net` under vnni (off, and force where it can run) x autotune
+/// (analytic, probe, fixed) and runs each plan serially and
 /// pooled at 2 and 4 lanes, on an all-maximum input (MACs at their proven
 /// extremes) and a random one. Every run must equal the reference
 /// executor's logits by integer equality.
@@ -201,37 +201,31 @@ void expect_plan_cross_product_exact(const QuantizedNet& net, Rng& rng,
   std::vector<QInferenceResult> expect;
   for (const FloatTensor& img : images) expect.push_back(ref.run(img));
 
-  for (const bool allow_i8 : {true, false}) {
-    for (const auto vnni :
-         {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
-      if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
-      for (const auto tune :
-           {PlanOptions::Autotune::kAnalytic, PlanOptions::Autotune::kProbe,
-            PlanOptions::Autotune::kFixed}) {
-        PlanOptions opts;
-        opts.allow_i8 = allow_i8;
-        opts.vnni = vnni;
-        opts.autotune = tune;
-        opts.fixed_tile = TileConfig{5, 8, 16};  // blocked in K and N
-        const ExecutionPlan plan(net, opts);
-        for (const int lanes : {1, 2, 4}) {
-          PlanArenas arenas(plan, lanes);
-          const std::string where =
-              label + (allow_i8 ? " i8" : " i32") +
-              (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off") +
-              " autotune " + std::to_string(static_cast<int>(tune)) + ", " +
-              std::to_string(lanes) + " lane(s)";
-          for (std::size_t i = 0; i < images.size(); ++i) {
-            const std::vector<float>& got =
-                lanes == 1
-                    ? plan.run_into(images[i].data(), arenas)
-                    : plan.run_into(images[i].data(), arenas,
-                                    lanes_pool(lanes));
-            ASSERT_EQ(got.size(), expect[i].logits.size()) << where;
-            for (std::size_t k = 0; k < got.size(); ++k) {
-              ASSERT_EQ(got[k], expect[i].logits[k])
-                  << where << ", image " << i << ", output " << k;
-            }
+  for (const auto vnni : {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+    if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
+    for (const auto tune :
+         {PlanOptions::Autotune::kAnalytic, PlanOptions::Autotune::kProbe,
+          PlanOptions::Autotune::kFixed}) {
+      PlanOptions opts;
+      opts.vnni = vnni;
+      opts.autotune = tune;
+      opts.fixed_tile = TileConfig{5, 8, 16};  // blocked in K and N
+      const ExecutionPlan plan(net, opts);
+      for (const int lanes : {1, 2, 4}) {
+        PlanArenas arenas(plan, lanes);
+        const std::string where =
+            label + (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off") +
+            " autotune " + std::to_string(static_cast<int>(tune)) + ", " +
+            std::to_string(lanes) + " lane(s)";
+        for (std::size_t i = 0; i < images.size(); ++i) {
+          const std::vector<float>& got =
+              lanes == 1 ? plan.run_into(images[i].data(), arenas)
+                         : plan.run_into(images[i].data(), arenas,
+                                         lanes_pool(lanes));
+          ASSERT_EQ(got.size(), expect[i].logits.size()) << where;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k], expect[i].logits[k])
+                << where << ", image " << i << ", output " << k;
           }
         }
       }
@@ -323,6 +317,124 @@ TEST_P(PlanCrossProductExactness, RandomHeadBitExact) {
             " qx=" + std::to_string(core::bits(qx)) +
             " qw=" + std::to_string(core::bits(qw)));
   }
+}
+
+/// An 8/8-bit ICN layer at stride 1 with mid-scale zero-points and
+/// multipliers in [3e-5, 1e-4]: at fan-ins near 16,500 its codes spread
+/// over tens of levels around 128 (see centre_zero_points).
+QLayer q8_layer(QLayerKind kind, Shape in_shape, std::int64_t co,
+                std::int64_t k, std::int64_t pad, Rng& rng) {
+  QLayer l = test_support::make_conv_family_layer(
+      kind, in_shape, co, k, 1, pad, BitWidth::kQ8, BitWidth::kQ8,
+      BitWidth::kQ8, Scheme::kPCICN, rng, 3e-5, 1e-4);
+  test_support::centre_zero_points(l);
+  return l;
+}
+
+TEST_P(PlanCrossProductExactness, WideFanInChainBitExact) {
+  // 8/8-bit layers whose fan-in * 255 * 255 exceeds 2^30 fail acc32 and
+  // run the int64 loops on u8 codes. trial % 4 picks a 3x3 conv over
+  // 1,835 channels, a 129x129-tap depthwise (its centre pixel interior,
+  // the rest border), a linear layer of fan-in 16,513, or a raw-logits
+  // head of that fan-in behind a tiered layer that widens 4 channels to
+  // it; the others feed a tiered layer.
+  const int trial = GetParam();
+  Rng rng(static_cast<std::uint64_t>(6100 + trial));
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  std::size_t wide = 0;  // the layer that must fail acc32
+  switch (trial % 4) {
+    case 0:
+      net.layers.push_back(
+          q8_layer(QLayerKind::kConv, Shape(1, 3, 3, 1835), 4, 3, 1, rng));
+      break;
+    case 1:
+      net.layers.push_back(q8_layer(QLayerKind::kDepthwise,
+                                    Shape(1, 129, 129, 2), 2, 129, 1, rng));
+      break;
+    case 2:
+      net.layers.push_back(
+          q8_layer(QLayerKind::kLinear, Shape(1, 1, 1, 16513), 8, 1, 0, rng));
+      break;
+    default:
+      net.layers.push_back(random_chain_layer(
+          QLayerKind::kConv, Shape(1, 1, 1, 4), 16513, BitWidth::kQ8,
+          BitWidth::kQ8, BitWidth::kQ8, Scheme::kPCICN, rng));
+      wide = 1;
+      break;
+  }
+  const Shape s = net.layers.back().out_shape;
+  if (trial % 4 >= 2) {
+    add_random_head(net, s, BitWidth::kQ8,
+                    trial % 4 == 3 ? BitWidth::kQ8 : random_width(rng), 4,
+                    rng);
+  } else {
+    net.layers.push_back(random_chain_layer(
+        QLayerKind::kConv, s, 5, BitWidth::kQ8, random_width(rng),
+        random_width(rng), Scheme::kPCICN, rng));
+  }
+  net.validate();
+  const ExecutionPlan plan(net);
+  ASSERT_FALSE(plan.layers()[wide].acc32);
+  ASSERT_EQ(plan.layers()[wide].tier, KernelTier::kNone);
+  ASSERT_NE(plan.layers()[1 - wide].tier, KernelTier::kNone);
+  expect_plan_cross_product_exact(
+      net, rng, "wide fan-in trial " + std::to_string(trial));
+}
+
+/// Sets every channel of an 8/8-bit ICN layer so the plan must refuse its
+/// vector requant table: |bq| + phi_bound > INT32_MAX. With phi_bound
+/// just under 2^30, a multiplier near 255 / 2^31 and Zy = 0, phi + bq
+/// still spans the code range; odd channels negate bq and the multiplier.
+/// One code is then about 2^23 of phi, so these chains check the routing
+/// coarsely; the threshold-scheme chains check the same scalar epilogue
+/// to the unit.
+void refuse_requant_table(QLayer& l, Rng& rng) {
+  const std::int64_t bound =
+      core::phi_bound(l.wshape.per_channel(), l.qx, l.qw);
+  l.zy = 0;
+  for (std::size_t c = 0; c < l.icn.size(); ++c) {
+    const std::int64_t sign = c % 2 == 0 ? 1 : -1;
+    const std::int64_t bq = std::int64_t{2147483647} - bound + 1 +
+                            static_cast<std::int64_t>(rng.uniform_int(1000));
+    l.icn[c].bq = static_cast<std::int32_t>(sign * bq);
+    l.icn[c].m = core::decompose_multiplier(
+        static_cast<double>(sign) * rng.uniform(0.9, 1.1) * 255.0 /
+        2147483648.0);
+  }
+}
+
+TEST_P(PlanCrossProductExactness, RefusedRequantTableChainBitExact) {
+  // ICN layers whose vector table is refused keep their kernel tier and
+  // requantize through the scalar epilogue: even trials a 3x3 conv over
+  // 1,834 channels, odd trials a 128x128-tap depthwise (interior and
+  // border pixels), both at 8/8 bits and still acc32; a vector-epilogue
+  // pointwise layer reads their codes.
+  const int trial = GetParam();
+  Rng rng(static_cast<std::uint64_t>(7100 + trial));
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  // Random zero-points: phi's systematic part then spreads the codes.
+  QLayer l = test_support::make_conv_family_layer(
+      trial % 2 == 0 ? QLayerKind::kConv : QLayerKind::kDepthwise,
+      trial % 2 == 0 ? Shape(1, 3, 3, 1834) : Shape(1, 129, 129, 2),
+      trial % 2 == 0 ? 4 : 2, trial % 2 == 0 ? 3 : 128, 1, 1, BitWidth::kQ8,
+      BitWidth::kQ8, BitWidth::kQ8, Scheme::kPCICN, rng);
+  refuse_requant_table(l, rng);
+  const Shape s = l.out_shape;
+  net.layers.push_back(std::move(l));
+  net.layers.push_back(random_chain_layer(
+      QLayerKind::kConv, s, 5, BitWidth::kQ8, random_width(rng),
+      random_width(rng), Scheme::kPCICN, rng));
+  net.validate();
+  const ExecutionPlan plan(net);
+  const PlannedLayer& refused = plan.layers().front();
+  ASSERT_TRUE(refused.acc32);
+  ASSERT_NE(refused.tier, KernelTier::kNone);
+  ASSERT_FALSE(refused.rq.usable);
+  ASSERT_TRUE(plan.layers().back().rq.usable);
+  expect_plan_cross_product_exact(
+      net, rng, "refused table trial " + std::to_string(trial));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTrials, PlanCrossProductExactness,

@@ -252,53 +252,54 @@ TEST(PlanArena, SteadyStateRunsDoNotAllocate) {
 }
 
 TEST(PlanArena, SizedLikeTheMemoryMapPingPong) {
-  // The arenas must follow the same even/odd tensor assignment as the MCU
-  // memory map's ping-pong RAM regions (Eq. 7 realized), with each tensor
-  // stored in the u8 or INT32 arena pair according to its CONSUMER
-  // layer's execution domain.
-  const QuantizedNet net = random_net(8, 6, 3, 1, 1, 777);
-  const ExecutionPlan plan(net);
-  const auto& pls = plan.layers();
+  // The u8 arenas follow the MCU memory map's ping-pong RAM regions (Eq. 7
+  // realized): tensor 0 and every even-indexed output in ping, odd ones in
+  // pong, a raw-logits head's output in neither. Each arena holds exactly
+  // the largest tensor of its region, one byte per code.
+  for (const std::uint64_t seed : {777u, 778u, 779u}) {
+    const QuantizedNet net = random_net(8, 6, 3, 1, 1, seed);
+    const ExecutionPlan plan(net);
 
-  std::int64_t e32 = 0, o32 = 0, e8 = 0, o8 = 0;
-  {
-    auto& slot = pls.front().in_u8 ? e8 : e32;
-    slot = std::max(slot, net.layers.front().in_shape.numel());
-  }
-  for (std::size_t i = 0; i < net.layers.size(); ++i) {
-    const QLayer& l = net.layers[i];
-    if (l.raw_logits) continue;
-    const bool even = (i + 1) % 2 == 0;
-    auto& slot = pls[i].out_u8 ? (even ? e8 : o8) : (even ? e32 : o32);
-    slot = std::max(slot, l.out_shape.numel());
-  }
-  EXPECT_EQ(plan.ping_elems(), e32);
-  EXPECT_EQ(plan.pong_elems(), o32);
-  EXPECT_EQ(plan.ping8_elems(), e8);
-  EXPECT_EQ(plan.pong8_elems(), o8);
-  EXPECT_EQ(plan.arena_bytes(),
-            static_cast<std::int64_t>(sizeof(std::int32_t)) *
-                    (plan.ping_elems() + plan.pong_elems() +
-                     plan.col_elems()) +
-                arena_u8_padded(plan.ping8_elems()) +
-                arena_u8_padded(plan.pong8_elems()) +
-                arena_u8_padded(plan.col8_elems()));
+    // Tensor t (0 = the input, i + 1 = layer i's output) -> region t % 2.
+    std::int64_t elems[2] = {0, 0};
+    std::int64_t bytes[2] = {0, 0};
+    const auto place = [&](std::size_t t, std::int64_t numel, BitWidth q) {
+      elems[t % 2] = std::max(elems[t % 2], numel);
+      bytes[t % 2] = std::max(bytes[t % 2], packed_bytes(numel, q));
+    };
+    place(0, net.layers.front().in_shape.numel(), net.layers.front().qx);
+    for (std::size_t i = 0; i < net.layers.size(); ++i) {
+      const QLayer& l = net.layers[i];
+      if (!l.raw_logits) place(i + 1, l.out_shape.numel(), l.qy);
+    }
 
-  // Cross-check against the memory map: every tensor the map places in a
-  // ping-pong RAM region fits the corresponding plan arena pair (whether
-  // that pair is the u8 or the unpacked INT32 one).
-  mcu::DeviceSpec dev;
-  dev.flash_bytes = std::int64_t{1} << 30;
-  dev.ram_bytes = std::int64_t{1} << 30;
-  const mcu::MemoryMap map = mcu::build_memory_map(net, dev);
-  ASSERT_EQ(map.ram.size(), 2u);
-  EXPECT_GE(plan.ping_elems() * 4 + plan.ping8_elems(), map.ram[0].size / 2)
-      << "ping arenas smaller than the packed ping region implies";
+    // The memory map places the same tensors: its regions are their packed
+    // sizes, word-aligned.
+    mcu::DeviceSpec dev;
+    dev.flash_bytes = std::int64_t{1} << 30;
+    dev.ram_bytes = std::int64_t{1} << 30;
+    const mcu::MemoryMap map = mcu::build_memory_map(net, dev);
+    ASSERT_EQ(map.ram.size(), 2u);
+    for (std::size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(map.ram[r].size, simd::round_up(bytes[r], mcu::kRegionAlign))
+          << "seed " << seed << " region " << r;
+    }
+    EXPECT_EQ(plan.ping8_elems(), elems[0]) << "seed " << seed;
+    EXPECT_EQ(plan.pong8_elems(), elems[1]) << "seed " << seed;
+    EXPECT_EQ(plan.arena_bytes(), arena_u8_padded(elems[0]) +
+                                      arena_u8_padded(elems[1]) +
+                                      arena_u8_padded(plan.col8_elems()))
+        << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Narrow-domain eligibility prover and mixed-domain execution.
+// Kernel tiers, requant epilogues and the int64 loops.
 // ---------------------------------------------------------------------------
+
+/// A forced-VNNI plan executes the VNNI kernel bodies: runnable unless a
+/// native-VNNI binary sits on a host without the instructions.
+bool vnni_runnable() { return !simd::vnni_compiled() || simd::vnni_cpu(); }
 
 /// Bit-exactness of a specific plan (with options) vs the reference
 /// executor, over a few images including an all-maximum one (codes 255)
@@ -352,7 +353,8 @@ TEST(PlanDomain, IcnChainCompilesNarrowWithPanelTier) {
   const ExecutionPlan plan(net, opts);
   ASSERT_EQ(plan.layers().size(), 3u);
   for (const PlannedLayer& pl : plan.layers()) {
-    EXPECT_EQ(pl.domain, ExecDomain::kI8);
+    EXPECT_NE(pl.tier, KernelTier::kNone);
+    EXPECT_TRUE(pl.rq.usable);
   }
   // 4/2-bit conv weights must take the s8 panel; the q8-weight depthwise
   // always has an s16 bank.
@@ -360,8 +362,7 @@ TEST(PlanDomain, IcnChainCompilesNarrowWithPanelTier) {
   EXPECT_FALSE(plan.layers()[0].w8.empty());
   EXPECT_FALSE(plan.layers()[1].wt16p.empty());
   EXPECT_EQ(plan.layers()[2].tier, KernelTier::kS8Panel);
-  EXPECT_EQ(plan.i8_layer_count(), 3);
-  expect_plan_bit_exact(net, plan, "narrow icn chain");
+  expect_plan_bit_exact(net, plan, "icn chain");
 }
 
 /// Adversarial i16-overflow-bound layers: a linear layer with q8 weights
@@ -369,7 +370,7 @@ TEST(PlanDomain, IcnChainCompilesNarrowWithPanelTier) {
 /// |w| sum exactly 128, 255 * 128 = 32640 <= 32767 and the panel tier is
 /// provable; bump one pair (in the last K-block) to 129 and the prover
 /// must reject the panel and fall back to the s16 widening tier -- still
-/// narrow, still bit-exact, on max-magnitude activations.
+/// tiered, still bit-exact, on max-magnitude activations.
 /// The same construction as a raw-logits head takes the same tiers: its
 /// GEMM runs on the panel with the float epilogue and holds no INT32 bank.
 TEST(PlanDomain, PanelTierStraddlesI16PairBound) {
@@ -408,7 +409,7 @@ TEST(PlanDomain, PanelTierStraddlesI16PairBound) {
       const std::string label = std::string(head ? "head " : "linear ") +
                                 (over ? "pair bound exceeded"
                                       : "pair bound exact");
-      ASSERT_EQ(pl.domain, ExecDomain::kI8) << label;
+      ASSERT_NE(pl.tier, KernelTier::kNone) << label;
       EXPECT_EQ(pl.tier, over ? KernelTier::kU8S16 : KernelTier::kS8Panel)
           << label;
       EXPECT_EQ(pl.w8.empty(), over) << label;
@@ -419,7 +420,11 @@ TEST(PlanDomain, PanelTierStraddlesI16PairBound) {
   }
 }
 
-TEST(PlanDomain, ThresholdSchemeFallsBackToInt32) {
+/// The PC-Thresholds scheme has no vector requant form: its conv, depthwise
+/// and pointwise layers take the kernel tiers like any acc32 layer and
+/// requantize through the scalar threshold search (depthwise border pixels
+/// through the scalar border pixel), on every tier this host can run.
+TEST(PlanDomain, ThresholdSchemeTakesTierWithScalarEpilogue) {
   Rng rng(33);
   QuantizedNet net;
   net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ4);
@@ -427,16 +432,37 @@ TEST(PlanDomain, ThresholdSchemeFallsBackToInt32) {
   net.layers.push_back(make_conv_family_layer(
       QLayerKind::kConv, s, 5, 3, 1, 1, BitWidth::kQ4, BitWidth::kQ4,
       BitWidth::kQ4, Scheme::kPCThresholds, rng));
+  s = net.layers.back().out_shape;
+  net.layers.push_back(make_conv_family_layer(
+      QLayerKind::kDepthwise, s, s.c, 3, 1, 1, BitWidth::kQ4, BitWidth::kQ8,
+      BitWidth::kQ8, Scheme::kPCThresholds, rng));
+  s = net.layers.back().out_shape;
+  net.layers.push_back(make_conv_family_layer(
+      QLayerKind::kConv, s, 6, 1, 1, 0, BitWidth::kQ8, BitWidth::kQ4,
+      BitWidth::kQ4, Scheme::kPCThresholds, rng));
   net.validate();
-  const ExecutionPlan plan(net);
-  EXPECT_EQ(plan.layers().front().domain, ExecDomain::kI32)
-      << "threshold requant has no exact vector form; must stay wide";
-  expect_plan_bit_exact(net, plan, "threshold fallback");
+  for (const auto vnni : {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+    if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
+    PlanOptions opts;
+    opts.vnni = vnni;
+    const ExecutionPlan plan(net, opts);
+    const std::string label = vnni == PlanOptions::Vnni::kForce
+                                  ? "thresholds vnni"
+                                  : "thresholds off";
+    for (const PlannedLayer& pl : plan.layers()) {
+      EXPECT_NE(pl.tier, KernelTier::kNone) << label;
+      EXPECT_FALSE(pl.rq.usable) << label;
+      EXPECT_EQ(std::string(requant_name(pl)), "scalar") << label;
+      EXPECT_TRUE(pl.border_key.empty()) << label;
+    }
+    expect_plan_bit_exact(net, plan, label);
+  }
 }
 
-TEST(PlanDomain, HugeFanInFallsBackToInt32) {
+TEST(PlanDomain, HugeFanInRunsInt64Loop) {
   // phi_bound = 20000 * 255 * 255 > 2^30: int32 accumulators are not
-  // provably safe, so the layer must run the wide INT64 path.
+  // provably safe, so the layer takes no tier and runs the int64 loop over
+  // its u8 input codes.
   Rng rng(34);
   QuantizedNet net;
   net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
@@ -446,34 +472,35 @@ TEST(PlanDomain, HugeFanInFallsBackToInt32) {
       BitWidth::kQ8, Scheme::kPCICN, rng));
   net.validate();
   const ExecutionPlan plan(net);
-  EXPECT_FALSE(plan.layers().front().acc32);
-  EXPECT_EQ(plan.layers().front().domain, ExecDomain::kI32);
-  expect_plan_bit_exact(net, plan, "huge fan-in fallback");
+  const PlannedLayer& pl = plan.layers().front();
+  EXPECT_FALSE(pl.acc32);
+  EXPECT_EQ(pl.tier, KernelTier::kNone);
+  EXPECT_EQ(std::string(tier_name(pl.tier)), "-");
+  EXPECT_EQ(pl.w.size(), static_cast<std::size_t>(20000 * 3));
+  expect_plan_bit_exact(net, plan, "huge fan-in int64 loop");
 }
 
-TEST(PlanDomain, MixedDomainChainWithSeamsIsBitExact) {
-  // i8 conv -> i32 (thresholds) conv -> i8 conv -> pool -> head: the
-  // narrow producers write INT32 for the wide consumer and vice versa;
-  // every seam crossing must be bit-exact.
+TEST(PlanDomain, MixedEpilogueChainIsBitExact) {
+  // Vector-epilogue conv -> scalar-epilogue (thresholds) pointwise ->
+  // int64 linear (fan-in 8 * 8 * 260 = 16,640 at 8/8 bits fails acc32) ->
+  // tiered raw-logits head: each layer reads the u8 codes its producer
+  // wrote, whichever kernel and epilogue either side runs.
   Rng rng(35);
   QuantizedNet net;
   net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
   Shape s(1, 8, 8, 3);
   net.layers.push_back(make_conv_family_layer(
       QLayerKind::kConv, s, 6, 3, 1, 1, BitWidth::kQ8, BitWidth::kQ4,
-      BitWidth::kQ4, Scheme::kPCICN, rng));
-  s = net.layers.back().out_shape;
-  net.layers.push_back(make_conv_family_layer(
-      QLayerKind::kConv, s, 5, 1, 1, 0, BitWidth::kQ4, BitWidth::kQ4,
-      BitWidth::kQ4, Scheme::kPCThresholds, rng));
-  s = net.layers.back().out_shape;
-  net.layers.push_back(make_conv_family_layer(
-      QLayerKind::kConv, s, 7, 3, 2, 1, BitWidth::kQ4, BitWidth::kQ2,
       BitWidth::kQ8, Scheme::kPCICN, rng));
   s = net.layers.back().out_shape;
   net.layers.push_back(make_conv_family_layer(
-      QLayerKind::kGlobalAvgPool, s, 0, 1, 1, 0, BitWidth::kQ8,
-      BitWidth::kQ8, BitWidth::kQ8, Scheme::kPCICN, rng));
+      QLayerKind::kConv, s, 260, 1, 1, 0, BitWidth::kQ8, BitWidth::kQ4,
+      BitWidth::kQ8, Scheme::kPCThresholds, rng));
+  s = net.layers.back().out_shape;
+  net.layers.push_back(make_conv_family_layer(
+      QLayerKind::kLinear, s, 5, 1, 1, 0, BitWidth::kQ8, BitWidth::kQ8,
+      BitWidth::kQ8, Scheme::kPCICN, rng, 3e-5, 1e-4));
+  test_support::centre_zero_points(net.layers.back());
   s = net.layers.back().out_shape;
   QLayer head = make_conv_family_layer(QLayerKind::kLinear, s, 4, 1, 1, 0,
                                        BitWidth::kQ8, BitWidth::kQ8,
@@ -485,84 +512,62 @@ TEST(PlanDomain, MixedDomainChainWithSeamsIsBitExact) {
 
   const ExecutionPlan plan(net);
   const auto& pls = plan.layers();
-  EXPECT_EQ(pls[0].domain, ExecDomain::kI8);
-  EXPECT_EQ(pls[1].domain, ExecDomain::kI32);
-  EXPECT_EQ(pls[2].domain, ExecDomain::kI8);
-  // Seam storage: layer 0 writes wide (consumer is i32), layer 1 writes
-  // narrow (consumer is i8).
-  EXPECT_FALSE(pls[0].out_u8);
-  EXPECT_TRUE(pls[1].out_u8);
-  EXPECT_TRUE(pls[2].out_u8);
-  expect_plan_bit_exact(net, plan, "mixed-domain seams");
-  // And through the executor's default plan (intra-executor path).
-  expect_bit_exact(net, 77, "mixed-domain executor");
+  EXPECT_NE(pls[0].tier, KernelTier::kNone);
+  EXPECT_EQ(std::string(requant_name(pls[0])), "vector");
+  EXPECT_NE(pls[1].tier, KernelTier::kNone);
+  EXPECT_EQ(std::string(requant_name(pls[1])), "scalar");
+  EXPECT_FALSE(pls[2].acc32);
+  EXPECT_EQ(pls[2].tier, KernelTier::kNone);
+  EXPECT_NE(pls[3].tier, KernelTier::kNone);
+  expect_plan_bit_exact(net, plan, "mixed-epilogue chain");
+  expect_bit_exact(net, 77, "mixed-epilogue chain, second image");
 }
 
-TEST(PlanDomain, AllowI8FalseForcesWideEverywhere) {
-  const QuantizedNet net = random_net(8, 8, 3, 1, 1, 9090);
-  // Fixed (pre-autotuner) tiles for the footprint comparison: the
-  // auto-tuner may pick a larger im2col tile for a tiny net, which is a
-  // gather-buffer choice, not part of the domain-footprint invariant.
-  PlanOptions fixed;
-  fixed.autotune = PlanOptions::Autotune::kFixed;
-  const ExecutionPlan narrow(net, fixed);
-  PlanOptions wide_opts = fixed;
-  wide_opts.allow_i8 = false;
-  const ExecutionPlan wide(net, wide_opts);
-  for (const PlannedLayer& pl : wide.layers()) {
-    EXPECT_EQ(pl.domain, ExecDomain::kI32);
-    EXPECT_FALSE(pl.in_u8);
-    EXPECT_FALSE(pl.out_u8);
-  }
-  EXPECT_EQ(wide.i8_layer_count(), 0);
-  EXPECT_EQ(wide.ping8_elems(), 0);
-  EXPECT_EQ(wide.pong8_elems(), 0);
-  expect_plan_bit_exact(net, wide, "forced all-int32");
-  EXPECT_GE(wide.arena_bytes(), narrow.arena_bytes());
-}
-
-TEST(PlanArena, NarrowDomainShrinksArenaFootprintAtLeast3x) {
-  // MobileNet-class mixed-precision stack (the tracked workload's shape):
-  // the all-ICN chain compiles fully narrow, so the u8 arenas must cut
-  // the activation working set by at least 3x vs the all-INT32 plan.
+TEST(PlanArena, Q8ChainArenasAreTheMemoryMapRegions) {
+  // MobileNet-class stack (the tracked workload's shape) with every
+  // activation at 8 bits and every tensor a multiple of 4 codes: the
+  // packed Eq. 7 ping-pong regions of the MCU memory map are then exactly
+  // the plan's u8 ping and pong arenas, and the plan's activation memory
+  // is that RW footprint plus the slack and one im2col tile.
   Rng rng(36);
   QuantizedNet net;
   net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
   Shape s(1, 32, 32, 3);
   net.layers.push_back(make_conv_family_layer(
       QLayerKind::kConv, s, 16, 3, 2, 1, BitWidth::kQ8, BitWidth::kQ8,
-      BitWidth::kQ4, Scheme::kPCICN, rng));
+      BitWidth::kQ8, Scheme::kPCICN, rng));
   s = net.layers.back().out_shape;
-  BitWidth qx = BitWidth::kQ4;
   for (const std::int64_t co : {32, 64}) {
     net.layers.push_back(make_conv_family_layer(
-        QLayerKind::kDepthwise, s, s.c, 3, 1, 1, qx, BitWidth::kQ8, qx,
-        Scheme::kPCICN, rng));
+        QLayerKind::kDepthwise, s, s.c, 3, 1, 1, BitWidth::kQ8, BitWidth::kQ8,
+        BitWidth::kQ8, Scheme::kPCICN, rng));
     s = net.layers.back().out_shape;
     net.layers.push_back(make_conv_family_layer(
-        QLayerKind::kConv, s, co, 1, 1, 0, qx, BitWidth::kQ4, BitWidth::kQ4,
-        Scheme::kPCICN, rng));
+        QLayerKind::kConv, s, co, 1, 1, 0, BitWidth::kQ8, BitWidth::kQ4,
+        BitWidth::kQ8, Scheme::kPCICN, rng));
     s = net.layers.back().out_shape;
   }
   net.validate();
 
-  const ExecutionPlan narrow(net);
-  const ExecutionPlan wide(net, PlanOptions{/*allow_i8=*/false});
-  EXPECT_EQ(narrow.i8_layer_count(),
-            static_cast<std::int64_t>(net.layers.size()));
-  EXPECT_GE(wide.arena_bytes(), 3 * narrow.arena_bytes())
-      << "narrow " << narrow.arena_bytes() << " B vs wide "
-      << wide.arena_bytes() << " B";
-  expect_plan_bit_exact(net, narrow, "footprint workload");
+  const ExecutionPlan plan(net);
+  mcu::DeviceSpec dev;
+  dev.flash_bytes = std::int64_t{1} << 30;
+  dev.ram_bytes = std::int64_t{1} << 30;
+  const mcu::MemoryMap map = mcu::build_memory_map(net, dev);
+  ASSERT_EQ(map.ram.size(), 2u);
+  EXPECT_EQ(plan.ping8_elems(), map.ram[0].size);
+  EXPECT_EQ(plan.pong8_elems(), map.ram[1].size);
+  EXPECT_EQ(plan.ping8_elems(), 16 * 16 * 32);  // second depthwise output
+  EXPECT_EQ(plan.pong8_elems(), 16 * 16 * 64);  // last pointwise output
+  EXPECT_GT(plan.col8_elems(), 0);               // the stem's im2col tile
+  EXPECT_EQ(plan.arena_bytes(), map.ram_used + 2 * kArenaU8Slack +
+                                    arena_u8_padded(plan.col8_elems()));
+  expect_plan_bit_exact(net, plan, "Q8 footprint workload");
 }
 
 // ---------------------------------------------------------------------------
 // Plan weight memory and the raw-logits head on the GEMM panel.
 // ---------------------------------------------------------------------------
-
-/// A forced-VNNI plan executes the VNNI kernel bodies: runnable unless a
-/// native-VNNI binary sits on a host without the instructions.
-bool vnni_runnable() { return !simd::vnni_compiled() || simd::vnni_cpu(); }
 
 /// Stem conv (row-partitioned at 2+ lanes) -> pool -> raw-logits head of
 /// `classes` outputs with `qw` weights over K = 40 features. `pin_split`
@@ -603,93 +608,82 @@ QuantizedNet head_net(BitWidth qw, std::int64_t classes, bool pin_split,
   return net;
 }
 
-/// Narrow MAC layers read only their panels, so the compiled plan keeps
+/// A raw-logits head over 20000 features: 20000 * 255 * 255 > 2^30, so its
+/// fan-in fails the acc32 proof.
+QuantizedNet wide_head_net() {
+  Rng rng(34);
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+  QLayer head = make_conv_family_layer(QLayerKind::kLinear, Shape(1, 50, 50, 8),
+                                       3, 1, 1, 0, BitWidth::kQ8, BitWidth::kQ8,
+                                       BitWidth::kQ8, Scheme::kPCICN, rng);
+  head.raw_logits = true;
+  for (int c = 0; c < 3; ++c) head.out_mult.push_back(1e-6 * (c + 1));
+  net.layers.push_back(std::move(head));
+  net.validate();
+  return net;
+}
+
+/// Tiered MAC layers read only their panels, so the compiled plan keeps
 /// no INT32 bank for them -- the head included when its fan-in passes
-/// acc32. The all-INT32 plan keeps every bank, and both stay bit-exact.
-TEST(PlanWeights, NarrowLayersHoldOnlyTheirPanels) {
+/// acc32 -- and the 37-class head net's panels stay below one INT32 bank.
+TEST(PlanWeights, TieredLayersHoldOnlyTheirPanels) {
   for (const std::uint64_t seed : {9090u, 9191u, 9292u}) {
     const QuantizedNet nets[] = {random_net(8, 8, 3, 1, 1, seed),
                                  head_net(BitWidth::kQ8, 37, true, seed)};
     for (std::size_t n = 0; n < 2; ++n) {
       const QuantizedNet& net = nets[n];
-      const ExecutionPlan narrow(net);
-      const ExecutionPlan wide(net, PlanOptions{/*allow_i8=*/false});
+      const ExecutionPlan plan(net);
+      std::int64_t weight_count = 0;
       for (std::size_t i = 0; i < net.layers.size(); ++i) {
         const QLayer& l = net.layers[i];
         if (l.kind == QLayerKind::kGlobalAvgPool) continue;
-        const PlannedLayer& pn = narrow.layers()[i];
-        const PlannedLayer& pw = wide.layers()[i];
-        const bool dw = l.kind == QLayerKind::kDepthwise;
-        if (pn.tier != KernelTier::kNone) {
-          EXPECT_EQ(pn.domain, ExecDomain::kI8) << "layer " << i;
-          EXPECT_TRUE(pn.w.empty()) << "layer " << i;
-          EXPECT_TRUE(pn.wt.empty()) << "layer " << i;
-        } else {
-          EXPECT_FALSE(pn.w.empty()) << "layer " << i;
-          EXPECT_EQ(pn.wt.empty(), !dw) << "layer " << i;
-        }
-        EXPECT_EQ(pw.tier, KernelTier::kNone) << "layer " << i;
-        EXPECT_EQ(pw.w.size(), static_cast<std::size_t>(l.weights_numel()))
-            << "layer " << i;
-        EXPECT_EQ(pw.wt.empty(), !dw) << "layer " << i;
+        weight_count += l.weights_numel();
+        const PlannedLayer& pl = plan.layers()[i];
+        ASSERT_TRUE(pl.acc32) << "layer " << i;
+        EXPECT_NE(pl.tier, KernelTier::kNone) << "layer " << i;
+        EXPECT_TRUE(pl.w.empty()) << "layer " << i;
+        EXPECT_TRUE(pl.wt.empty()) << "layer " << i;
       }
-      // The head's fan-in passes acc32 in both nets: it must be tiered.
-      const PlannedLayer& head = narrow.layers().back();
-      ASSERT_TRUE(head.layer->raw_logits);
-      EXPECT_TRUE(head.acc32);
-      EXPECT_NE(head.tier, KernelTier::kNone);
       if (n == 1) {
         // Wide enough that panel padding (co_pad, kp) stays below the
-        // INT32 banks it replaces; the tiny random net's layers are not.
-        EXPECT_LT(narrow.weight_bytes(), wide.weight_bytes());
+        // 4-byte bank an INT32 plan would hold; the tiny random net's
+        // layers are not.
+        EXPECT_LT(plan.weight_bytes(), 4 * weight_count);
       }
-      expect_plan_bit_exact(net, narrow, "narrow, seed " +
-                                             std::to_string(seed));
-      expect_plan_bit_exact(net, wide, "wide, seed " + std::to_string(seed));
+      expect_plan_bit_exact(net, plan, "seed " + std::to_string(seed));
     }
   }
 }
 
 TEST(PlanWeights, WeightBytesCountsEveryBank) {
-  const QuantizedNet net = random_net(9, 7, 3, 2, 1, 4242);
-  for (const bool allow_i8 : {true, false}) {
-    const ExecutionPlan plan(net, PlanOptions{allow_i8});
+  // A tiered net (panels and s16 banks) and an int64 head (INT32 bank).
+  const QuantizedNet nets[] = {random_net(9, 7, 3, 2, 1, 4242),
+                               wide_head_net()};
+  for (const QuantizedNet& net : nets) {
+    const ExecutionPlan plan(net);
     std::int64_t expect = 0;
     for (const PlannedLayer& pl : plan.layers()) {
       expect += static_cast<std::int64_t>(
           4 * (pl.w.size() + pl.wt.size()) + pl.w8.size() +
           2 * (pl.w16.size() + pl.wt16.size() + pl.wt16p.size()));
     }
-    EXPECT_EQ(plan.weight_bytes(), expect) << "allow_i8=" << allow_i8;
+    EXPECT_EQ(plan.weight_bytes(), expect);
     EXPECT_GT(plan.weight_bytes(), 0);
   }
 }
 
-/// A head whose fan-in fails the acc32 proof (20000 * 255 * 255 > 2^30)
-/// keeps its INT32 bank and the INT64 dot in both domains.
+/// A head whose fan-in fails the acc32 proof keeps its INT32 bank and the
+/// int64 dots over its u8 input.
 TEST(PlanWeights, WideFanInHeadKeepsInt32Bank) {
-  Rng rng(34);
-  QuantizedNet net;
-  net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
-  Shape s(1, 50, 50, 8);
-  QLayer head = make_conv_family_layer(QLayerKind::kLinear, s, 3, 1, 1, 0,
-                                       BitWidth::kQ8, BitWidth::kQ8,
-                                       BitWidth::kQ8, Scheme::kPCICN, rng);
-  head.raw_logits = true;
-  for (int c = 0; c < 3; ++c) head.out_mult.push_back(1e-6 * (c + 1));
-  net.layers.push_back(std::move(head));
-  net.validate();
-  for (const bool allow_i8 : {true, false}) {
-    const ExecutionPlan plan(net, PlanOptions{allow_i8});
-    const PlannedLayer& pl = plan.layers().front();
-    EXPECT_FALSE(pl.acc32);
-    EXPECT_EQ(pl.tier, KernelTier::kNone);
-    EXPECT_EQ(pl.w.size(), static_cast<std::size_t>(20000 * 3));
-    EXPECT_TRUE(pl.w8.empty());
-    expect_plan_bit_exact(net, plan,
-                          allow_i8 ? "wide head, narrow input"
-                                   : "wide head, INT32 input");
-  }
+  const QuantizedNet net = wide_head_net();
+  const ExecutionPlan plan(net);
+  const PlannedLayer& pl = plan.layers().front();
+  EXPECT_FALSE(pl.acc32);
+  EXPECT_EQ(pl.tier, KernelTier::kNone);
+  EXPECT_EQ(pl.w.size(), static_cast<std::size_t>(20000 * 3));
+  EXPECT_TRUE(pl.w8.empty());
+  expect_plan_bit_exact(net, plan, "wide head");
 }
 
 /// The head rides the VNNI panel under kForce: a Q4 head (offsets fit s8)
@@ -803,29 +797,24 @@ TEST(PlanDomain, BorderWindowsStayDistinctBeyond255Taps) {
   rng.fill_uniform(noisy.vec(), 0.4, 0.6);
   const QInferenceResult ref_zx = exec.run(at_zx);
   const QInferenceResult ref_noisy = exec.run(noisy);
-  for (const bool allow_i8 : {true, false}) {
-    for (const auto vnni :
-         {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
-      if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
-      PlanOptions opts;
-      opts.allow_i8 = allow_i8;
-      opts.vnni = vnni;
-      const ExecutionPlan plan(net, opts);
-      const PlannedLayer& pl = plan.layers().front();
-      const std::string label =
-          std::string(allow_i8 ? "narrow" : "wide") +
-          (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off");
-      EXPECT_EQ(pl.domain, allow_i8 ? ExecDomain::kI8 : ExecDomain::kI32);
-      ASSERT_TRUE(pl.rq.usable) << label;
-      const QInferenceResult got_zx = plan.run(at_zx);
-      const QInferenceResult got_noisy = plan.run(noisy);
-      ASSERT_EQ(got_zx.logits.size(), 36u);
-      for (std::size_t i = 0; i < 36; ++i) {
-        EXPECT_EQ(got_zx.logits[i], ref_zx.logits[i])
-            << label << " input at Zx, output " << i;
-        EXPECT_EQ(got_noisy.logits[i], ref_noisy.logits[i])
-            << label << " noisy input, output " << i;
-      }
+  for (const auto vnni : {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+    if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
+    PlanOptions opts;
+    opts.vnni = vnni;
+    const ExecutionPlan plan(net, opts);
+    const PlannedLayer& pl = plan.layers().front();
+    const std::string label =
+        vnni == PlanOptions::Vnni::kForce ? "vnni" : "off";
+    ASSERT_NE(pl.tier, KernelTier::kNone) << label;
+    ASSERT_TRUE(pl.rq.usable) << label;
+    const QInferenceResult got_zx = plan.run(at_zx);
+    const QInferenceResult got_noisy = plan.run(noisy);
+    ASSERT_EQ(got_zx.logits.size(), 36u);
+    for (std::size_t i = 0; i < 36; ++i) {
+      EXPECT_EQ(got_zx.logits[i], ref_zx.logits[i])
+          << label << " input at Zx, output " << i;
+      EXPECT_EQ(got_noisy.logits[i], ref_noisy.logits[i])
+          << label << " noisy input, output " << i;
     }
   }
 }

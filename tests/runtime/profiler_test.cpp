@@ -126,13 +126,18 @@ TEST(ProfilePlanned, MacsAttributionMatchesStaticProfile) {
         << "layer " << i;
     EXPECT_EQ(pp.layers[i].macs, stat.layers[i].macs) << "layer " << i;
     EXPECT_GE(pp.layers[i].ns, 0.0) << "layer " << i;
-    // Domain attribution mirrors the plan's per-layer decision exactly.
-    EXPECT_EQ(static_cast<int>(pp.layers[i].domain),
-              static_cast<int>(plan.layers()[i].domain))
+    // Tier and tile attribution mirror the plan's per-layer decisions.
+    EXPECT_EQ(static_cast<int>(pp.layers[i].tier),
+              static_cast<int>(plan.layers()[i].tier))
+        << "layer " << i;
+    EXPECT_EQ(pp.layers[i].tile.rows, plan.layers()[i].tile.rows)
+        << "layer " << i;
+    EXPECT_EQ(pp.layers[i].tile.kb, plan.layers()[i].tile.kb)
+        << "layer " << i;
+    EXPECT_EQ(pp.layers[i].tile.nb, plan.layers()[i].tile.nb)
         << "layer " << i;
   }
   EXPECT_EQ(pp.total_macs, stat.total_macs);
-  EXPECT_EQ(pp.i8_layers, plan.i8_layer_count());
 }
 
 TEST(ProfilePlanned, PerLayerNsSumsToEndToEnd) {

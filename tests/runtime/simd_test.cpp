@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "core/icn.hpp"
+#include "core/quantizer.hpp"
 #include "runtime/simd.hpp"
 #include "tensor/rng.hpp"
 
@@ -38,112 +41,8 @@ TEST(Simd, IsaDispatchIsConsistent) {
   }
 }
 
-TEST(Simd, MacMatchesScalar) {
-  Rng rng(1);
-  for (const std::int64_t n : kSizes) {
-    const auto x = random_codes(rng, n, -255, 255);
-    const auto w = random_codes(rng, n, -255, 255);
-    auto acc = random_codes(rng, n, -1000, 1000);
-    auto expect = acc;
-    for (std::int64_t i = 0; i < n; ++i) expect[i] += x[i] * w[i];
-    simd::mac_i32(acc.data(), x.data(), w.data(), n);
-    EXPECT_EQ(acc, expect) << "n=" << n;
-  }
-}
-
-TEST(Simd, AddMatchesScalar) {
-  Rng rng(2);
-  for (const std::int64_t n : kSizes) {
-    const auto x = random_codes(rng, n, -255, 255);
-    auto acc = random_codes(rng, n, -1000, 1000);
-    auto expect = acc;
-    for (std::int64_t i = 0; i < n; ++i) expect[i] += x[i];
-    simd::add_i32(acc.data(), x.data(), n);
-    EXPECT_EQ(acc, expect) << "n=" << n;
-  }
-}
-
-TEST(Simd, DwDotMatchesScalar) {
-  Rng rng(3);
-  for (const std::int64_t C : kSizes) {
-    if (C == 0) continue;
-    const std::int64_t taps = 9;
-    const std::int64_t in_w = 5;
-    // Input buffer covering taps laid out like a 3x3 window on a row-major
-    // HWC tensor of width in_w.
-    const auto x = random_codes(rng, (2 * in_w + 3) * C, 0, 255);
-    const auto wt = random_codes(rng, taps * C, -128, 127);
-    std::vector<std::int64_t> toff(static_cast<std::size_t>(taps));
-    for (std::int64_t ky = 0; ky < 3; ++ky) {
-      for (std::int64_t kx = 0; kx < 3; ++kx) {
-        toff[static_cast<std::size_t>(ky * 3 + kx)] = (ky * in_w + kx) * C;
-      }
-    }
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(C), -7);
-    std::vector<std::int32_t> expect(static_cast<std::size_t>(C));
-    for (std::int64_t c = 0; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += x[static_cast<std::size_t>(toff[static_cast<std::size_t>(t)] +
-                                        c)] *
-             wt[static_cast<std::size_t>(t * C + c)];
-      }
-      expect[static_cast<std::size_t>(c)] = s;
-    }
-    simd::dw_dot_i32(x.data(), toff.data(), wt.data(), taps, C, acc.data());
-    EXPECT_EQ(acc, expect) << "C=" << C;
-  }
-}
-
-TEST(Simd, DotBlocksMatchScalar) {
-  Rng rng(4);
-  for (const std::int64_t n : kSizes) {
-    const auto a0 = random_codes(rng, n, 0, 255);
-    const auto a1 = random_codes(rng, n, 0, 255);
-    std::vector<std::vector<std::int32_t>> w;
-    for (int j = 0; j < 4; ++j) w.push_back(random_codes(rng, n, -128, 127));
-
-    std::int32_t e0[4], e1[4];
-    for (int j = 0; j < 4; ++j) {
-      std::int32_t s0 = 100 + j, s1 = -3 * j;
-      for (std::int64_t k = 0; k < n; ++k) {
-        s0 += a0[static_cast<std::size_t>(k)] *
-              w[static_cast<std::size_t>(j)][static_cast<std::size_t>(k)];
-        s1 += a1[static_cast<std::size_t>(k)] *
-              w[static_cast<std::size_t>(j)][static_cast<std::size_t>(k)];
-      }
-      e0[j] = s0;
-      e1[j] = s1;
-    }
-
-    std::int32_t o0[4] = {100, 101, 102, 103};
-    std::int32_t o1[4] = {0, -3, -6, -9};
-    simd::dot2x4_i32(a0.data(), a1.data(), w[0].data(), w[1].data(),
-                     w[2].data(), w[3].data(), n, o0, o1);
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(o0[j], e0[j]) << "row0 ch" << j << " n=" << n;
-      EXPECT_EQ(o1[j], e1[j]) << "row1 ch" << j << " n=" << n;
-    }
-
-    std::int32_t o2[4] = {100, 101, 102, 103};
-    simd::dot1x4_i32(a0.data(), w[0].data(), w[1].data(), w[2].data(),
-                     w[3].data(), n, o2);
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(o2[j], e0[j]) << "1x4 ch" << j << " n=" << n;
-    }
-
-    std::int32_t expect_dot = 0;
-    for (std::int64_t k = 0; k < n; ++k) {
-      expect_dot += a0[static_cast<std::size_t>(k)] *
-                    w[0][static_cast<std::size_t>(k)];
-    }
-    EXPECT_EQ(simd::dot_i32(a0.data(), w[0].data(), n), expect_dot)
-        << "n=" << n;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Narrow-domain (u8 activation) kernels.
+// u8-activation kernels.
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> random_u8(Rng& rng, std::int64_t n, int lo,
@@ -370,9 +269,10 @@ TEST(SimdNarrow, ElementwiseHelpersMatchScalar) {
   }
 }
 
-TEST(SimdNarrow, RequantU8MatchesI32Kernel) {
-  // The u8-store requant must emit exactly the codes the i32 kernel does
-  // (they are bounded by hi <= 255), channel for channel.
+TEST(SimdNarrow, RequantU8MatchesScalarReference) {
+  // The vector requant must emit exactly requant_icn_one's code, channel
+  // for channel, also for a chunk [c0, n) requantized with the table
+  // columns offset by c0 (the N-blocked GEMM's epilogue).
   Rng rng(25);
   for (int trial = 0; trial < 10; ++trial) {
     const std::int64_t n = kSizes[trial % 12];
@@ -393,14 +293,60 @@ TEST(SimdNarrow, RequantU8MatchesI32Kernel) {
     }
     rq.usable = true;
     const auto acc = random_codes(rng, n, -200000, 200000);
-    std::vector<std::int32_t> out32(static_cast<std::size_t>(n), -1);
-    std::vector<std::uint8_t> out8(static_cast<std::size_t>(n), 7);
-    simd::requant_icn_i32(rq, acc.data(), rq.add.data(), out32.data(), n);
-    simd::requant_icn_u8(rq, acc.data(), rq.add.data(), out8.data(), n);
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 7);
+    simd::requant_icn_u8(rq, acc.data(), rq.add.data(), out.data(), n);
+    const std::int64_t c0 = n / 3;
+    std::vector<std::uint8_t> chunk(static_cast<std::size_t>(n - c0), 7);
+    simd::requant_icn_u8(rq, acc.data() + c0, rq.add.data() + c0,
+                         chunk.data(), n - c0, c0);
     for (std::int64_t c = 0; c < n; ++c) {
-      EXPECT_EQ(static_cast<std::int32_t>(out8[static_cast<std::size_t>(c)]),
-                out32[static_cast<std::size_t>(c)])
+      const auto k = static_cast<std::size_t>(c);
+      const std::int32_t expect = simd::requant_icn_one(
+          static_cast<std::int64_t>(acc[k]) + rq.add[k], rq.m0[k],
+          rq.shift[k], rq.zy, rq.hi);
+      EXPECT_EQ(static_cast<std::int32_t>(out[k]), expect)
           << "trial " << trial << " channel " << c;
+      if (c >= c0) {
+        EXPECT_EQ(static_cast<std::int32_t>(chunk[k - c0]), expect)
+            << "trial " << trial << " chunk channel " << c;
+      }
+    }
+  }
+}
+
+TEST(SimdNarrow, QuantizeMatchesCoreQuantizer) {
+  // quantize_f32_u8 (the AVX2 body when this build has one) and
+  // quantize_f32_one must code every value as core::quantize_value does:
+  // exact ties, and specials that saturate (infinities, 1e30, values 2^33
+  // steps out) or code as 0 (NaN), in every lane position.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,   -0.0f,  kInf,  -kInf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            1e30f,  -1e30f, 3e9f,  -3e9f,
+                            4294967808.0f,  -4294966784.0f,
+                            std::numeric_limits<float>::max(),
+                            0.25f,  0.75f,  1.25f, 63.75f, 64.25f};
+  const core::QuantParams qp{0.5f, 1, core::BitWidth::kQ8};
+  Rng rng(26);
+  for (std::int64_t n = 0; n <= 40; ++n) {
+    std::vector<float> x(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = rng.uniform() < 0.5
+                 ? specials[rng.uniform_int(std::size(specials))]
+                 : static_cast<float>(rng.uniform(-10.0, 140.0));
+    }
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(n) + 8, 0xA5);
+    simd::quantize_f32_u8(x.data(), n, qp.scale, qp.zero, 255, out.data());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::int32_t want =
+          core::quantize_value(x[i], qp, core::RoundMode::kNearest);
+      EXPECT_EQ(static_cast<std::int32_t>(out[i]), want)
+          << "x=" << x[i] << " i=" << i << " n=" << n;
+      EXPECT_EQ(simd::quantize_f32_one(x[i], qp.scale, qp.zero, 255), want)
+          << "x=" << x[i];
+    }
+    for (std::size_t i = x.size(); i < out.size(); ++i) {
+      EXPECT_EQ(out[i], 0xA5) << "wrote past n=" << n;
     }
   }
 }
@@ -433,8 +379,8 @@ TEST(Simd, RequantMatchesFixedPointReference) {
     rq.usable = true;
 
     const auto acc = random_codes(rng, n, -200000, 200000);
-    std::vector<std::int32_t> out(static_cast<std::size_t>(n), -1);
-    simd::requant_icn_i32(rq, acc.data(), rq.add.data(), out.data(), n);
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 7);
+    simd::requant_icn_u8(rq, acc.data(), rq.add.data(), out.data(), n);
     for (std::int64_t c = 0; c < n; ++c) {
       const std::int64_t v =
           static_cast<std::int64_t>(acc[static_cast<std::size_t>(c)]) +
@@ -443,8 +389,8 @@ TEST(Simd, RequantMatchesFixedPointReference) {
           core::fixed_point_floor_mul(v, ms[static_cast<std::size_t>(c)]);
       std::int64_t y = rq.zy + r;
       y = y < 0 ? 0 : (y > rq.hi ? rq.hi : y);
-      EXPECT_EQ(out[static_cast<std::size_t>(c)],
-                static_cast<std::int32_t>(y))
+      EXPECT_EQ(static_cast<std::int64_t>(out[static_cast<std::size_t>(c)]),
+                y)
           << "trial " << trial << " channel " << c;
     }
   }

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/quantizer.hpp"
@@ -428,8 +429,9 @@ TEST(SimdVnni, QuantizeMatchesCoreQuantizer) {
     }
     expect_quantize_matches(edges, qp, "range edges");
 
-    // Specials, and magnitudes whose scaled value leaves int32: there
-    // lround's long is narrowed to int32 (+inf and 1e30 code as 0).
+    // Specials, and magnitudes whose scaled value leaves int32: every one
+    // saturates (+inf and 1e30 code as hi, -inf and -1e30 as 0) and NaN
+    // codes as 0, with no scalar detour for such a step.
     const std::vector<float> specials = {
         0.0f, -0.0f, kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
         -std::numeric_limits<float>::quiet_NaN(),
@@ -440,6 +442,16 @@ TEST(SimdVnni, QuantizeMatchesCoreQuantizer) {
         1e30f, -1e30f, 3e9f, -3e9f, 4294967808.0f, -4294966784.0f,
         2147483520.0f, 2147483648.0f, -2147483648.0f, 1e10f};
     expect_quantize_matches(specials, qp, "specials");
+    const std::pair<float, std::int32_t> pinned[] = {
+        {kInf, hi},  {1e30f, hi},  {4294967808.0f, hi},
+        {-kInf, 0},  {-1e30f, 0},  {-4294966784.0f, 0},
+        {std::numeric_limits<float>::quiet_NaN(), 0}};
+    std::vector<std::uint8_t> code(1);
+    for (const auto& [x, want] : pinned) {
+      simd::vnni_quantize_u8(&x, 1, qp.scale, qp.zero, hi, code.data());
+      EXPECT_EQ(static_cast<std::int32_t>(code[0]), want)
+          << "x=" << x << " Q" << core::bits(q);
+    }
   }
 
   // Every length 0-40 on random data at an arbitrary scale, each one
@@ -453,6 +465,10 @@ TEST(SimdVnni, QuantizeMatchesCoreQuantizer) {
     if (n > 0) {
       xs.back() = kInf;
       expect_quantize_matches(xs, qp, "random + inf");
+      xs.back() = std::numeric_limits<float>::quiet_NaN();
+      expect_quantize_matches(xs, qp, "random + NaN");
+      xs.back() = -1e30f;
+      expect_quantize_matches(xs, qp, "random - 1e30");
     }
   }
 }

@@ -59,6 +59,17 @@ inline void fill_random_quant_params(QLayer& l, Scheme scheme, Rng& rng,
   }
 }
 
+/// Pins an ICN layer's zero-points to mid-scale (128, for 8-bit codes). On
+/// uniform random codes phi then averages 0 with a spread of about
+/// sqrt(fan-in) * 74 * 74, so a multiplier near 1 / that spread keeps the
+/// outputs off the clamp even at fan-ins past 16,000, and an error of one
+/// tap's product still moves codes.
+inline void centre_zero_points(QLayer& l) {
+  l.zx = 128;
+  l.zy = 128;
+  l.zw.assign(l.zw.size(), 128);
+}
+
 /// A conv-family layer (conv / depthwise / linear / global-avg-pool) with
 /// explicit geometry and randomized quantization parameters drawn via
 /// fill_random_quant_params. For kLinear the input tensor is flattened

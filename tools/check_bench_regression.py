@@ -5,10 +5,14 @@ Diffs a freshly measured BENCH_runtime.json against the committed baseline:
 
   * HARD FAIL (exit 1) on semantic drift -- a changed workload string, a
     changed total or per-layer static MAC count, a changed layer
-    structure, or a layer that the baseline ran in the narrow i8 domain
-    silently falling back to i32 (that is a 2-4x perf cliff the timing
-    noise could mask). These are correctness/accounting regressions: the
-    benchmark must keep measuring the same work the same way.
+    structure, a layer that the baseline ran on a kernel tier (vnni,
+    s8-panel, u8s16) falling back to the scalar int64 loops (tier "-"),
+    or one that the baseline requantized with its vector table falling to
+    the scalar epilogue ("requant": "vector" -> "scalar"). Both decisions
+    are proofs over the layer's widths and parameters alone, so they fail
+    on any host; both are perf cliffs the timing noise could mask. These
+    are correctness/accounting regressions: the benchmark must keep
+    measuring the same work the same way.
     (Bit-exactness failures already hard-fail earlier: bench_runtime exits
     non-zero on them.)
   * WARN ONLY on timing -- CI runners are too noisy for wall-clock hard
@@ -271,15 +275,20 @@ def main() -> None:
         if bl["macs"] != fl["macs"]:
             fail(f"layer {i} ({bl['kind']}) MACs drifted: "
                  f"{bl['macs']} -> {fl['macs']}")
-        # Execution-domain gate: a previously-i8-eligible layer must not
-        # silently fall back to the INT32 path (domain selection is
-        # ISA-independent, so this compares across build targets too).
-        if bl.get("domain") == "i8" and fl.get("domain") == "i32":
-            fail(f"layer {i} ({bl['kind']}) fell back from the i8 domain "
-                 f"to i32: the eligibility proof regressed")
-        if bl.get("domain") == "i32" and fl.get("domain") == "i8":
-            print(f"note: layer {i} ({bl['kind']}) is newly i8-eligible; "
-                  f"commit the fresh baseline to lock it in")
+        # Fallback gate: a layer the baseline ran on any kernel tier must
+        # not drop to the scalar int64 loops ("-"). A tier needs only the
+        # acc32 proof, which is ISA-independent, so this fails on any host.
+        bt, ft = bl.get("tier"), fl.get("tier")
+        if bt in ("vnni", "s8-panel", "u8s16") and ft == "-":
+            fail(f"layer {i} ({bl['kind']}) fell back from the {bt} tier to "
+                 f"the int64 loops (tier -): the acc32 proof regressed")
+        # Epilogue gate: a layer the baseline requantized through its vector
+        # table must not fall to the scalar requantize(); the table's
+        # exactness proof is ISA-independent too.
+        if bl.get("requant") == "vector" and fl.get("requant") == "scalar":
+            fail(f"layer {i} ({bl['kind']}) fell from the vector requant "
+                 f"epilogue to the scalar one: the table's exactness proof "
+                 f"regressed")
         # Kernel-tier gate: a layer the baseline ran on the VNNI tier must
         # not silently drop to a slower tier when the fresh host still
         # reports VNNI capability -- that is a plan-selection regression,
@@ -288,7 +297,6 @@ def main() -> None:
         # host-independent (the pair-sum proof is a function of the weights
         # alone), so it always fails.
         rank = {"vnni": 3, "s8-panel": 2, "u8s16": 1, "-": 0}
-        bt, ft = bl.get("tier"), fl.get("tier")
         if bt is not None and ft is not None and bt != ft:
             fresh_vnni_host = fresh.get("simd", {}).get("vnni_host", False)
             if bt == "vnni" and rank.get(ft, 0) < 3:
@@ -306,9 +314,11 @@ def main() -> None:
                 print(f"note: layer {i} ({bl['kind']}) upgraded "
                       f"{bt} -> {ft}; commit the fresh baseline to lock it "
                       f"in")
-    n_i8 = sum(1 for fl in fresh_layers if fl.get("domain") == "i8")
+    n_tiered = sum(1 for fl in fresh_layers if fl.get("tier", "-") != "-")
+    n_vector = sum(1 for fl in fresh_layers if fl.get("requant") == "vector")
     print(f"MAC accounting unchanged: {fresh['total_macs']} MACs over "
-          f"{len(fresh_layers)} layers ({n_i8} in the i8 domain)")
+          f"{len(fresh_layers)} layers ({n_tiered} on a kernel tier, "
+          f"{n_vector} with the vector requant epilogue)")
 
     # --- timing: report, warn past threshold, never fail ----------------
     rows = []

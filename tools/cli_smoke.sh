@@ -44,16 +44,17 @@ echo "== inspect"
 "$MIXQ" inspect "$DIR/model.img" --json > "$DIR/inspect.json"
 grep -q '"total_macs"' "$DIR/inspect.json"
 grep -q '"qw":4' "$DIR/inspect.json"
-# Execution-domain attribution: every layer reports the domain the host
-# executor's eligibility prover chose, plus the arena footprint pair.
-grep -q '"domain":"i8"\|"domain":"i32"' "$DIR/inspect.json"
+# Host-executor attribution: every layer reports the kernel tier and the
+# requant epilogue the plan chose, plus the arena footprint.
+grep -q '"tier":"' "$DIR/inspect.json"
+grep -q '"requant":"vector"\|"requant":"scalar"' "$DIR/inspect.json"
 grep -q '"arena_bytes"' "$DIR/inspect.json"
-grep -q '"arena_bytes_i32"' "$DIR/inspect.json"
-# Plan weight memory: narrow layers keep only their kernel panels, so the
-# compiled plan holds fewer weight bytes than the all-INT32 plan.
+# Plan weight memory: tiered layers keep only their kernel panels, so the
+# compiled plan holds fewer weight bytes than one INT32 bank of the net's
+# weights (4 bytes each) would.
 wb=$(sed -n 's/.*"host":{[^}]*"weight_bytes":\([0-9]*\).*/\1/p' "$DIR/inspect.json")
-wb32=$(sed -n 's/.*"host":{[^}]*"weight_bytes_i32":\([0-9]*\).*/\1/p' "$DIR/inspect.json")
-test -n "$wb" && test -n "$wb32" && test "$wb" -lt "$wb32"
+wn=$(sed -n 's/.*"host":{[^}]*"weight_count":\([0-9]*\).*/\1/p' "$DIR/inspect.json")
+test -n "$wb" && test -n "$wn" && test "$wb" -lt $((4 * wn))
 
 echo "== run (planned/SIMD inference on deterministic synthetic inputs)"
 "$MIXQ" run "$DIR/model.img" --input synthetic:8 --seed 7 \
