@@ -523,8 +523,7 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
 /// MAC their valid taps elementwise and requantize with the window's
 /// precomputed pre-add, and without one they take the scalar border pixel.
 void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x,
-                     std::uint8_t* y,
-                     std::int64_t r0, std::int64_t r1,
+                     std::uint8_t* y, std::int64_t r0, std::int64_t r1,
                      std::int32_t* __restrict__ acc) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
