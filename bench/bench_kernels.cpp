@@ -269,38 +269,35 @@ void BM_DwMicro_u8s16(benchmark::State& state) {
 BENCHMARK(BM_DwMicro_u8s16);
 
 // VNNI panel GEMM (vpdpbusd) at the exact shape of BM_GemmMicro_u8s8_panel,
-// so the two rows read side by side as "one dpbusd vs the vpmaddubsw +
-// vpmaddwd pair". Skipped (not failed) on hosts without AVX-512 VNNI.
+// through the rows kernel the plan runs (4 rows x up to 64 channels in
+// registers), so the two rows read side by side as "one dpbusd vs the
+// vpmaddubsw + vpmaddwd pair". Skipped (not failed) on hosts without
+// AVX-512 VNNI.
 void BM_GemmMicro_vnni_panel(benchmark::State& state) {
   if (!runtime::simd::vnni_enabled()) {
     state.SkipWithError("host lacks AVX-512 VNNI");
     return;
   }
   Rng rng(16);
-  const std::int64_t ocb = runtime::simd::vnni_ocb();
-  const std::int64_t kp = runtime::simd::vnni_kp(kMicroK);
-  const std::int64_t co_pad = runtime::simd::round_up(kMicroCo, ocb);
+  const std::int64_t rows = runtime::simd::kVnniRows;
+  const std::int64_t co_pad =
+      runtime::simd::round_up(kMicroCo, runtime::simd::vnni_ocb());
   std::vector<std::uint8_t> a(
       static_cast<std::size_t>(kMicroM * kMicroK + 32));
   std::vector<std::int32_t> w(static_cast<std::size_t>(kMicroCo * kMicroK));
   std::vector<std::int8_t> panel(static_cast<std::size_t>(
       runtime::simd::vnni_panel_elems(kMicroCo, kMicroK)));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(2 * co_pad));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(rows * co_pad));
   for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_int(256));
   for (auto& v : w) {
     v = static_cast<std::int32_t>(rng.uniform_int(31)) - 15;
   }
   runtime::simd::vnni_pack(w.data(), kMicroCo, kMicroK, panel.data());
   for (auto _ : state) {
-    for (std::int64_t m = 0; m < kMicroM; m += 2) {
-      const std::uint8_t* a0 = a.data() + m * kMicroK;
-      const std::uint8_t* a1 = a0 + kMicroK;
-      for (std::int64_t ob = 0; ob * ocb < co_pad; ++ob) {
-        runtime::simd::vnni_gemm_x2(a0, a1, panel.data() + ob * ocb * kp, kp,
-                                    acc.data() + ob * ocb,
-                                    acc.data() + co_pad + ob * ocb,
-                                    /*accumulate=*/0);
-      }
+    for (std::int64_t m = 0; m < kMicroM; m += rows) {
+      runtime::simd::vnni_gemm_rows(a.data() + m * kMicroK, kMicroK, rows,
+                                    panel.data(), kMicroK, co_pad, 0, 0,
+                                    nullptr, acc.data());
       benchmark::DoNotOptimize(acc.data());
     }
   }
@@ -309,6 +306,75 @@ void BM_GemmMicro_vnni_panel(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GemmMicro_vnni_panel);
+
+// Per-layer gap table: the GEMM of each pointwise layer of the STM32H7
+// MobileNetV1 224_0.75 plan (M output pixels of K input channels -> N
+// output channels), as gemm8_rows calls the rows kernel for it: rows in
+// groups of 4, the analytic tile's K/N blocking, and the zero-point split
+// on (every Q8 pointwise layer of that plan takes it); no requantize.
+// README sets these rates beside each layer's in-plan MAC/ns.
+void BM_PointwiseGap(benchmark::State& state) {
+  if (!runtime::simd::vnni_enabled()) {
+    state.SkipWithError("host lacks AVX-512 VNNI");
+    return;
+  }
+  const std::int64_t M = state.range(0);
+  const std::int64_t K = state.range(1);
+  const std::int64_t N = state.range(2);
+  const std::int64_t rows = runtime::simd::kVnniRows;
+  const std::int64_t kp = runtime::simd::vnni_kp(K);
+  const std::int64_t co_pad =
+      runtime::simd::round_up(N, runtime::simd::vnni_ocb());
+  runtime::GemmShape g;
+  g.out_pixels = M;
+  g.co_pad = co_pad;
+  g.kp = kp;
+  g.ocb = runtime::simd::vnni_ocb();
+  g.wbytes = 1;
+  g.kq = 4;
+  const runtime::TileConfig tile =
+      runtime::autotune_analytic(g, runtime::detect_caches());
+  Rng rng(18);
+  std::vector<std::uint8_t> a(static_cast<std::size_t>(M * K + kp));
+  std::vector<std::int32_t> w(static_cast<std::size_t>(N * K));
+  std::vector<std::int32_t> split(static_cast<std::size_t>(co_pad), 0);
+  std::vector<std::int8_t> panel(
+      static_cast<std::size_t>(runtime::simd::vnni_panel_elems(N, K)));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(rows * co_pad));
+  for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_int(256));
+  for (std::int64_t oc = 0; oc < N; ++oc) {
+    const auto zw = static_cast<std::int32_t>(rng.uniform_int(256));
+    split[static_cast<std::size_t>(oc)] = 128 - zw;
+    for (std::int64_t k = 0; k < K; ++k) {
+      w[static_cast<std::size_t>(oc * K + k)] =
+          static_cast<std::int32_t>(rng.uniform_int(256)) - zw;
+    }
+  }
+  runtime::simd::vnni_pack(w.data(), N, K, panel.data(), split.data());
+  for (auto _ : state) {
+    for (std::int64_t m = 0; m < M; m += rows) {
+      runtime::simd::vnni_gemm_rows(a.data() + m * K, K,
+                                    std::min(rows, M - m), panel.data(), K,
+                                    co_pad, tile.kb, tile.nb, split.data(),
+                                    acc.data());
+      benchmark::DoNotOptimize(acc.data());
+    }
+  }
+  state.counters["MACs/s"] = benchmark::Counter(
+      static_cast<double>(M * K * N),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+// The nine distinct pointwise shapes (M, K, N), pw1 to pw13.
+BENCHMARK(BM_PointwiseGap)
+    ->Args({12544, 24, 48})
+    ->Args({3136, 48, 96})
+    ->Args({3136, 96, 96})
+    ->Args({784, 96, 192})
+    ->Args({784, 192, 192})
+    ->Args({196, 192, 384})
+    ->Args({196, 384, 384})
+    ->Args({49, 384, 768})
+    ->Args({49, 768, 768});
 
 // Tile-gather + panel GEMM at a conv-like shape, parameterized by the
 // im2col tile rows: 16 (the pre-autotuner fixed constant) vs whatever the
@@ -337,13 +403,13 @@ void BM_Im2colTileRows(benchmark::State& state) {
   const std::int64_t kp = 288;
   const std::int64_t co_pad = 64;
   const std::int64_t pixels = 1024;
-  const std::int64_t ocb =
-      vnni ? runtime::simd::vnni_ocb() : runtime::simd::gemm_u8s8_ocb();
+  const std::int64_t ocb = runtime::simd::gemm_u8s8_ocb();
   Rng rng(17);
   std::vector<std::uint8_t> input(static_cast<std::size_t>(1 << 20));
   std::vector<std::int8_t> panel(static_cast<std::size_t>(co_pad * kp));
   std::vector<std::uint8_t> tile(static_cast<std::size_t>(128 * kp + 64));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(2 * co_pad));
+  std::vector<std::int32_t> acc(
+      static_cast<std::size_t>(runtime::simd::kVnniRows * co_pad));
   for (auto& v : input) v = static_cast<std::uint8_t>(rng.uniform_int(256));
   for (auto& v : panel) {
     v = static_cast<std::int8_t>(
@@ -357,18 +423,19 @@ void BM_Im2colTileRows(benchmark::State& state) {
       if (off + bytes > static_cast<std::int64_t>(input.size())) off = 0;
       std::memcpy(tile.data(), input.data() + off, bytes);
       off += bytes;
-      for (std::int64_t m = 0; m + 2 <= pr; m += 2) {
-        const std::uint8_t* a0 = tile.data() + m * kp;
-        const std::uint8_t* a1 = a0 + kp;
-        for (std::int64_t cb = 0; cb < co_pad; cb += ocb) {
-          if (vnni) {
-            runtime::simd::vnni_gemm_x2(a0, a1, panel.data() + cb * kp, kp,
-                                        acc.data() + cb,
-                                        acc.data() + co_pad + cb,
-                                        /*accumulate=*/0);
-          } else {
-            runtime::simd::gemm_u8s8_x2(a0, a1, panel.data() + cb * kp, kp,
-                                        acc.data() + cb,
+      if (vnni) {
+        for (std::int64_t m = 0; m < pr; m += runtime::simd::kVnniRows) {
+          runtime::simd::vnni_gemm_rows(
+              tile.data() + m * kp, kp,
+              std::min(runtime::simd::kVnniRows, pr - m), panel.data(), kp,
+              co_pad, 0, 0, nullptr, acc.data());
+        }
+      } else {
+        for (std::int64_t m = 0; m + 2 <= pr; m += 2) {
+          const std::uint8_t* a0 = tile.data() + m * kp;
+          for (std::int64_t cb = 0; cb < co_pad; cb += ocb) {
+            runtime::simd::gemm_u8s8_x2(a0, a0 + kp, panel.data() + cb * kp,
+                                        kp, acc.data() + cb,
                                         acc.data() + co_pad + cb);
           }
         }

@@ -7,8 +7,8 @@
 //     swept over (max_batch, threads) configurations -- the serving fabric
 //     with protocol costs excluded;
 //   * protocol level: the full StreamServer over preformatted ndjson, so
-//     JSON parse/format overhead is measured once against the engine
-//     numbers.
+//     JSON parse/format overhead is measured against the engine numbers
+//     (the median of nine passes, with its quartiles).
 //
 // Every configuration is gated on bit-exactness against the serial planned
 // path; exit code is non-zero only on a correctness failure, never on
@@ -28,6 +28,7 @@
 // in both passes, and every reload acknowledged.
 //
 // Usage: bench_serve [--quick] [--requests N] [--reload-sweep] [--out PATH]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -312,30 +313,40 @@ int main(int argc, char** argv) {
   }
   std::cout << "engine bit-exactness check passed (all configurations)\n";
 
-  // Protocol-level pass: the full StreamServer incl. JSON parse/format.
+  // Protocol-level passes: the full StreamServer incl. JSON parse/format.
+  // One pass lasts about 50 ms, so a single timing follows the host's
+  // clock phase; the figure is the median of kProtocolPasses passes (the
+  // median pass's latencies with it), reported with its quartiles.
+  constexpr int kProtocolPasses = 9;
   std::string req_text;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     req_text += format_request_line(static_cast<std::int64_t>(i),
                                     inputs[i].data(), numel);
     req_text += "\n";
   }
-  std::istringstream req_stream(req_text);
-  std::ostringstream resp_stream;
   ServeConfig cfg;
   cfg.threads = hw;
   cfg.max_batch = 8;
   cfg.max_wait_us = 200;
-  StreamServer server(net, cfg);
-  const auto p0 = std::chrono::steady_clock::now();
-  const ServeStats pstats = server.serve(req_stream, resp_stream);
-  const auto p1 = std::chrono::steady_clock::now();
-  if (pstats.responses != n_requests || pstats.errors != 0) {
-    std::cerr << "bench_serve: FATAL: protocol pass dropped requests\n";
-    return 1;
-  }
-  // Responses are in request order; check them against the shared
-  // formatter over the serial results (the byte-level invariant).
-  {
+  struct ProtocolPass {
+    double samples_per_s{0.0};
+    double p50_us{0.0};
+    double p99_us{0.0};
+  };
+  std::vector<ProtocolPass> passes;
+  for (int pass = 0; pass < kProtocolPasses; ++pass) {
+    std::istringstream req_stream(req_text);
+    std::ostringstream resp_stream;
+    StreamServer server(net, cfg);
+    const auto p0 = std::chrono::steady_clock::now();
+    const ServeStats pstats = server.serve(req_stream, resp_stream);
+    const auto p1 = std::chrono::steady_clock::now();
+    if (pstats.responses != n_requests || pstats.errors != 0) {
+      std::cerr << "bench_serve: FATAL: protocol pass dropped requests\n";
+      return 1;
+    }
+    // Responses are in request order; check them against the shared
+    // formatter over the serial results (the byte-level invariant).
     std::istringstream lines(resp_stream.str());
     std::string line;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -347,15 +358,26 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    const double ms =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(p1 - p0)
+            .count() /
+        1e6;
+    passes.push_back({static_cast<double>(n_requests) / (ms / 1e3),
+                      pstats.latency_percentile_us(50),
+                      pstats.latency_percentile_us(99)});
   }
-  const double proto_ms =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(p1 - p0).count() /
-      1e6;
+  std::sort(passes.begin(), passes.end(),
+            [](const ProtocolPass& a, const ProtocolPass& b) {
+              return a.samples_per_s < b.samples_per_s;
+            });
+  const ProtocolPass& proto = passes[passes.size() / 2];
+  const double proto_q1 = passes[passes.size() / 4].samples_per_s;
+  const double proto_q3 = passes[passes.size() * 3 / 4].samples_per_s;
   std::printf(
-      "protocol (StreamServer, ndjson): %8.0f samples/s, p50 %7.0f us, "
-      "p99 %7.0f us\n",
-      static_cast<double>(n_requests) / (proto_ms / 1e3),
-      pstats.latency_percentile_us(50), pstats.latency_percentile_us(99));
+      "protocol (StreamServer, ndjson): %8.0f samples/s (median of %d "
+      "passes, quartiles %.0f-%.0f), p50 %7.0f us, p99 %7.0f us\n",
+      proto.samples_per_s, kProtocolPasses, proto_q1, proto_q3, proto.p50_us,
+      proto.p99_us);
   std::cout << "protocol byte-exactness check passed\n";
 
 #ifndef _WIN32
@@ -667,10 +689,12 @@ int main(int argc, char** argv) {
          << ", \"mean_batch_fill\": " << pt.mean_fill << "}"
          << (i + 1 < points.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"protocol\": {\"samples_per_s\": "
-       << static_cast<double>(n_requests) / (proto_ms / 1e3)
-       << ", \"p50_us\": " << pstats.latency_percentile_us(50)
-       << ", \"p99_us\": " << pstats.latency_percentile_us(99) << "}";
+    os << "  ],\n  \"protocol\": {\"samples_per_s\": " << proto.samples_per_s
+       << ", \"samples_per_s_q1\": " << proto_q1
+       << ", \"samples_per_s_q3\": " << proto_q3
+       << ", \"passes\": " << kProtocolPasses
+       << ", \"p50_us\": " << proto.p50_us
+       << ", \"p99_us\": " << proto.p99_us << "}";
 #ifndef _WIN32
     os << ",\n  \"saturation\": [\n";
     for (std::size_t i = 0; i < saturation.size(); ++i) {

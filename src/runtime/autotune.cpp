@@ -94,7 +94,8 @@ TileConfig autotune_probe(const GemmShape& g, TileConfig base) {
     b = static_cast<std::uint8_t>(lcg >> 24);
   }
   std::vector<std::uint8_t> tile(static_cast<std::size_t>(128 * kp + 64));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(2 * co_pad));
+  std::vector<std::int32_t> acc(
+      static_cast<std::size_t>(simd::kVnniRows * co_pad));
 
   constexpr std::int64_t kPixels = 64;
   constexpr int kReps = 3;
@@ -112,6 +113,15 @@ TileConfig autotune_probe(const GemmShape& g, TileConfig base) {
         if (off + bytes > static_cast<std::int64_t>(input.size())) off = 0;
         std::memcpy(tile.data(), input.data() + off, bytes);
         off += bytes;
+        if (vnni) {
+          for (std::int64_t m = 0; m < pr; m += simd::kVnniRows) {
+            simd::vnni_gemm_rows(tile.data() + m * kp, kp,
+                                 std::min(simd::kVnniRows, pr - m),
+                                 panel.data(), kp, co_pad, base.kb, base.nb,
+                                 nullptr, acc.data());
+          }
+          continue;
+        }
         for (std::int64_t m = 0; m + 2 <= pr; m += 2) {
           const std::uint8_t* a0 = tile.data() + m * kp;
           const std::uint8_t* a1 = a0 + kp;
@@ -122,15 +132,9 @@ TileConfig autotune_probe(const GemmShape& g, TileConfig base) {
               for (std::int64_t cb = c0; cb < c1; cb += g.ocb) {
                 const std::int8_t* blk =
                     panel.data() + cb * kp + (k0 / 4) * g.ocb * 4;
-                if (vnni) {
-                  simd::vnni_gemm_x2(a0 + k0, a1 + k0, blk, klen,
-                                     acc.data() + cb,
-                                     acc.data() + co_pad + cb, k0 > 0);
-                } else {
-                  simd::gemm_u8s8_x2(a0 + k0, a1 + k0, blk, klen,
-                                     acc.data() + cb,
-                                     acc.data() + co_pad + cb, k0 > 0);
-                }
+                simd::gemm_u8s8_x2(a0 + k0, a1 + k0, blk, klen,
+                                   acc.data() + cb, acc.data() + co_pad + cb,
+                                   k0 > 0);
               }
             }
           }

@@ -368,16 +368,17 @@ auto requant_to(const PlannedLayer& pl, std::uint8_t* out) {
 }
 
 /// Tiered GEMM over rows [m0, m1), dispatched on the layer's plan-time
-/// kernel tier: the VNNI panel (vpdpbusd, no pair bound; zero-point split
-/// layers add (128 - Zw[oc]) * rowsum once a channel chunk's K loop is
-/// done), the AVX2-era s8 panel (i16-pair bound proven), or the u8 x s16
-/// widening kernels. All tiers honour the autotuned K/N cache blocking
+/// kernel tier: the VNNI rows kernel (vpdpbusd, no pair bound; zero-point
+/// split layers get (128 - Zw[oc]) * rowsum added in registers), the
+/// AVX2-era s8 panel (i16-pair bound proven), or the u8 x s16 widening
+/// kernels. All tiers honour the autotuned K/N cache blocking
 /// (pl.tile.kb / pl.tile.nb; 0 = unblocked): K-blocks accumulate exact i32
-/// partial sums, N-blocks hand each channel chunk to the epilogue as soon
-/// as its accumulators complete, so blocking is bit-exact with the
-/// single-pass GEMM. `epilogue(acc, m, c0, len)` takes the exact sums
+/// partial sums, so blocking is bit-exact with the single-pass GEMM.
+/// `epilogue(acc, m, c0, len)` takes the exact sums
 /// sum_k a[k] * (w[k] - Zw) of channels [c0, c0 + len) of row m, `acc`
-/// pointing at channel c0 (requant_to, or the head's float logits).
+/// pointing at channel c0 (requant_to, or the head's float logits): the
+/// VNNI kernel hands over whole rows, groups of up to kVnniRows at a time;
+/// the other tiers hand over each N-block as soon as it completes.
 /// `A` rows are `lda` bytes apart and must be readable for kp bytes each
 /// (arena slack / col8 padding guarantee it; padded weights are zero, so
 /// the extra products vanish exactly).
@@ -388,32 +389,31 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
   const std::int64_t co = pl.layer->wshape.co;
   const std::int64_t kp = pl.kp;
   const std::int64_t co_pad = pl.co_pad;
-  const std::int64_t kb = pl.tile.kb > 0 ? pl.tile.kb : kp;
-  const std::int64_t nb = pl.tile.nb > 0 ? pl.tile.nb : co_pad;
 
-  if (pl.tier == KernelTier::kVnni || pl.tier == KernelTier::kS8Panel) {
-    const bool vnni = pl.tier == KernelTier::kVnni;
-    const std::int64_t ocb = vnni ? simd::vnni_ocb() : simd::gemm_u8s8_ocb();
-    const std::int8_t* panel = pl.w8.data();
-    // Row sums over the K real taps only: the direct 1x1 path's rows are
-    // lda = K apart, so the bytes in [K, kp) belong to the next row.
+  if (pl.tier == KernelTier::kVnni) {
     const std::int32_t* split =
         pl.zp_split.empty() ? nullptr : pl.zp_split.data();
-    const std::int64_t K = pl.layer->wshape.per_channel();
-    const auto row_sum = [&](const std::uint8_t* a) {
-      return split != nullptr ? simd::vnni_row_sum_u8(a, K) : 0;
-    };
-    const auto add_split = [&](std::int32_t* acc, std::int32_t sum,
-                               std::int64_t c0, std::int64_t len) {
-      if (split == nullptr) return;
-      for (std::int64_t j = c0; j < c0 + len; ++j) acc[j] += split[j] * sum;
-    };
+    for (std::int64_t m = m0; m < m1; m += simd::kVnniRows) {
+      const std::int64_t rows = std::min(simd::kVnniRows, m1 - m);
+      simd::vnni_gemm_rows(A + m * lda, lda, rows, pl.w8.data(),
+                           pl.layer->wshape.per_channel(), co_pad, pl.tile.kb,
+                           pl.tile.nb, split, row_acc);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        epilogue(row_acc + r * co_pad, m + r, 0, co);
+      }
+    }
+    return;
+  }
+
+  const std::int64_t kb = pl.tile.kb > 0 ? pl.tile.kb : kp;
+  const std::int64_t nb = pl.tile.nb > 0 ? pl.tile.nb : co_pad;
+  if (pl.tier == KernelTier::kS8Panel) {
+    const std::int64_t ocb = simd::gemm_u8s8_ocb();
+    const std::int8_t* panel = pl.w8.data();
     std::int64_t m = m0;
     for (; m + 2 <= m1; m += 2) {
       const std::uint8_t* a0 = A + m * lda;
       const std::uint8_t* a1 = a0 + lda;
-      const std::int32_t s0 = row_sum(a0);
-      const std::int32_t s1 = row_sum(a1);
       for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
         const std::int64_t c1 = std::min(co_pad, c0 + nb);
         for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
@@ -421,19 +421,12 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
           const bool accum = k0 > 0;
           for (std::int64_t cb = c0; cb < c1; cb += ocb) {
             const std::int8_t* blk = panel + cb * kp + (k0 / 4) * ocb * 4;
-            if (vnni) {
-              simd::vnni_gemm_x2(a0 + k0, a1 + k0, blk, klen, row_acc + cb,
-                                 row_acc + co_pad + cb, accum ? 1 : 0);
-            } else {
-              simd::gemm_u8s8_x2(a0 + k0, a1 + k0, blk, klen, row_acc + cb,
-                                 row_acc + co_pad + cb, accum);
-            }
+            simd::gemm_u8s8_x2(a0 + k0, a1 + k0, blk, klen, row_acc + cb,
+                               row_acc + co_pad + cb, accum);
           }
         }
         const std::int64_t len = std::min(c1, co) - c0;
         if (len > 0) {
-          add_split(row_acc, s0, c0, len);
-          add_split(row_acc + co_pad, s1, c0, len);
           epilogue(row_acc + c0, m, c0, len);
           epilogue(row_acc + co_pad + c0, m + 1, c0, len);
         }
@@ -441,7 +434,6 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
     }
     for (; m < m1; ++m) {
       const std::uint8_t* a = A + m * lda;
-      const std::int32_t sa = row_sum(a);
       for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
         const std::int64_t c1 = std::min(co_pad, c0 + nb);
         for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
@@ -449,19 +441,11 @@ void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
           const bool accum = k0 > 0;
           for (std::int64_t cb = c0; cb < c1; cb += ocb) {
             const std::int8_t* blk = panel + cb * kp + (k0 / 4) * ocb * 4;
-            if (vnni) {
-              simd::vnni_gemm_x1(a + k0, blk, klen, row_acc + cb,
-                                 accum ? 1 : 0);
-            } else {
-              simd::gemm_u8s8_x1(a + k0, blk, klen, row_acc + cb, accum);
-            }
+            simd::gemm_u8s8_x1(a + k0, blk, klen, row_acc + cb, accum);
           }
         }
         const std::int64_t len = std::min(c1, co) - c0;
-        if (len > 0) {
-          add_split(row_acc, sa, c0, len);
-          epilogue(row_acc + c0, m, c0, len);
-        }
+        if (len > 0) epilogue(row_acc + c0, m, c0, len);
       }
     }
     return;
@@ -855,22 +839,23 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           pl.tier = KernelTier::kU8S16;
         }
         if (pl.tier == KernelTier::kVnni) {
+          pl.kp = simd::vnni_kp(per);
+          pl.co_pad = simd::round_up(co, simd::vnni_ocb());
           if (!fits_s8) {
             // Zero-point split (gemmlowp): (w - Zw) = (w - 128) + (128 - Zw).
             // Offsets outside s8 need 8-bit codes, and code - 128 always
-            // fits s8, so the panel holds code - 128 and gemm8_rows adds
-            // c[oc] * S_m, c = 128 - Zw and S_m = sum_k a_m[k], giving
+            // fits s8, so the panel holds code - 128 and the VNNI kernel
+            // adds c[oc] * S_m, c = 128 - Zw and S_m = sum_k a_m[k], giving
             // sum_k a[k] (code[k] - Zw) exactly. Exact in i32 with no new
             // bound: qmax(qw) = 255, so acc32 proved K * qmax(qx) * 255 <=
             // 2^30, while each part is at most K * qmax(qx) * 128 (|c| <= 128
             // for Zw in [0, 255]) and their sum is the unchanged accumulator.
-            pl.zp_split.resize(static_cast<std::size_t>(co));
+            // Zero up to co_pad: the kernel reads it per 16-channel block.
+            pl.zp_split.assign(static_cast<std::size_t>(pl.co_pad), 0);
             for (std::int64_t oc = 0; oc < co; ++oc) {
               pl.zp_split[static_cast<std::size_t>(oc)] = 128 - l.zw_of(oc);
             }
           }
-          pl.kp = simd::vnni_kp(per);
-          pl.co_pad = simd::round_up(co, simd::vnni_ocb());
           pl.w8.resize(
               static_cast<std::size_t>(simd::vnni_panel_elems(co, per)));
           simd::vnni_pack(wbuf.data(), co, per, pl.w8.data(),
@@ -965,7 +950,10 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
         (l.kind == QLayerKind::kGlobalAvgPool && pl.pool32)) {
       row_acc_elems_ = std::max(row_acc_elems_, l.in_shape.c);
     } else {
-      row_acc_elems_ = std::max(row_acc_elems_, 2 * pl.co_pad);
+      // Rows the GEMM kernel holds at once: kVnniRows, or the panel pair.
+      const std::int64_t rows =
+          pl.tier == KernelTier::kVnni ? simd::kVnniRows : 2;
+      row_acc_elems_ = std::max(row_acc_elems_, rows * pl.co_pad);
     }
   }
 

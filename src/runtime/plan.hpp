@@ -182,7 +182,8 @@ struct PlannedLayer {
   std::int64_t co_pad{0};             ///< co rounded to the panel block
   std::vector<std::int8_t> w8;        ///< s8 GEMM panel (vnni, s8-panel)
   /// vnni tier, offsets outside s8: the zero-point split correction
-  /// 128 - Zw[oc] per channel (w8 then holds code - 128); empty otherwise.
+  /// 128 - Zw[oc] per channel, zero-padded to co_pad (w8 then holds
+  /// code - 128); empty otherwise.
   std::vector<std::int32_t> zp_split;
   std::vector<std::int16_t> w16;      ///< s16 GEMM rows, co x kp (u8s16)
   std::vector<std::int16_t> wt16;     ///< depthwise tap-major s16 (border)

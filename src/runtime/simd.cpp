@@ -1,6 +1,7 @@
 #include "runtime/simd.hpp"
 
 #include <cstdlib>
+#include <cstring>
 
 #include "runtime/simd_vnni.hpp"
 
@@ -46,10 +47,14 @@ bool vnni_cpu() {
 }
 
 bool vnni_enabled() {
-  // MIXQ_NO_VNNI force-disables the tier (A/B timing, miscompile triage)
-  // without a rebuild; PlanOptions::Vnni::kForce still overrides it.
-  static const bool ok = vnni_compiled() && vnni_cpu() &&
-                         std::getenv("MIXQ_NO_VNNI") == nullptr;
+  // MIXQ_NO_VNNI set to a non-empty value other than 0 force-disables the
+  // tier (A/B timing, miscompile triage) without a rebuild;
+  // PlanOptions::Vnni::kForce still overrides it.
+  static const bool ok = [] {
+    const char* off = std::getenv("MIXQ_NO_VNNI");
+    return vnni_compiled() && vnni_cpu() &&
+           (off == nullptr || off[0] == '\0' || std::strcmp(off, "0") == 0);
+  }();
   return ok;
 }
 

@@ -61,72 +61,12 @@ namespace {
 
 #if defined(MIXQ_VNNI_NATIVE)
 
-void vnni_gemm_x1(const std::uint8_t* a, const std::int8_t* block,
-                  std::int64_t klen, std::int32_t* acc, int accumulate) {
-  // Two dependency chains to cover vpdpbusd latency; k*16 == (k/4)*ocb*4.
-  __m512i v0 = _mm512_setzero_si512();
-  __m512i v1 = _mm512_setzero_si512();
-  std::int64_t k = 0;
-  for (; k + 8 <= klen; k += 8) {
-    const __m512i w0 = _mm512_loadu_si512(block + k * 16);
-    const __m512i w1 = _mm512_loadu_si512(block + k * 16 + 64);
-    std::uint32_t u0, u1;
-    std::memcpy(&u0, a + k, 4);
-    std::memcpy(&u1, a + k + 4, 4);
-    v0 = _mm512_dpbusd_epi32(v0, _mm512_set1_epi32(static_cast<int>(u0)), w0);
-    v1 = _mm512_dpbusd_epi32(v1, _mm512_set1_epi32(static_cast<int>(u1)), w1);
-  }
-  for (; k < klen; k += 4) {
-    const __m512i wv = _mm512_loadu_si512(block + k * 16);
-    std::uint32_t u;
-    std::memcpy(&u, a + k, 4);
-    v0 = _mm512_dpbusd_epi32(v0, _mm512_set1_epi32(static_cast<int>(u)), wv);
-  }
-  __m512i v = _mm512_add_epi32(v0, v1);
-  if (accumulate) v = _mm512_add_epi32(v, _mm512_loadu_si512(acc));
-  _mm512_storeu_si512(acc, v);
-}
+namespace {
 
-void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
-                  const std::int8_t* block, std::int64_t klen,
-                  std::int32_t* acc0, std::int32_t* acc1, int accumulate) {
-  __m512i p0 = _mm512_setzero_si512(), p1 = _mm512_setzero_si512();
-  __m512i q0 = _mm512_setzero_si512(), q1 = _mm512_setzero_si512();
-  std::int64_t k = 0;
-  for (; k + 8 <= klen; k += 8) {
-    const __m512i w0 = _mm512_loadu_si512(block + k * 16);
-    const __m512i w1 = _mm512_loadu_si512(block + k * 16 + 64);
-    std::uint32_t r0a, r0b, r1a, r1b;
-    std::memcpy(&r0a, a0 + k, 4);
-    std::memcpy(&r0b, a0 + k + 4, 4);
-    std::memcpy(&r1a, a1 + k, 4);
-    std::memcpy(&r1b, a1 + k + 4, 4);
-    p0 = _mm512_dpbusd_epi32(p0, _mm512_set1_epi32(static_cast<int>(r0a)), w0);
-    p1 = _mm512_dpbusd_epi32(p1, _mm512_set1_epi32(static_cast<int>(r0b)), w1);
-    q0 = _mm512_dpbusd_epi32(q0, _mm512_set1_epi32(static_cast<int>(r1a)), w0);
-    q1 = _mm512_dpbusd_epi32(q1, _mm512_set1_epi32(static_cast<int>(r1b)), w1);
-  }
-  for (; k < klen; k += 4) {
-    const __m512i wv = _mm512_loadu_si512(block + k * 16);
-    std::uint32_t u0, u1;
-    std::memcpy(&u0, a0 + k, 4);
-    std::memcpy(&u1, a1 + k, 4);
-    p0 = _mm512_dpbusd_epi32(p0, _mm512_set1_epi32(static_cast<int>(u0)), wv);
-    q0 = _mm512_dpbusd_epi32(q0, _mm512_set1_epi32(static_cast<int>(u1)), wv);
-  }
-  __m512i p = _mm512_add_epi32(p0, p1);
-  __m512i q = _mm512_add_epi32(q0, q1);
-  if (accumulate) {
-    p = _mm512_add_epi32(p, _mm512_loadu_si512(acc0));
-    q = _mm512_add_epi32(q, _mm512_loadu_si512(acc1));
-  }
-  _mm512_storeu_si512(acc0, p);
-  _mm512_storeu_si512(acc1, q);
-}
-
-std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n) {
-  // vpsadbw against zero sums each 8-byte group into a u64 lane; the tail
-  // is a masked load, which never touches the bytes past a + n.
+/// sum_k a[k] over exactly n bytes: vpsadbw against zero sums each 8-byte
+/// group into a u64 lane, and the tail is a masked load, which never
+/// touches the bytes past a + n (the direct 1x1 path's rows are K apart).
+std::int32_t row_sum(const std::uint8_t* a, std::int64_t n) {
   const __m512i zero = _mm512_setzero_si512();
   __m512i s = zero;
   std::int64_t i = 0;
@@ -140,6 +80,80 @@ std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n) {
   }
   return static_cast<std::int32_t>(_mm512_reduce_add_epi64(s));
 }
+
+/// One R-row x NB-block tile of vnni_gemm_rows over klen bytes of depth:
+/// R * NB zmm accumulators (seeded from acc when accumulating), one 64-byte
+/// load per block and K group shared by the R rows' vpdpbusd, then the
+/// split term split[c] * sums[r] when split is non-null.
+template <int R, int NB>
+void gemm_tile(const std::uint8_t* a, std::int64_t lda,
+               const std::int8_t* blk, std::int64_t bstride,
+               std::int64_t klen, std::int32_t* acc, std::int64_t ldc,
+               int accumulate, const std::int32_t* split,
+               const std::int32_t* sums) {
+  __m512i v[R][NB];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+      v[r][b] = accumulate != 0 ? _mm512_loadu_si512(acc + r * ldc + b * 16)
+                                : _mm512_setzero_si512();
+    }
+  }
+  for (std::int64_t k = 0; k < klen; k += 4) {
+    __m512i w[NB];
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+      w[b] = _mm512_loadu_si512(blk + b * bstride + k * 16);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      std::uint32_t u;
+      std::memcpy(&u, a + r * lda + k, 4);
+      const __m512i av = _mm512_set1_epi32(static_cast<int>(u));
+#pragma GCC unroll 4
+      for (int b = 0; b < NB; ++b) {
+        v[r][b] = _mm512_dpbusd_epi32(v[r][b], av, w[b]);
+      }
+    }
+  }
+  if (split != nullptr) {
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+      const __m512i s = _mm512_loadu_si512(split + b * 16);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        v[r][b] = _mm512_add_epi32(
+            v[r][b], _mm512_mullo_epi32(s, _mm512_set1_epi32(sums[r])));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+      _mm512_storeu_si512(acc + r * ldc + b * 16, v[r][b]);
+    }
+  }
+}
+
+/// The tile for `rows` x `blocks` (both 1..4).
+void tile(std::int64_t rows, std::int64_t blocks, const std::uint8_t* a,
+          std::int64_t lda, const std::int8_t* blk, std::int64_t bstride,
+          std::int64_t klen, std::int32_t* acc, std::int64_t ldc,
+          int accumulate, const std::int32_t* split,
+          const std::int32_t* sums) {
+  using Fn = decltype(&gemm_tile<1, 1>);
+  static constexpr Fn kTiles[4][4] = {
+      {gemm_tile<1, 1>, gemm_tile<1, 2>, gemm_tile<1, 3>, gemm_tile<1, 4>},
+      {gemm_tile<2, 1>, gemm_tile<2, 2>, gemm_tile<2, 3>, gemm_tile<2, 4>},
+      {gemm_tile<3, 1>, gemm_tile<3, 2>, gemm_tile<3, 3>, gemm_tile<3, 4>},
+      {gemm_tile<4, 1>, gemm_tile<4, 2>, gemm_tile<4, 3>, gemm_tile<4, 4>}};
+  kTiles[rows - 1][blocks - 1](a, lda, blk, bstride, klen, acc, ldc,
+                               accumulate, split, sums);
+}
+
+}  // namespace
 
 void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
                         const std::int16_t* wtp, std::int64_t taps,
@@ -346,31 +360,34 @@ inline std::uint8_t quantize_one(float x, float scale, std::int32_t zero,
       std::clamp(static_cast<std::int32_t>(std::lround(s)), 0, hi));
 }
 
-}  // namespace
-
-void vnni_gemm_x1(const std::uint8_t* a, const std::int8_t* block,
-                  std::int64_t klen, std::int32_t* acc, int accumulate) {
-  for (std::int64_t j = 0; j < 16; ++j) {
-    std::int32_t s = accumulate ? acc[j] : 0;
-    for (std::int64_t k = 0; k < klen; ++k) {
-      s += static_cast<std::int32_t>(a[k]) * block[blk_idx(k, j)];
-    }
-    acc[j] = s;
-  }
-}
-
-void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
-                  const std::int8_t* block, std::int64_t klen,
-                  std::int32_t* acc0, std::int32_t* acc1, int accumulate) {
-  vnni_gemm_x1(a0, block, klen, acc0, accumulate);
-  vnni_gemm_x1(a1, block, klen, acc1, accumulate);
-}
-
-std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n) {
+std::int32_t row_sum(const std::uint8_t* a, std::int64_t n) {
   std::int32_t s = 0;
   for (std::int64_t k = 0; k < n; ++k) s += a[k];
   return s;
 }
+
+void tile(std::int64_t rows, std::int64_t blocks, const std::uint8_t* a,
+          std::int64_t lda, const std::int8_t* blk, std::int64_t bstride,
+          std::int64_t klen, std::int32_t* acc, std::int64_t ldc,
+          int accumulate, const std::int32_t* split,
+          const std::int32_t* sums) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      for (std::int64_t j = 0; j < 16; ++j) {
+        std::int32_t* o = acc + r * ldc + b * 16 + j;
+        std::int32_t s = accumulate != 0 ? *o : 0;
+        for (std::int64_t k = 0; k < klen; ++k) {
+          s += static_cast<std::int32_t>(a[r * lda + k]) *
+               blk[b * bstride + blk_idx(k, j)];
+        }
+        if (split != nullptr) s += split[b * 16 + j] * sums[r];
+        *o = s;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
                         const std::int16_t* wtp, std::int64_t taps,
@@ -421,5 +438,33 @@ void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
 }
 
 #endif  // MIXQ_VNNI_NATIVE
+
+// The driver is shared by both bodies: only the tile and the row sum differ.
+void vnni_gemm_rows(const std::uint8_t* a, std::int64_t lda,
+                    std::int64_t rows, const std::int8_t* panel,
+                    std::int64_t K, std::int64_t co_pad, std::int64_t kb,
+                    std::int64_t nb, const std::int32_t* split,
+                    std::int32_t* acc) {
+  const std::int64_t kp = (K + 3) / 4 * 4;
+  if (kb <= 0) kb = kp;
+  if (nb <= 0) nb = co_pad;
+  std::int32_t sums[kVnniRows] = {};
+  if (split != nullptr) {
+    for (std::int64_t r = 0; r < rows; ++r) sums[r] = row_sum(a + r * lda, K);
+  }
+  for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
+    const std::int64_t c1 = std::min(co_pad, c0 + nb);
+    for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
+      const std::int64_t klen = std::min(kp, k0 + kb) - k0;
+      // The split term joins a chunk's sums after its last K block.
+      const std::int32_t* sp = k0 + klen == kp ? split : nullptr;
+      for (std::int64_t cb = c0; cb < c1; cb += 64) {
+        tile(rows, std::min<std::int64_t>(4, (c1 - cb) / 16), a + k0, lda,
+             panel + cb * kp + k0 * 16, 16 * kp, klen, acc + cb, co_pad,
+             k0 > 0 ? 1 : 0, sp != nullptr ? sp + cb : nullptr, sums);
+      }
+    }
+  }
+}
 
 }  // namespace mixq::runtime::simd

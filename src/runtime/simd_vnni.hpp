@@ -1,12 +1,13 @@
 // mixq/runtime/simd_vnni.hpp
 //
-// AVX-512 VNNI kernel tier: u8 x s8 panel GEMM through vpdpbusd (64 8-bit
-// MACs per instruction, accumulating straight into i32 lanes -- no
-// intermediate i16 pair sums, so the AVX2 panel's
+// AVX-512 VNNI kernel tier: a register-blocked u8 x s8 panel GEMM through
+// vpdpbusd (64 8-bit MACs per instruction, accumulating straight into i32
+// lanes -- no intermediate i16 pair sums, so the AVX2 panel's
 // max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 eligibility bound does not
-// apply), a vpsadbw row sum that carries the zero-point split (a panel of
-// code - 128 plus a per-row correction (128 - Zw) * sum_k a[k], so Q8
-// weights whose offsets w - Zw leave s8 ride the same panel), a vpdpwssd
+// apply) that also carries the zero-point split (a panel of code - 128
+// plus a per-row correction (128 - Zw) * sum_k a[k] from vpsadbw row
+// sums, so Q8 weights whose offsets w - Zw leave s8 ride the same
+// panel), a vpdpwssd
 // depthwise variant over the same pair-interleaved s16 bank the AVX2
 // kernel uses, elementwise/dot u8 x s16 variants for the depthwise border
 // path, an exact-arithmetic-shift requantizer (vpsravq needs no unsigned
@@ -80,24 +81,31 @@ void vnni_pack(const std::int32_t* w, std::int64_t co, std::int64_t K,
                std::int8_t* panel, const std::int32_t* sub = nullptr);
 
 // ---------------------------------------------------------------------------
-// Kernels. `klen` is a 4-aligned K range; `block` points at the panel
-// offset for that range ((k0/4)*ocb*4 into the block row). `accumulate`
-// nonzero adds into acc instead of overwriting (K-blocked GEMM).
+// Kernels.
 // ---------------------------------------------------------------------------
 
-/// acc[j] (+)= sum_k a[k] * W[block j][k] for the block's 16 channels.
-/// `a` must be readable for klen bytes (4-aligned; arena slack covers it).
-void vnni_gemm_x1(const std::uint8_t* a, const std::int8_t* block,
-                  std::int64_t klen, std::int32_t* acc, int accumulate);
+/// Rows of the panel GEMM the rows kernel computes per call.
+inline constexpr std::int64_t kVnniRows = 4;
 
-/// Two-row variant: each 64-byte weight group is loaded once.
-void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
-                  const std::int8_t* block, std::int64_t klen,
-                  std::int32_t* acc0, std::int32_t* acc1, int accumulate);
-
-/// Row sum sum_k a[k] over exactly n bytes (no over-read: the direct 1x1
-/// path's rows are packed back to back). Exact for n < 2^23.
-std::int32_t vnni_row_sum_u8(const std::uint8_t* a, std::int64_t n);
+/// Panel GEMM of `rows` (1..kVnniRows) u8 rows, `lda` bytes apart, each
+/// readable for vnni_kp(K) bytes (padded weights are zero, so the bytes in
+/// [K, kp) add nothing; they may belong to the next row). Writes
+///   acc[r * co_pad + c] = sum_k a_r[k] * W[c][k]
+///                         (+ split[c] * sum_{k < K} a_r[k] if split)
+/// for every c < co_pad (a multiple of 16). Register-blocked: up to 4 rows
+/// x 4 sixteen-channel blocks in 16 zmm accumulators, each 64-byte weight
+/// load feeding one vpdpbusd per row. Cache blocking: channels run in
+/// chunks of `nb` (a multiple of 16; 0 = all), and each chunk's depth in
+/// blocks of `kb` (a multiple of 4; 0 = all) that accumulate exact i32
+/// partial sums, so any blocking is bit-exact with the single pass. The
+/// zero-point split's correction (split[c] = 128 - Zw[c], the panel
+/// holding code - 128) is added in registers after a chunk's last K
+/// block, from vpsadbw row sums over exactly K bytes.
+void vnni_gemm_rows(const std::uint8_t* a, std::int64_t lda,
+                    std::int64_t rows, const std::int8_t* panel,
+                    std::int64_t K, std::int64_t co_pad, std::int64_t kb,
+                    std::int64_t nb, const std::int32_t* split,
+                    std::int32_t* acc);
 
 /// Depthwise interior: acc[c] = sum_t x[toff[t] + c] * w[t][c] over the
 /// pair-interleaved i16 bank from dw_pack_u8s16 (32 channels per

@@ -21,7 +21,8 @@ NetDesc random_net(Rng& rng) {
   std::int64_t prev_out = hw * hw * ch;
   for (int i = 0; i < layers; ++i) {
     LayerDesc l;
-    l.name = "L" + std::to_string(i);
+    l.name = "L";
+    l.name += std::to_string(i);
     const bool dw = rng.uniform() < 0.3;
     const std::int64_t co =
         dw ? ch : 4 + static_cast<std::int64_t>(rng.uniform_int(29));

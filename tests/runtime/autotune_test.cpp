@@ -262,7 +262,7 @@ TEST(Autotune, TierSelectionHonoursVnniForce) {
       ASSERT_NE(pl.tier, KernelTier::kNone) << "q8=" << q8 << " layer " << i;
       EXPECT_EQ(pl.tier, KernelTier::kVnni) << "q8=" << q8 << " layer " << i;
       if (q8) {
-        EXPECT_EQ(pl.zp_split.size(), static_cast<std::size_t>(l.wshape.co))
+        EXPECT_EQ(pl.zp_split.size(), static_cast<std::size_t>(pl.co_pad))
             << "layer " << i;
         EXPECT_GT(pl.co_pad, l.wshape.co) << "layer " << i;
       }

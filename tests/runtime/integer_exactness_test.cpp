@@ -188,7 +188,7 @@ ThreadPool& lanes_pool(int lanes) {
 }
 
 /// Compiles `net` under vnni (off, and force where it can run) x autotune
-/// (analytic, probe, fixed) and runs each plan serially and
+/// (analytic, probe, and two fixed tiles) and runs each plan serially and
 /// pooled at 2 and 4 lanes, on an all-maximum input (MACs at their proven
 /// extremes) and a random one. Every run must equal the reference
 /// executor's logits by integer equality.
@@ -203,19 +203,22 @@ void expect_plan_cross_product_exact(const QuantizedNet& net, Rng& rng,
 
   for (const auto vnni : {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
     if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable()) continue;
-    for (const auto tune :
-         {PlanOptions::Autotune::kAnalytic, PlanOptions::Autotune::kProbe,
-          PlanOptions::Autotune::kFixed}) {
+    for (int config = 0; config < 4; ++config) {
       PlanOptions opts;
       opts.vnni = vnni;
-      opts.autotune = tune;
-      opts.fixed_tile = TileConfig{5, 8, 16};  // blocked in K and N
+      opts.autotune = config == 0   ? PlanOptions::Autotune::kAnalytic
+                      : config == 1 ? PlanOptions::Autotune::kProbe
+                                    : PlanOptions::Autotune::kFixed;
+      // Blocked in K and N; then odd tile rows, with nb = 48 leaving
+      // three-block channel chunks.
+      opts.fixed_tile =
+          config == 2 ? TileConfig{5, 8, 16} : TileConfig{7, 12, 48};
       const ExecutionPlan plan(net, opts);
       for (const int lanes : {1, 2, 4}) {
         PlanArenas arenas(plan, lanes);
         const std::string where =
             label + (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off") +
-            " autotune " + std::to_string(static_cast<int>(tune)) + ", " +
+            " config " + std::to_string(config) + ", " +
             std::to_string(lanes) + " lane(s)";
         for (std::size_t i = 0; i < images.size(); ++i) {
           const std::vector<float>& got =
@@ -293,6 +296,52 @@ TEST_P(PlanCrossProductExactness, ChannelTailChainBitExact) {
         net, rng,
         "chain trial " + std::to_string(trial) + " C=" +
             std::to_string(channels));
+  }
+}
+
+TEST_P(PlanCrossProductExactness, OddMapChainBitExact) {
+  // A 3x3 stride-2 stem of 24 channels over a 13x13 or 17x17 input (7x7
+  // and 9x9 maps: no layer's row count is a multiple of 4), then
+  // dw -> pw -> dw -> pw with pointwise widths drawn from 17-80 (2-5
+  // sixteen-channel blocks, most with a channel tail). Even trials give the
+  // stem Q8 weights, odd ones the first pointwise layer, and odd trials
+  // end in a raw-logits head.
+  const int trial = GetParam();
+  const Scheme schemes[] = {Scheme::kPLICN, Scheme::kPCICN,
+                            Scheme::kPCThresholds};
+  for (const std::int64_t in_hw : {std::int64_t{13}, std::int64_t{17}}) {
+    Rng rng(static_cast<std::uint64_t>(8100 + 100 * in_hw + trial));
+    QuantizedNet net;
+    BitWidth qx = random_width(rng);
+    net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
+    BitWidth qy = random_width(rng);
+    net.layers.push_back(test_support::make_conv_family_layer(
+        QLayerKind::kConv, Shape(1, in_hw, in_hw, 3), 24, 3, 2, 1, qx,
+        trial % 2 == 0 ? BitWidth::kQ8 : random_width(rng), qy,
+        schemes[rng.uniform_int(3)], rng));
+    Shape shape = net.layers.back().out_shape;
+    qx = qy;
+    for (int li = 0; li < 4; ++li) {
+      const bool dw = li % 2 == 0;
+      const std::int64_t co =
+          dw ? shape.c : 17 + static_cast<std::int64_t>(rng.uniform_int(64));
+      const BitWidth qw =
+          li == 1 && trial % 2 == 1 ? BitWidth::kQ8 : random_width(rng);
+      qy = random_width(rng);
+      net.layers.push_back(random_chain_layer(
+          dw ? QLayerKind::kDepthwise : QLayerKind::kConv, shape, co, qx, qw,
+          qy, schemes[rng.uniform_int(3)], rng));
+      shape = net.layers.back().out_shape;
+      qx = qy;
+    }
+    if (trial % 2 == 1) {
+      add_random_head(net, shape, qx, random_width(rng), 4, rng);
+    }
+    net.validate();
+    expect_plan_cross_product_exact(
+        net, rng,
+        "odd-map trial " + std::to_string(trial) + " in " +
+            std::to_string(in_hw) + "x" + std::to_string(in_hw));
   }
 }
 

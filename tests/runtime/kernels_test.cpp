@@ -28,11 +28,8 @@ QLayer identity_requant_conv(Shape in, std::int64_t co, std::int64_t k,
   l.wshape = WeightShape(co, k, k, in.c);
   l.weights = PackedBuffer(l.wshape.numel(), qw);
   l.zw = {0};
-  l.icn.resize(static_cast<std::size_t>(co));
-  for (auto& ch : l.icn) {
-    ch.m = core::decompose_multiplier(1.0);
-    ch.bq = 0;
-  }
+  l.icn.assign(static_cast<std::size_t>(co),
+               IcnChannel{0, core::decompose_multiplier(1.0)});
   return l;
 }
 
@@ -140,8 +137,7 @@ TEST(LinearKernel, DotProduct) {
     l.weights.set(i, static_cast<std::uint32_t>(i));
   }
   l.zw = {0};
-  l.icn.resize(2);
-  for (auto& ch : l.icn) ch.m = core::decompose_multiplier(1.0);
+  l.icn.assign(2, IcnChannel{0, core::decompose_multiplier(1.0)});
   PackedBuffer in(4, BitWidth::kQ8);
   for (std::int64_t i = 0; i < 4; ++i) in.set(i, 1);
   PackedBuffer out(2, BitWidth::kQ8);
@@ -226,9 +222,7 @@ TEST(RunHead, DequantizedLogits) {
   l.weights.set(2, 4);
   l.weights.set(3, 4);
   l.zw = {0};
-  l.icn.resize(2);
-  l.icn[0].bq = 10;
-  l.icn[1].bq = -10;
+  l.icn = {IcnChannel{10, {}}, IcnChannel{-10, {}}};
   l.out_mult = {0.5, 0.25};
   PackedBuffer in(2, BitWidth::kQ8);
   in.set(0, 3);

@@ -98,120 +98,174 @@ TEST(SimdVnni, PackPlacesWeightsAndZeroesPadding) {
 }
 
 // ---------------------------------------------------------------------------
-// Panel GEMM vs scalar, beyond the pair bound.
+// Rows kernel vs a scalar reference.
 // ---------------------------------------------------------------------------
 
-TEST(SimdVnni, GemmX1MatchesScalarBeyondPairBound) {
+/// One weight matrix and its panel for the rows kernel: either s8 offsets
+/// beyond the i16 pair bound (no split), or 8-bit codes with per-channel
+/// zero-points, packed as code - 128 with split = 128 - Zw (padded with
+/// zeros to co_pad, as the plan pads PlannedLayer::zp_split). Some
+/// channels hold only code 0 or only 255, and Zw takes 0, 255 and random
+/// values.
+struct RowsCase {
+  std::int64_t co{0}, K{0}, kp{0}, co_pad{0};
+  std::vector<std::int32_t> w;      ///< co x K offsets (code - Zw)
+  std::vector<std::int32_t> split;  ///< co_pad entries, empty: no split
+  std::vector<std::int8_t> panel;
+};
+
+RowsCase make_rows_case(Rng& rng, std::int64_t co, std::int64_t K,
+                        bool split) {
+  RowsCase c;
+  c.co = co;
+  c.K = K;
+  c.kp = simd::vnni_kp(K);
+  c.co_pad = simd::round_up(co, simd::vnni_ocb());
+  if (!split) {
+    c.w = pair_bound_breaking_w(rng, co * K);
+  } else {
+    c.w.resize(static_cast<std::size_t>(co * K));
+    c.split.assign(static_cast<std::size_t>(c.co_pad), 0);
+    for (std::int64_t oc = 0; oc < co; ++oc) {
+      const std::int32_t zw =
+          oc % 3 == 0 ? 0
+                      : (oc % 3 == 1 ? 255
+                                     : static_cast<std::int32_t>(
+                                           rng.uniform_int(256)));
+      c.split[static_cast<std::size_t>(oc)] = 128 - zw;
+      for (std::int64_t k = 0; k < K; ++k) {
+        const std::int32_t code =
+            oc % 5 == 0 ? 0
+                        : (oc % 5 == 1 ? 255
+                                       : static_cast<std::int32_t>(
+                                             rng.uniform_int(256)));
+        c.w[static_cast<std::size_t>(oc * K + k)] = code - zw;
+      }
+    }
+  }
+  c.panel.resize(static_cast<std::size_t>(simd::vnni_panel_elems(co, K)));
+  simd::vnni_pack(c.w.data(), co, K, c.panel.data(),
+                  split ? c.split.data() : nullptr);
+  return c;
+}
+
+/// Four u8 rows lda = K apart in an exact-size buffer (the last row is
+/// readable for kp bytes), so consecutive rows overlap in [K, kp) when
+/// K % 4 != 0: row 0 random, row 1 all 255, row 2 all 0, row 3 random.
+std::vector<std::uint8_t> overlapping_rows(Rng& rng, std::int64_t K) {
+  std::vector<std::uint8_t> a(
+      static_cast<std::size_t>(3 * K + simd::vnni_kp(K)));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto row = static_cast<std::int64_t>(i) / K;
+    a[i] = row == 1 ? 255
+                    : (row == 2 ? 0
+                                : static_cast<std::uint8_t>(
+                                      rng.uniform_int(256)));
+  }
+  return a;
+}
+
+/// Runs the rows kernel on the first `rows` rows with tile (kb, nb) and
+/// compares every channel of every row with sum_{k < K} a[k] * w[oc][k];
+/// the accumulators past rows x co_pad must keep their sentinel.
+void expect_rows_exact(const RowsCase& c, const std::uint8_t* a,
+                       std::int64_t rows, std::int64_t kb, std::int64_t nb) {
+  constexpr std::int32_t kSentinel = 0x5A5A5A5A;
+  std::vector<std::int32_t> acc(
+      static_cast<std::size_t>(simd::kVnniRows * c.co_pad + 16), kSentinel);
+  simd::vnni_gemm_rows(a, c.K, rows, c.panel.data(), c.K, c.co_pad, kb, nb,
+                       c.split.empty() ? nullptr : c.split.data(),
+                       acc.data());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t oc = 0; oc < c.co; ++oc) {
+      std::int64_t expect = 0;
+      for (std::int64_t k = 0; k < c.K; ++k) {
+        expect += static_cast<std::int64_t>(a[r * c.K + k]) *
+                  c.w[static_cast<std::size_t>(oc * c.K + k)];
+      }
+      ASSERT_EQ(acc[static_cast<std::size_t>(r * c.co_pad + oc)], expect)
+          << "rows=" << rows << " co=" << c.co << " K=" << c.K
+          << " split=" << !c.split.empty() << " kb=" << kb << " nb=" << nb
+          << " row " << r << " channel " << oc;
+    }
+  }
+  for (std::size_t i = static_cast<std::size_t>(rows * c.co_pad);
+       i < acc.size(); ++i) {
+    ASSERT_EQ(acc[i], kSentinel) << "rows=" << rows << " co=" << c.co
+                                 << " K=" << c.K << " wrote past acc " << i;
+  }
+}
+
+TEST(SimdVnni, GemmRowsMatchesScalarReference) {
+  // Every row count (1-4), every channel count 1-80 (1-5 sixteen-channel
+  // blocks, so 4-block groups and 1-3-block tails, with and without a
+  // co % 16 channel tail), depths around the 4-byte group and the 64-byte
+  // row-sum step, the split off (weights beyond the i16 pair bound) and
+  // on, unblocked.
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(11);
-  const std::int64_t ocb = simd::vnni_ocb();
-  for (const std::int64_t K : {std::int64_t{1}, std::int64_t{3},
-                               std::int64_t{4}, std::int64_t{27},
-                               std::int64_t{28}, std::int64_t{61},
-                               std::int64_t{64}, std::int64_t{100}}) {
-    const std::int64_t co = ocb;  // one block
-    const std::int64_t kp = simd::vnni_kp(K);
-    const auto w = pair_bound_breaking_w(rng, co * K);
-    std::vector<std::int8_t> panel(
-        static_cast<std::size_t>(simd::vnni_panel_elems(co, K)));
-    simd::vnni_pack(w.data(), co, K, panel.data());
-    auto a = random_u8(rng, kp);
-    for (std::int64_t k = K; k < kp; ++k) a[static_cast<std::size_t>(k)] = 0;
-
-    for (const int accumulate : {0, 1}) {
-      std::vector<std::int32_t> acc(static_cast<std::size_t>(ocb), 77);
-      std::vector<std::int32_t> expect(static_cast<std::size_t>(ocb));
-      for (std::int64_t j = 0; j < ocb; ++j) {
-        std::int64_t s = accumulate != 0 ? 77 : 0;
-        for (std::int64_t k = 0; k < K; ++k) {
-          s += static_cast<std::int64_t>(a[static_cast<std::size_t>(k)]) *
-               w[static_cast<std::size_t>(j * K + k)];
+  for (const std::int64_t K :
+       {std::int64_t{1}, std::int64_t{3}, std::int64_t{4}, std::int64_t{24},
+        std::int64_t{27}, std::int64_t{28}, std::int64_t{61},
+        std::int64_t{64}, std::int64_t{100}, std::int64_t{384}}) {
+    const std::vector<std::uint8_t> a = overlapping_rows(rng, K);
+    for (const bool split : {false, true}) {
+      for (std::int64_t co = 1; co <= 80; ++co) {
+        const RowsCase c = make_rows_case(rng, co, K, split);
+        for (std::int64_t rows = 1; rows <= simd::kVnniRows; ++rows) {
+          expect_rows_exact(c, a.data(), rows, 0, 0);
         }
-        expect[static_cast<std::size_t>(j)] = static_cast<std::int32_t>(s);
       }
-      simd::vnni_gemm_x1(a.data(), panel.data(), kp, acc.data(), accumulate);
-      EXPECT_EQ(acc, expect) << "K=" << K << " accumulate=" << accumulate;
     }
   }
 }
 
-TEST(SimdVnni, GemmX2MatchesTwoX1Calls) {
-  SKIP_IF_NOT_RUNNABLE();
-  Rng rng(12);
-  const std::int64_t ocb = simd::vnni_ocb();
-  const std::int64_t K = 37;
-  const std::int64_t kp = simd::vnni_kp(K);
-  const auto w = pair_bound_breaking_w(rng, ocb * K);
-  std::vector<std::int8_t> panel(
-      static_cast<std::size_t>(simd::vnni_panel_elems(ocb, K)));
-  simd::vnni_pack(w.data(), ocb, K, panel.data());
-  const auto a = random_u8(rng, 2 * kp);
-
-  std::vector<std::int32_t> e0(static_cast<std::size_t>(ocb));
-  std::vector<std::int32_t> e1(static_cast<std::size_t>(ocb));
-  simd::vnni_gemm_x1(a.data(), panel.data(), kp, e0.data(), 0);
-  simd::vnni_gemm_x1(a.data() + kp, panel.data(), kp, e1.data(), 0);
-
-  std::vector<std::int32_t> acc0(static_cast<std::size_t>(ocb));
-  std::vector<std::int32_t> acc1(static_cast<std::size_t>(ocb));
-  simd::vnni_gemm_x2(a.data(), a.data() + kp, panel.data(), kp, acc0.data(),
-                     acc1.data(), 0);
-  EXPECT_EQ(acc0, e0);
-  EXPECT_EQ(acc1, e1);
-}
-
-TEST(SimdVnni, KBlockedAccumulationMatchesSinglePass) {
+TEST(SimdVnni, GemmRowsBlockedMatchesSinglePass) {
+  // K blocks accumulate exact i32 partial sums and N chunks split the
+  // 64-channel groups (nb = 48 leaves 3-block tiles); the split joins
+  // each chunk after its last K block only.
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(13);
-  const std::int64_t ocb = simd::vnni_ocb();
-  const std::int64_t K = 96;
-  const std::int64_t kp = simd::vnni_kp(K);
-  const auto w = pair_bound_breaking_w(rng, ocb * K);
-  std::vector<std::int8_t> panel(
-      static_cast<std::size_t>(simd::vnni_panel_elems(ocb, K)));
-  simd::vnni_pack(w.data(), ocb, K, panel.data());
-  const auto a = random_u8(rng, kp);
-
-  std::vector<std::int32_t> full(static_cast<std::size_t>(ocb));
-  simd::vnni_gemm_x1(a.data(), panel.data(), kp, full.data(), 0);
-
-  // Same dot in three 4-aligned K blocks, accumulating: the plan's blocked
-  // GEMM must be bit-identical by exact i32 partial sums.
-  std::vector<std::int32_t> blocked(static_cast<std::size_t>(ocb));
-  std::int64_t k0 = 0;
-  for (const std::int64_t kb : {std::int64_t{32}, std::int64_t{44},
-                                std::int64_t{20}}) {
-    simd::vnni_gemm_x1(a.data() + k0,
-                       panel.data() + (k0 / 4) * ocb * 4, kb,
-                       blocked.data(), k0 > 0 ? 1 : 0);
-    k0 += kb;
+  for (const std::int64_t K :
+       {std::int64_t{27}, std::int64_t{100}, std::int64_t{384}}) {
+    const std::vector<std::uint8_t> a = overlapping_rows(rng, K);
+    for (const bool split : {false, true}) {
+      for (const std::int64_t co :
+           {std::int64_t{17}, std::int64_t{48}, std::int64_t{80}}) {
+        const RowsCase c = make_rows_case(rng, co, K, split);
+        for (const std::int64_t kb :
+             {std::int64_t{0}, std::int64_t{4}, std::int64_t{12},
+              std::int64_t{32}}) {
+          for (const std::int64_t nb :
+               {std::int64_t{0}, std::int64_t{16}, std::int64_t{48}}) {
+            for (std::int64_t rows = 1; rows <= simd::kVnniRows; ++rows) {
+              expect_rows_exact(c, a.data(), rows, kb, nb);
+            }
+          }
+        }
+      }
+    }
   }
-  ASSERT_EQ(k0, kp);
-  EXPECT_EQ(blocked, full);
 }
 
-// ---------------------------------------------------------------------------
-// Row sum (the zero-point split's per-row correction) vs scalar.
-// ---------------------------------------------------------------------------
-
-TEST(SimdVnni, RowSumMatchesScalarAcrossLengthsAndOffsets) {
+TEST(SimdVnni, GemmRowsSplitSumsExactlyKBytes) {
+  // The split's row sum covers exactly K bytes at every depth 1-200 and
+  // unaligned row starts: the K padding bytes are 255, so a sum that
+  // reached into them would show, and the row ends the buffer, so a read
+  // past kp is a sanitizer finding.
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(17);
-  const std::vector<std::uint8_t> noise = random_u8(rng, 300);
-  const std::vector<std::uint8_t> ones(300, 0xFF);
-  for (const auto* buf : {&noise, &ones}) {
-    // Unaligned starts, and lengths across the 64-byte body / masked-tail
-    // split; bytes past the row differ from it, so an over-read shows.
+  for (std::int64_t K = 1; K <= 200; ++K) {
+    const RowsCase c = make_rows_case(rng, 16, K, /*split=*/true);
     for (const std::int64_t start : {std::int64_t{0}, std::int64_t{1},
                                      std::int64_t{3}, std::int64_t{63}}) {
-      for (std::int64_t n = 0; n <= 200; ++n) {
-        const std::uint8_t* a = buf->data() + start;
-        std::int32_t expect = 0;
-        for (std::int64_t k = 0; k < n; ++k) expect += a[k];
-        ASSERT_EQ(simd::vnni_row_sum_u8(a, n), expect)
-            << "start=" << start << " n=" << n
-            << (buf == &ones ? " all-0xFF" : " random");
+      std::vector<std::uint8_t> buf(static_cast<std::size_t>(start + c.kp),
+                                    255);
+      for (std::int64_t k = 0; k < K; ++k) {
+        buf[static_cast<std::size_t>(start + k)] =
+            static_cast<std::uint8_t>(rng.uniform_int(256));
       }
+      expect_rows_exact(c, buf.data() + start, 1, 0, 0);
     }
   }
 }

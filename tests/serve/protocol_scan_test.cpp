@@ -337,7 +337,10 @@ std::vector<std::string> number_spellings() {
       for (int rep = 0; rep < 4; ++rep) {
         std::string t = rep % 2 == 1 ? "-" : "";
         t += random_digits(rng, ni);
-        if (nf > 0) t += "." + random_digits(rng, nf);
+        if (nf > 0) {
+          t += '.';
+          t += random_digits(rng, nf);
+        }
         out.push_back(t);
       }
     }
@@ -493,7 +496,10 @@ class LineGen {
         std::string s = "[" + ws();
         const int n = static_cast<int>(below(4));
         for (int i = 0; i < n; ++i) {
-          if (i > 0) s += "," + ws();
+          if (i > 0) {
+        s += ',';
+        s += ws();
+      }
           s += value(depth + 1);
         }
         return s + ws() + "]";
@@ -517,7 +523,10 @@ class LineGen {
                                 : static_cast<int>(numel);
     std::string s = "[";
     for (int i = 0; i < n; ++i) {
-      if (i > 0) s += "," + ws();
+      if (i > 0) {
+        s += ',';
+        s += ws();
+      }
       s += below(40) == 0 ? value(2) : number();
     }
     return s + "]";
@@ -532,7 +541,10 @@ class LineGen {
     }
     std::string s = ws() + "{";
     for (std::size_t i = 0; i < members.size(); ++i) {
-      if (i > 0) s += "," + ws();
+      if (i > 0) {
+        s += ',';
+        s += ws();
+      }
       s += members[i];
     }
     return s + ws() + "}" + ws();

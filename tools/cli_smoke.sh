@@ -56,6 +56,22 @@ wb=$(sed -n 's/.*"host":{[^}]*"weight_bytes":\([0-9]*\).*/\1/p' "$DIR/inspect.js
 wn=$(sed -n 's/.*"host":{[^}]*"weight_count":\([0-9]*\).*/\1/p' "$DIR/inspect.json")
 test -n "$wb" && test -n "$wn" && test "$wb" -lt $((4 * wn))
 
+echo "== MIXQ_NO_VNNI reads its value: 0 and empty keep the vnni tier, 1 drops it"
+env -u MIXQ_NO_VNNI "$MIXQ" inspect "$DIR/model.img" --json > "$DIR/inspect_vnni.json"
+if grep -q '"tier":"vnni"' "$DIR/inspect_vnni.json"; then
+  for v in 0 ""; do
+    MIXQ_NO_VNNI="$v" "$MIXQ" inspect "$DIR/model.img" --json > "$DIR/inspect_nv.json"
+    grep -q '"tier":"vnni"' "$DIR/inspect_nv.json"
+  done
+  MIXQ_NO_VNNI=1 "$MIXQ" inspect "$DIR/model.img" --json > "$DIR/inspect_nv.json"
+  if grep -q '"tier":"vnni"' "$DIR/inspect_nv.json"; then
+    echo "MIXQ_NO_VNNI=1 left a layer on the vnni tier" >&2
+    exit 1
+  fi
+else
+  echo "   (this build or host has no vnni tier: skipped)"
+fi
+
 echo "== run (planned/SIMD inference on deterministic synthetic inputs)"
 "$MIXQ" run "$DIR/model.img" --input synthetic:8 --seed 7 \
   --ndjson --emit-requests "$DIR/requests.ndjson" > "$DIR/run.ndjson"
