@@ -359,6 +359,7 @@ void BM_PointwiseGap(benchmark::State& state) {
                                     acc.data());
       benchmark::DoNotOptimize(acc.data());
     }
+    benchmark::ClobberMemory();
   }
   state.counters["MACs/s"] = benchmark::Counter(
       static_cast<double>(M * K * N),

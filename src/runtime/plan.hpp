@@ -12,10 +12,11 @@
 //
 //   Kernel tier -- for layers whose 32-bit accumulation is overflow-free
 //   (acc32: fan-in * qmax(qx) * qmax(qw) <= 2^30):
-//     * on a VNNI host every conv/linear GEMM runs the vpdpbusd panel --
-//       offsets w - Zw that fit s8 pack directly, Q8 offsets go through
-//       the zero-point split (panel of code - 128, plus (128 - Zw) * row
-//       sum before requantization). Without VNNI: zero-point-offset
+//     * on a VNNI host every conv/linear GEMM runs the register-blocked
+//       vpdpbusd rows kernel (simd::vnni_gemm_rows) -- offsets w - Zw
+//       that fit s8 pack directly, Q8 offsets go through the zero-point
+//       split (panel of code - 128, plus (128 - Zw) * row sum, added in
+//       registers before requantization). Without VNNI: zero-point-offset
 //       weights always fit i16; when they also fit s8 AND every
 //       adjacent-pair magnitude satisfies
 //       max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 the layer's GEMM runs

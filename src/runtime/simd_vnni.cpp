@@ -445,7 +445,7 @@ void vnni_gemm_rows(const std::uint8_t* a, std::int64_t lda,
                     std::int64_t K, std::int64_t co_pad, std::int64_t kb,
                     std::int64_t nb, const std::int32_t* split,
                     std::int32_t* acc) {
-  const std::int64_t kp = (K + 3) / 4 * 4;
+  const std::int64_t kp = vnni_kp(K);
   if (kb <= 0) kb = kp;
   if (nb <= 0) nb = co_pad;
   std::int32_t sums[kVnniRows] = {};

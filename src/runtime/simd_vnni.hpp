@@ -6,10 +6,9 @@
 // max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 eligibility bound does not
 // apply) that also carries the zero-point split (a panel of code - 128
 // plus a per-row correction (128 - Zw) * sum_k a[k] from vpsadbw row
-// sums, so Q8 weights whose offsets w - Zw leave s8 ride the same
-// panel), a vpdpwssd
-// depthwise variant over the same pair-interleaved s16 bank the AVX2
-// kernel uses, elementwise/dot u8 x s16 variants for the depthwise border
+// sums, so Q8 weights whose offsets w - Zw leave s8 ride the same panel),
+// a vpdpwssd depthwise variant over the same pair-interleaved s16 bank the
+// AVX2 kernel uses, elementwise/dot u8 x s16 variants for the depthwise border
 // path, an exact-arithmetic-shift requantizer (vpsravq needs no unsigned
 // bias trick) and a 16-lane input quantizer. The depthwise kernel, the
 // border MAC and the quantizer run their tails as one more masked step
@@ -98,9 +97,9 @@ inline constexpr std::int64_t kVnniRows = 4;
 /// chunks of `nb` (a multiple of 16; 0 = all), and each chunk's depth in
 /// blocks of `kb` (a multiple of 4; 0 = all) that accumulate exact i32
 /// partial sums, so any blocking is bit-exact with the single pass. The
-/// zero-point split's correction (split[c] = 128 - Zw[c], the panel
-/// holding code - 128) is added in registers after a chunk's last K
-/// block, from vpsadbw row sums over exactly K bytes.
+/// zero-point split's correction (split[c] = 128 - Zw[c] for co_pad
+/// entries, the panel holding code - 128) is added in registers after a
+/// chunk's last K block, from vpsadbw row sums over exactly K bytes.
 void vnni_gemm_rows(const std::uint8_t* a, std::int64_t lda,
                     std::int64_t rows, const std::int8_t* panel,
                     std::int64_t K, std::int64_t co_pad, std::int64_t kb,
