@@ -7,22 +7,16 @@
 
 namespace mixq::runtime::simd {
 
+const char* compiled_isa() { return vec::compiled() ? vec::kIsa : "scalar"; }
+
 bool cpu_supports_compiled_isa() {
-#if defined(MIXQ_SIMD_AVX2)
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("avx2") != 0;
+#if defined(__ARM_NEON) && defined(__aarch64__)
+  return true;  // NEON is part of the AArch64 baseline.
+#elif (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+  // CPUID first: avx2::compiled() lives in the -mavx2 TU.
+  return __builtin_cpu_supports("avx2") != 0 && vec::compiled();
 #else
-  return true;
-#endif
-#elif defined(MIXQ_SIMD_SSE4)
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("sse4.1") != 0;
-#else
-  return true;
-#endif
-#else
-  // NEON builds target a baseline that implies support; scalar needs none.
-  return true;
+  return false;
 #endif
 }
 
@@ -52,7 +46,7 @@ bool vnni_enabled() {
   // PlanOptions::Vnni::kForce still overrides it.
   static const bool ok = [] {
     const char* off = std::getenv("MIXQ_NO_VNNI");
-    return vnni_compiled() && vnni_cpu() &&
+    return vnni_cpu() && vnni_compiled() &&
            (off == nullptr || off[0] == '\0' || std::strcmp(off, "0") == 0);
   }();
   return ok;

@@ -19,10 +19,11 @@
 // ODR / miscompile isolation: this header carries DECLARATIONS ONLY -- no
 // inline kernels. The implementations live in simd_vnni.cpp, the one
 // translation unit compiled with -mavx512{f,bw,vl,vnni} appended to the
-// baseline flags (CMake per-source COMPILE_OPTIONS); every other TU stays
-// at x86-64-v3, which both sidesteps the GCC 12.2 AVX-512 struct-copy
-// miscompile documented in the top-level CMakeLists.txt and keeps the
-// inline kernels of simd.hpp compiling identically in every TU. When the
+// baseline flags (CMake per-source COMPILE_OPTIONS); every TU but it and
+// simd_avx2.cpp builds for the baseline target, which both sidesteps the
+// GCC 12.2 AVX-512 struct-copy miscompile documented in the top-level
+// CMakeLists.txt and keeps the inline code of simd.hpp compiling
+// identically in every TU that can run on any x86-64 host. When the
 // toolchain cannot target VNNI (MIXQ_HAS_AVX512VNNI compile check fails),
 // the same TU builds portable scalar bodies instead -- bit-identical
 // arithmetic, so forced-tier tests run everywhere.
@@ -51,7 +52,7 @@ bool vnni_compiled();
 bool vnni_cpu();
 
 /// Cached conjunction of the two: the plan consults this (once per tier
-/// selection) exactly like simd::enabled() gates the AVX2 kernels.
+/// selection) the way simd::enabled() gates the AVX2 kernels.
 bool vnni_enabled();
 
 // ---------------------------------------------------------------------------
