@@ -1,8 +1,9 @@
-// Tests for the SIMD dispatch layer (runtime/simd.hpp). Every kernel is
-// cross-checked for integer equality against a plain scalar loop on
-// randomized inputs covering remainder lanes (sizes straddling the 4/8
-// vector widths). On a scalar-compiled build these still pass (kernel ==
-// fallback == reference); on an AVX2 build they pin the vector bodies.
+// Tests for the SIMD dispatch layer (runtime/simd.hpp). Every kernel test
+// runs both the dispatcher (the vector body wherever simd::enabled(): AVX2
+// on an x86-64 host that has it, NEON on AArch64) and its scalar body by
+// name (simd::scalar), and checks each for integer equality against the
+// test's plain loop on randomized inputs covering remainder lanes (sizes
+// straddling the 4/8/16 vector widths).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -30,6 +31,33 @@ std::vector<std::int32_t> random_codes(Rng& rng, std::int64_t n, int lo,
   return v;
 }
 
+/// The two bodies every kernel test runs.
+struct Bodies {
+  const char* name;
+  decltype(&simd::scalar::gemm_u8s8_x1) gemm_u8s8_x1;
+  decltype(&simd::scalar::gemm_u8s8_x2) gemm_u8s8_x2;
+  decltype(&simd::scalar::dot1x4_u8s16) dot1x4_u8s16;
+  decltype(&simd::scalar::dot2x4_u8s16) dot2x4_u8s16;
+  decltype(&simd::scalar::dot_u8s16) dot_u8s16;
+  decltype(&simd::scalar::dw_dot_u8s16p) dw_dot_u8s16p;
+  decltype(&simd::scalar::mac_u8s16) mac_u8s16;
+  decltype(&simd::scalar::add_u8_i32) add_u8_i32;
+  decltype(&simd::scalar::requant_icn_u8) requant_icn_u8;
+  decltype(&simd::scalar::quantize_f32_u8) quantize_f32_u8;
+};
+
+const Bodies kBodies[] = {
+    {"dispatched", &simd::gemm_u8s8_x1, &simd::gemm_u8s8_x2,
+     &simd::dot1x4_u8s16, &simd::dot2x4_u8s16, &simd::dot_u8s16,
+     &simd::dw_dot_u8s16p, &simd::mac_u8s16, &simd::add_u8_i32,
+     &simd::requant_icn_u8, &simd::quantize_f32_u8},
+    {"scalar", &simd::scalar::gemm_u8s8_x1, &simd::scalar::gemm_u8s8_x2,
+     &simd::scalar::dot1x4_u8s16, &simd::scalar::dot2x4_u8s16,
+     &simd::scalar::dot_u8s16, &simd::scalar::dw_dot_u8s16p,
+     &simd::scalar::mac_u8s16, &simd::scalar::add_u8_i32,
+     &simd::scalar::requant_icn_u8, &simd::scalar::quantize_f32_u8},
+};
+
 TEST(Simd, IsaDispatchIsConsistent) {
   ASSERT_NE(simd::compiled_isa(), nullptr);
   ASSERT_NE(simd::active_isa(), nullptr);
@@ -39,6 +67,12 @@ TEST(Simd, IsaDispatchIsConsistent) {
   } else {
     EXPECT_EQ(active, std::string("scalar"));
   }
+#if defined(__x86_64__)
+  // Every x86-64 build carries the AVX2 bodies and one panel layout,
+  // whatever its compile flags or its host.
+  EXPECT_EQ(std::string(simd::compiled_isa()), "avx2");
+  EXPECT_EQ(simd::gemm_u8s8_ocb(), 8);
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -117,33 +151,46 @@ TEST(SimdNarrow, GemmPanelU8S8MatchesScalar) {
             simd::gemm_u8s8_panel_elems(co, K)));
         simd::gemm_u8s8_pack(w.data(), co, K, panel.data());
 
-        std::vector<std::int32_t> acc0(static_cast<std::size_t>(ocb), -1);
-        std::vector<std::int32_t> acc1(static_cast<std::size_t>(ocb), -1);
-        const std::uint8_t* a0 = a.data();
-        const std::uint8_t* a1 = a.data() + 32;
-        for (std::int64_t ob = 0; ob * ocb < co; ++ob) {
-          simd::gemm_u8s8_x2(a0, a1, panel.data() + ob * ocb * kp, kp,
-                             acc0.data(), acc1.data());
-          for (std::int64_t j = 0; j < ocb && ob * ocb + j < co; ++j) {
-            const std::int64_t oc = ob * ocb + j;
-            std::int32_t e0 = 0, e1 = 0;
-            for (std::int64_t k = 0; k < K; ++k) {
-              e0 += static_cast<std::int32_t>(a0[k]) *
-                    w[static_cast<std::size_t>(oc * K + k)];
-              e1 += static_cast<std::int32_t>(a1[k]) *
-                    w[static_cast<std::size_t>(oc * K + k)];
+        for (const Bodies& body : kBodies) {
+          std::vector<std::int32_t> acc0(static_cast<std::size_t>(ocb), -1);
+          std::vector<std::int32_t> acc1(static_cast<std::size_t>(ocb), -1);
+          const std::uint8_t* a0 = a.data();
+          const std::uint8_t* a1 = a.data() + 32;
+          for (std::int64_t ob = 0; ob * ocb < co; ++ob) {
+            body.gemm_u8s8_x2(a0, a1, panel.data() + ob * ocb * kp, kp,
+                              acc0.data(), acc1.data(), false);
+            for (std::int64_t j = 0; j < ocb && ob * ocb + j < co; ++j) {
+              const std::int64_t oc = ob * ocb + j;
+              std::int32_t e0 = 0, e1 = 0;
+              for (std::int64_t k = 0; k < K; ++k) {
+                e0 += static_cast<std::int32_t>(a0[k]) *
+                      w[static_cast<std::size_t>(oc * K + k)];
+                e1 += static_cast<std::int32_t>(a1[k]) *
+                      w[static_cast<std::size_t>(oc * K + k)];
+              }
+              EXPECT_EQ(acc0[static_cast<std::size_t>(j)], e0)
+                  << body.name << " trial=" << trial << " K=" << K
+                  << " oc=" << oc;
+              EXPECT_EQ(acc1[static_cast<std::size_t>(j)], e1)
+                  << body.name << " trial=" << trial << " K=" << K
+                  << " oc=" << oc;
             }
-            EXPECT_EQ(acc0[static_cast<std::size_t>(j)], e0)
-                << "trial=" << trial << " K=" << K << " oc=" << oc;
-            EXPECT_EQ(acc1[static_cast<std::size_t>(j)], e1)
-                << "trial=" << trial << " K=" << K << " oc=" << oc;
-          }
-          simd::gemm_u8s8_x1(a0, panel.data() + ob * ocb * kp, kp,
-                             acc1.data());
-          for (std::int64_t j = 0; j < ocb && ob * ocb + j < co; ++j) {
-            EXPECT_EQ(acc1[static_cast<std::size_t>(j)],
-                      acc0[static_cast<std::size_t>(j)])
-                << "x1 vs x2, trial=" << trial << " K=" << K;
+            body.gemm_u8s8_x1(a0, panel.data() + ob * ocb * kp, kp,
+                              acc1.data(), false);
+            for (std::int64_t j = 0; j < ocb && ob * ocb + j < co; ++j) {
+              EXPECT_EQ(acc1[static_cast<std::size_t>(j)],
+                        acc0[static_cast<std::size_t>(j)])
+                  << body.name << " x1 vs x2, trial=" << trial << " K=" << K;
+            }
+            // K-blocked accumulation: a second pass adds the same sums.
+            body.gemm_u8s8_x1(a0, panel.data() + ob * ocb * kp, kp,
+                              acc1.data(), true);
+            for (std::int64_t j = 0; j < ocb && ob * ocb + j < co; ++j) {
+              EXPECT_EQ(acc1[static_cast<std::size_t>(j)],
+                        2 * acc0[static_cast<std::size_t>(j)])
+                  << body.name << " accumulate, trial=" << trial
+                  << " K=" << K;
+            }
           }
         }
       }
@@ -177,28 +224,30 @@ TEST(SimdNarrow, DotU8S16BlocksMatchScalar) {
       e0[j] = s0;
       e1[j] = s1;
     }
-    std::int32_t o0[4] = {7, 8, 9, 10};
-    std::int32_t o1[4] = {0, -1, -2, -3};
-    simd::dot2x4_u8s16(a0.data(), a1.data(), w[0].data(), w[1].data(),
-                       w[2].data(), w[3].data(), n, o0, o1);
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(o0[j], e0[j]) << "row0 ch" << j << " n=" << n;
-      EXPECT_EQ(o1[j], e1[j]) << "row1 ch" << j << " n=" << n;
-    }
-    std::int32_t o2[4] = {7, 8, 9, 10};
-    simd::dot1x4_u8s16(a0.data(), w[0].data(), w[1].data(), w[2].data(),
-                       w[3].data(), n, o2);
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(o2[j], e0[j]) << "1x4 ch" << j << " n=" << n;
-    }
     std::int32_t expect_dot = 0;
     for (std::int64_t k = 0; k < n; ++k) {
       expect_dot +=
           static_cast<std::int32_t>(a0[static_cast<std::size_t>(k)]) *
           w[0][static_cast<std::size_t>(k)];
     }
-    EXPECT_EQ(simd::dot_u8s16(a0.data(), w[0].data(), n), expect_dot)
-        << "n=" << n;
+    for (const Bodies& body : kBodies) {
+      std::int32_t o0[4] = {7, 8, 9, 10};
+      std::int32_t o1[4] = {0, -1, -2, -3};
+      body.dot2x4_u8s16(a0.data(), a1.data(), w[0].data(), w[1].data(),
+                        w[2].data(), w[3].data(), n, o0, o1);
+      for (int j = 0; j < 4; ++j) {
+        EXPECT_EQ(o0[j], e0[j]) << body.name << " row0 ch" << j << " n=" << n;
+        EXPECT_EQ(o1[j], e1[j]) << body.name << " row1 ch" << j << " n=" << n;
+      }
+      std::int32_t o2[4] = {7, 8, 9, 10};
+      body.dot1x4_u8s16(a0.data(), w[0].data(), w[1].data(), w[2].data(),
+                        w[3].data(), n, o2);
+      for (int j = 0; j < 4; ++j) {
+        EXPECT_EQ(o2[j], e0[j]) << body.name << " 1x4 ch" << j << " n=" << n;
+      }
+      EXPECT_EQ(body.dot_u8s16(a0.data(), w[0].data(), n), expect_dot)
+          << body.name << " n=" << n;
+    }
   }
 }
 
@@ -221,19 +270,21 @@ TEST(SimdNarrow, DwPairDotMatchesScalar) {
       std::vector<std::int16_t> wtp(
           static_cast<std::size_t>(simd::dw_pairs(taps) * 2 * C));
       simd::dw_pack_u8s16(wt.data(), taps, C, wtp.data());
-      std::vector<std::int32_t> acc(static_cast<std::size_t>(C), -5);
-      simd::dw_dot_u8s16p(x.data(), toff.data(), wtp.data(), taps, C,
-                          acc.data());
-      for (std::int64_t c = 0; c < C; ++c) {
-        std::int32_t s = 0;
-        for (std::int64_t t = 0; t < taps; ++t) {
-          s += static_cast<std::int32_t>(
-                   x[static_cast<std::size_t>(
-                       toff[static_cast<std::size_t>(t)] + c)]) *
-               wt[static_cast<std::size_t>(t * C + c)];
+      for (const Bodies& body : kBodies) {
+        std::vector<std::int32_t> acc(static_cast<std::size_t>(C), -5);
+        body.dw_dot_u8s16p(x.data(), toff.data(), wtp.data(), taps, C,
+                           acc.data());
+        for (std::int64_t c = 0; c < C; ++c) {
+          std::int32_t s = 0;
+          for (std::int64_t t = 0; t < taps; ++t) {
+            s += static_cast<std::int32_t>(
+                     x[static_cast<std::size_t>(
+                         toff[static_cast<std::size_t>(t)] + c)]) *
+                 wt[static_cast<std::size_t>(t * C + c)];
+          }
+          EXPECT_EQ(acc[static_cast<std::size_t>(c)], s)
+              << body.name << " taps=" << taps << " C=" << C << " c=" << c;
         }
-        EXPECT_EQ(acc[static_cast<std::size_t>(c)], s)
-            << "taps=" << taps << " C=" << C << " c=" << c;
       }
     }
   }
@@ -248,24 +299,27 @@ TEST(SimdNarrow, ElementwiseHelpersMatchScalar) {
       v = static_cast<std::int16_t>(
           static_cast<int>(rng.uniform_int(511)) - 255);
     }
-    auto acc = random_codes(rng, n, -1000, 1000);
-    auto expect = acc;
+    const auto acc0 = random_codes(rng, n, -1000, 1000);
+    auto expect = acc0;
     for (std::int64_t i = 0; i < n; ++i) {
       expect[static_cast<std::size_t>(i)] +=
           static_cast<std::int32_t>(x[static_cast<std::size_t>(i)]) *
           w16[static_cast<std::size_t>(i)];
     }
-    simd::mac_u8s16(acc.data(), x.data(), w16.data(), n);
-    EXPECT_EQ(acc, expect) << "mac_u8s16 n=" << n;
-
-    auto acc2 = random_codes(rng, n, -1000, 1000);
-    auto expect2 = acc2;
+    const auto acc20 = random_codes(rng, n, -1000, 1000);
+    auto expect2 = acc20;
     for (std::int64_t i = 0; i < n; ++i) {
       expect2[static_cast<std::size_t>(i)] +=
           x[static_cast<std::size_t>(i)];
     }
-    simd::add_u8_i32(acc2.data(), x.data(), n);
-    EXPECT_EQ(acc2, expect2) << "add_u8_i32 n=" << n;
+    for (const Bodies& body : kBodies) {
+      auto acc = acc0;
+      body.mac_u8s16(acc.data(), x.data(), w16.data(), n);
+      EXPECT_EQ(acc, expect) << body.name << " mac_u8s16 n=" << n;
+      auto acc2 = acc20;
+      body.add_u8_i32(acc2.data(), x.data(), n);
+      EXPECT_EQ(acc2, expect2) << body.name << " add_u8_i32 n=" << n;
+    }
   }
 }
 
@@ -293,22 +347,24 @@ TEST(SimdNarrow, RequantU8MatchesScalarReference) {
     }
     rq.usable = true;
     const auto acc = random_codes(rng, n, -200000, 200000);
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 7);
-    simd::requant_icn_u8(rq, acc.data(), rq.add.data(), out.data(), n);
-    const std::int64_t c0 = n / 3;
-    std::vector<std::uint8_t> chunk(static_cast<std::size_t>(n - c0), 7);
-    simd::requant_icn_u8(rq, acc.data() + c0, rq.add.data() + c0,
-                         chunk.data(), n - c0, c0);
-    for (std::int64_t c = 0; c < n; ++c) {
-      const auto k = static_cast<std::size_t>(c);
-      const std::int32_t expect = simd::requant_icn_one(
-          static_cast<std::int64_t>(acc[k]) + rq.add[k], rq.m0[k],
-          rq.shift[k], rq.zy, rq.hi);
-      EXPECT_EQ(static_cast<std::int32_t>(out[k]), expect)
-          << "trial " << trial << " channel " << c;
-      if (c >= c0) {
-        EXPECT_EQ(static_cast<std::int32_t>(chunk[k - c0]), expect)
-            << "trial " << trial << " chunk channel " << c;
+    for (const Bodies& body : kBodies) {
+      std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 7);
+      body.requant_icn_u8(rq, acc.data(), rq.add.data(), out.data(), n, 0);
+      const std::int64_t c0 = n / 3;
+      std::vector<std::uint8_t> chunk(static_cast<std::size_t>(n - c0), 7);
+      body.requant_icn_u8(rq, acc.data() + c0, rq.add.data() + c0,
+                          chunk.data(), n - c0, c0);
+      for (std::int64_t c = 0; c < n; ++c) {
+        const auto k = static_cast<std::size_t>(c);
+        const std::int32_t expect = simd::requant_icn_one(
+            static_cast<std::int64_t>(acc[k]) + rq.add[k], rq.m0[k],
+            rq.shift[k], rq.zy, rq.hi);
+        EXPECT_EQ(static_cast<std::int32_t>(out[k]), expect)
+            << body.name << " trial " << trial << " channel " << c;
+        if (c >= c0) {
+          EXPECT_EQ(static_cast<std::int32_t>(chunk[k - c0]), expect)
+              << body.name << " trial " << trial << " chunk channel " << c;
+        }
       }
     }
   }
@@ -335,18 +391,23 @@ TEST(SimdNarrow, QuantizeMatchesCoreQuantizer) {
                  ? specials[rng.uniform_int(std::size(specials))]
                  : static_cast<float>(rng.uniform(-10.0, 140.0));
     }
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(n) + 8, 0xA5);
-    simd::quantize_f32_u8(x.data(), n, qp.scale, qp.zero, 255, out.data());
     for (std::size_t i = 0; i < x.size(); ++i) {
-      const std::int32_t want =
-          core::quantize_value(x[i], qp, core::RoundMode::kNearest);
-      EXPECT_EQ(static_cast<std::int32_t>(out[i]), want)
-          << "x=" << x[i] << " i=" << i << " n=" << n;
-      EXPECT_EQ(simd::quantize_f32_one(x[i], qp.scale, qp.zero, 255), want)
+      EXPECT_EQ(simd::quantize_f32_one(x[i], qp.scale, qp.zero, 255),
+                core::quantize_value(x[i], qp, core::RoundMode::kNearest))
           << "x=" << x[i];
     }
-    for (std::size_t i = x.size(); i < out.size(); ++i) {
-      EXPECT_EQ(out[i], 0xA5) << "wrote past n=" << n;
+    for (const Bodies& body : kBodies) {
+      std::vector<std::uint8_t> out(static_cast<std::size_t>(n) + 8, 0xA5);
+      body.quantize_f32_u8(x.data(), n, qp.scale, qp.zero, 255, out.data());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const std::int32_t want =
+            core::quantize_value(x[i], qp, core::RoundMode::kNearest);
+        EXPECT_EQ(static_cast<std::int32_t>(out[i]), want)
+            << body.name << " x=" << x[i] << " i=" << i << " n=" << n;
+      }
+      for (std::size_t i = x.size(); i < out.size(); ++i) {
+        EXPECT_EQ(out[i], 0xA5) << body.name << " wrote past n=" << n;
+      }
     }
   }
 }
@@ -379,19 +440,21 @@ TEST(Simd, RequantMatchesFixedPointReference) {
     rq.usable = true;
 
     const auto acc = random_codes(rng, n, -200000, 200000);
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 7);
-    simd::requant_icn_u8(rq, acc.data(), rq.add.data(), out.data(), n);
-    for (std::int64_t c = 0; c < n; ++c) {
-      const std::int64_t v =
-          static_cast<std::int64_t>(acc[static_cast<std::size_t>(c)]) +
-          rq.add[static_cast<std::size_t>(c)];
-      const std::int64_t r =
-          core::fixed_point_floor_mul(v, ms[static_cast<std::size_t>(c)]);
-      std::int64_t y = rq.zy + r;
-      y = y < 0 ? 0 : (y > rq.hi ? rq.hi : y);
-      EXPECT_EQ(static_cast<std::int64_t>(out[static_cast<std::size_t>(c)]),
-                y)
-          << "trial " << trial << " channel " << c;
+    for (const Bodies& body : kBodies) {
+      std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 7);
+      body.requant_icn_u8(rq, acc.data(), rq.add.data(), out.data(), n, 0);
+      for (std::int64_t c = 0; c < n; ++c) {
+        const std::int64_t v =
+            static_cast<std::int64_t>(acc[static_cast<std::size_t>(c)]) +
+            rq.add[static_cast<std::size_t>(c)];
+        const std::int64_t r =
+            core::fixed_point_floor_mul(v, ms[static_cast<std::size_t>(c)]);
+        std::int64_t y = rq.zy + r;
+        y = y < 0 ? 0 : (y > rq.hi ? rq.hi : y);
+        EXPECT_EQ(
+            static_cast<std::int64_t>(out[static_cast<std::size_t>(c)]), y)
+            << body.name << " trial " << trial << " channel " << c;
+      }
     }
   }
 }
