@@ -987,10 +987,10 @@ void ExecutionPlan::quantize_input_into(const float* sample, std::uint8_t* dst,
                                         std::int64_t i1) const {
   const core::QuantParams& qp = net_->input_qp;
   // Vectorized, bit-exact with core::quantize_value(kNearest) -- see the
-  // exactness arguments in simd.hpp and simd_vnni.hpp. The scalar path was
-  // a measurable slice of end-to-end latency (a libm lround call plus a
-  // float divide per element), and it is what a build without AVX2 runs
-  // unless the VNNI tier is on.
+  // exactness arguments in simd_avx2.cpp and simd_vnni.hpp. The scalar
+  // body was a measurable slice of end-to-end latency (a libm lround call
+  // plus a float divide per element); it now runs only on a host with
+  // neither AVX2 nor the VNNI tier.
   if (vnni_) {
     simd::vnni_quantize_u8(sample + i0, i1 - i0, qp.scale, qp.zero,
                            core::qmax(qp.q), dst + i0);

@@ -371,8 +371,8 @@ TEST(SimdNarrow, RequantU8MatchesScalarReference) {
 }
 
 TEST(SimdNarrow, QuantizeMatchesCoreQuantizer) {
-  // quantize_f32_u8 (the AVX2 body when this build has one) and
-  // quantize_f32_one must code every value as core::quantize_value does:
+  // quantize_f32_u8 (dispatched and scalar) and quantize_f32_one must
+  // code every value as core::quantize_value does:
   // exact ties, and specials that saturate (infinities, 1e30, values 2^33
   // steps out) or code as 0 (NaN), in every lane position.
   constexpr float kInf = std::numeric_limits<float>::infinity();
