@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
             << hw << " hardware threads):\n";
   for (const auto& [max_batch, threads] : configs) {
     RequestQueue queue;
-    MicroBatcher batcher(queue, {max_batch, /*max_wait_us=*/200});
+    MicroBatcher batcher(queue, {max_batch});
     ModelRegistry reg(threads);
     reg.add_model("default", net);
     const auto model = reg.default_model();
@@ -327,7 +327,6 @@ int main(int argc, char** argv) {
   ServeConfig cfg;
   cfg.threads = hw;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 200;
   struct ProtocolPass {
     double samples_per_s{0.0};
     double p50_us{0.0};
@@ -397,7 +396,6 @@ int main(int argc, char** argv) {
       ncfg.tcp_port = 0;
       ncfg.engine.threads = hw;
       ncfg.engine.max_batch = 8;
-      ncfg.engine.max_wait_us = 200;
       ncfg.queue_depth = 4;  // force admission control to work
       ncfg.retry_after_ms = 5;
       EpollServer server(net, ncfg);
@@ -544,7 +542,6 @@ int main(int argc, char** argv) {
       ncfg.tcp_port = 0;
       ncfg.engine.threads = hw;
       ncfg.engine.max_batch = 8;
-      ncfg.engine.max_wait_us = 200;
       ncfg.queue_depth = 1024;  // deep: measuring latency, not shedding
       EpollServer server(reg, ncfg);
       const int port = server.tcp_port();

@@ -65,12 +65,11 @@ int main() {
   }
 
   // 4. Serve them through the micro-batching daemon (stdio transport; the
-  // same dispatcher backs --socket and --tcp). 2 worker lanes, coalescing
-  // up to 4.
+  // same dispatcher backs --socket and --tcp). 2 worker lanes; each batch
+  // takes up to 4 of the requests already queued, never waiting for more.
   serve::ServeConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 1000;
   std::istringstream in(requests);
   std::ostringstream out;
   serve::StreamServer server(loaded, cfg);

@@ -28,8 +28,10 @@ constexpr const char* kUsage =
     "\n"
     "  --model NAME=IMAGE  serve IMAGE as model NAME (repeatable)\n"
     "  --threads N         worker lanes (default 1, 0 = hardware)\n"
-    "  --max-batch N       micro-batch coalescing limit (default 8)\n"
-    "  --max-wait-us N     batch window after the first request (default 2000)\n"
+    "  --max-batch N       micro-batch limit: the worker takes up to N\n"
+    "                      already-queued requests (default 8); no request\n"
+    "                      waits for batch-mates\n"
+    "  --max-wait-us N     accepted for compatibility (N >= 0) and ignored\n"
     "  --socket PATH       serve a unix-domain socket on the epoll loop\n"
     "  --tcp PORT          serve TCP on the epoll loop (0 = ephemeral;\n"
     "                      combines with --socket for both listeners)\n"
@@ -73,7 +75,9 @@ int cmd_serve(Args& args) {
   serve::ServeConfig cfg;
   cfg.threads = static_cast<int>(args.int_opt_or("--threads", 1));
   cfg.max_batch = static_cast<int>(args.int_opt_or("--max-batch", 8));
-  cfg.max_wait_us = args.int_opt_or("--max-wait-us", 2000);
+  // Still parsed and validated, so existing command lines keep working;
+  // the batcher no longer has a window for it to set.
+  const std::int64_t max_wait_us = args.int_opt_or("--max-wait-us", 0);
   cfg.max_conns = static_cast<int>(args.int_opt_or("--max-conns", 256));
   cfg.default_deadline_ms = args.int_opt_or("--deadline-default", 0);
   const auto socket_path = args.opt("--socket");
@@ -92,7 +96,7 @@ int cmd_serve(Args& args) {
     throw UsageError("expected an IMAGE path or at least one --model");
   }
   if (cfg.max_batch < 1) throw UsageError("--max-batch must be >= 1");
-  if (cfg.max_wait_us < 0) throw UsageError("--max-wait-us must be >= 0");
+  if (max_wait_us < 0) throw UsageError("--max-wait-us must be >= 0");
   if (cfg.max_conns < 1) throw UsageError("--max-conns must be >= 1");
   if (tcp_port > 65535) throw UsageError("--tcp must be a port in [0, 65535]");
   if (queue_depth < 1) throw UsageError("--queue-depth must be >= 1");

@@ -13,11 +13,14 @@
 // When MIXQ_VNNI_NATIVE is set these bodies (including their scalar tail
 // loops, which the compiler may autovectorize to AVX-512) execute AVX-512
 // instructions unconditionally: callers must gate on vnni_enabled().
+// They then include no header whose inline or template code this file
+// would instantiate (<algorithm>, <cmath>): a weak copy of such code
+// compiled with the AVX-512 flags could be the one the linker keeps for a
+// baseline caller. tools/check_isa_isolation.py fails on any weak symbol
+// this object defines.
 
 #include "runtime/simd_vnni.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #if defined(MIXQ_VNNI_NATIVE)
@@ -35,6 +38,9 @@
 #else
 #include <immintrin.h>
 #endif
+#else
+#include <algorithm>  // std::clamp
+#include <cmath>      // std::isnan, std::lround
 #endif
 
 namespace mixq::runtime::simd {
@@ -55,6 +61,11 @@ namespace {
 /// pack/kernel round-trip tests pin the two together.
 [[maybe_unused]] inline std::int64_t blk_idx(std::int64_t k, std::int64_t j) {
   return (k / 4) * 64 + j * 4 + k % 4;
+}
+
+/// std::min's choice for int64, local so no weak std::min is emitted here.
+inline std::int64_t min64(std::int64_t a, std::int64_t b) {
+  return b < a ? b : a;
 }
 
 }  // namespace
@@ -322,7 +333,7 @@ void vnni_quantize_u8(const float* x, std::int64_t n, float scale,
   const __m512i zero_i = _mm512_setzero_si512();
   // 16 lanes per step; the last step (n % 16) runs under a mask.
   for (std::int64_t i = 0; i < n; i += 16) {
-    const auto r = static_cast<unsigned>(std::min<std::int64_t>(n - i, 16));
+    const auto r = static_cast<unsigned>(min64(n - i, 16));
     const auto m = static_cast<__mmask16>(0xFFFFu >> (16 - r));
     // vdivps/vaddps: the same correctly rounded IEEE steps as the scalar,
     // then its float clamp to [-1, hi]: every magnitude saturates, and a
@@ -453,13 +464,13 @@ void vnni_gemm_rows(const std::uint8_t* a, std::int64_t lda,
     for (std::int64_t r = 0; r < rows; ++r) sums[r] = row_sum(a + r * lda, K);
   }
   for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
-    const std::int64_t c1 = std::min(co_pad, c0 + nb);
+    const std::int64_t c1 = min64(co_pad, c0 + nb);
     for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
-      const std::int64_t klen = std::min(kp, k0 + kb) - k0;
+      const std::int64_t klen = min64(kp, k0 + kb) - k0;
       // The split term joins a chunk's sums after its last K block.
       const std::int32_t* sp = k0 + klen == kp ? split : nullptr;
       for (std::int64_t cb = c0; cb < c1; cb += 64) {
-        tile(rows, std::min<std::int64_t>(4, (c1 - cb) / 16), a + k0, lda,
+        tile(rows, min64(4, (c1 - cb) / 16), a + k0, lda,
              panel + cb * kp + k0 * 16, 16 * kp, klen, acc + cb, co_pad,
              k0 > 0 ? 1 : 0, sp != nullptr ? sp + cb : nullptr, sums);
       }

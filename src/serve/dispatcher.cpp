@@ -24,7 +24,7 @@ Dispatcher::Dispatcher(ModelRegistry& registry, const ServeConfig& cfg,
       retry_after_ms_(retry_after_ms),
       faults_(faults),
       sink_(std::move(sink)),
-      batcher_(queue_, BatcherConfig{cfg.max_batch, cfg.max_wait_us}) {}
+      batcher_(queue_, BatcherConfig{cfg.max_batch}) {}
 
 Dispatcher::~Dispatcher() { drain(); }
 
@@ -198,9 +198,8 @@ void Dispatcher::work() {
   std::vector<Reply> out;
   while (batcher_.next_batch(batch)) {
     if (faults_ != nullptr) faults_->maybe_delay_flush();
-    // Deadline gate: a request that expired while queued (or during the
-    // batch window) is answered HERE, before inference, so it never
-    // occupies a batch slot.
+    // Deadline gate: a request that expired while queued is answered
+    // HERE, before inference, so it never occupies a batch slot.
     const auto now = Clock::now();
     live.clear();
     std::int64_t expired = 0;

@@ -8,16 +8,20 @@
 //   * admission: pin the model generation on the request, answer
 //     `not_found`, shed past the transport's queue depth with
 //     `overloaded`, answer `shutting_down` once closed;
-//   * the batch worker: deadline gate BEFORE inference, the FaultInjector
+//   * the batch worker: one thread that takes whatever is queued when it
+//     frees up (serve/batcher.hpp: up to max_batch, never waiting for
+//     batch-mates), a deadline gate BEFORE inference, the FaultInjector
 //     delay and exec-error sites, grouped ModelRegistry::infer_indices on
-//     each request's pinned route, executor exceptions answered `internal`;
+//     each request's pinned route (the registry spreads a batch over its
+//     lanes), executor exceptions answered `internal`;
 //   * the engine-wide ServeStats.
 //
 // A transport (StreamServer over an istream, EpollServer over sockets)
 // only frames lines, writes replies, and decides the four things that
 // differ between transports: the stats shape, where a reload runs, what a
 // shutdown means, and its queue depth. The worker hands each batch's
-// replies to the transport's sink in one call.
+// replies to the transport's sink in one call, in admission order, which
+// is what keeps one client's replies in request order.
 //
 // Threading: handle_line/reload/stats are safe from any thread; the
 // stdio transport calls them from its reader, the epoll transport from

@@ -2,10 +2,11 @@
 //
 // Thread-safe FIFO of inference requests, the hand-off point between the
 // daemon's protocol readers (one per client connection, or the single
-// stdio reader) and the batching worker. Closeable: close() wakes every
-// waiter, producers are rejected afterwards, and consumers continue to
-// drain whatever was already queued -- which is how a graceful shutdown
-// finishes in-flight work before exiting.
+// stdio reader) and the batching worker, which blocks in pop() for a
+// batch's first request and takes the rest with try_pop(). Closeable:
+// close() wakes every waiter, producers are rejected afterwards, and
+// consumers continue to drain whatever was already queued -- which is how
+// a graceful shutdown finishes in-flight work before exiting.
 #pragma once
 
 #include <chrono>
@@ -97,18 +98,7 @@ class RequestQueue {
     return true;
   }
 
-  /// Pop with a deadline: like pop(), but gives up (returning false with
-  /// the queue still open) once `deadline` passes.
-  bool pop_until(Request& out, Clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_until(lock, deadline, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    out = std::move(q_.front());
-    q_.pop_front();
-    return true;
-  }
-
-  /// Non-blocking pop.
+  /// Non-blocking pop: false at once when nothing is queued.
   bool try_pop(Request& out) {
     std::lock_guard<std::mutex> lock(mu_);
     if (q_.empty()) return false;

@@ -27,7 +27,9 @@
 // Responses to one client's valid requests are emitted in request order.
 //
 // StreamServer threading: serve() runs the reader on the calling thread
-// and the Dispatcher's batch worker on its own thread; writes to the one
+// and the Dispatcher's batch worker on its own thread (it takes whatever
+// is queued when it frees up; no request waits for batch-mates); writes
+// to the one
 // output stream are serialized through one mutex. Admission is unbounded,
 // and a {"cmd":"reload"} runs inline on the reader, so every later line
 // sees the new generation. On EOF or {"cmd":"shutdown"} admission closes,
@@ -99,8 +101,9 @@ struct ServeStats {
 
 struct ServeConfig {
   int threads{1};                  ///< worker lanes (0 = hardware)
+  /// Coalescing limit: the worker takes up to this many already-queued
+  /// requests per batch, never waiting for more.
   int max_batch{8};
-  std::int64_t max_wait_us{2000};
   /// Concurrent-connection cap of the socket transport: the excess
   /// connection is answered with a structured `overloaded` error and
   /// closed.

@@ -419,8 +419,10 @@ TEST(EpollServer, ExpiredDeadlineAnsweredTimeoutBeforeExecution) {
 
   NetConfig cfg;
   cfg.tcp_port = 0;
-  cfg.engine.max_batch = 64;          // the batcher waits for more...
-  cfg.engine.max_wait_us = 100'000;   // ...100 ms past the first pop
+  // Every batch sleeps 100 ms between the worker's pop and its deadline
+  // gate, so the 1 ms deadline has passed when the gate reads it.
+  cfg.faults.delay_flush_p = 1.0;
+  cfg.faults.delay_flush_us = 100'000;
   Harness h(net, cfg);
 
   Client c;
@@ -448,8 +450,8 @@ TEST(EpollServer, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 
   NetConfig cfg;
   cfg.tcp_port = 0;
-  cfg.engine.max_batch = 64;
-  cfg.engine.max_wait_us = 100'000;
+  cfg.faults.delay_flush_p = 1.0;  // held 100 ms before the deadline gate
+  cfg.faults.delay_flush_us = 100'000;
   cfg.engine.default_deadline_ms = 1;
   Harness h(net, cfg);
 
@@ -609,8 +611,10 @@ TEST(EpollServer, DrainAnswersInFlightThenCloses) {
 
   NetConfig cfg;
   cfg.tcp_port = 0;
-  cfg.engine.max_batch = 64;
-  cfg.engine.max_wait_us = 200'000;  // in-queue when the drain lands
+  // Every batch sleeps 200 ms before it runs, so admitted requests are
+  // still queued or held when the drain lands.
+  cfg.faults.delay_flush_p = 1.0;
+  cfg.faults.delay_flush_us = 200'000;
   Harness h(net, cfg);
 
   Client c;
@@ -720,7 +724,6 @@ TEST(EpollServerChaos, TwoHundredFaultedSessionsNoLeakNoMisroute) {
     cfg.tcp_port = 0;
     cfg.queue_depth = 8;
     cfg.engine.max_batch = 4;
-    cfg.engine.max_wait_us = 500;
     cfg.faults.seed = static_cast<std::uint64_t>(round + 1);
     // Regimes rotate which faults dominate; all four sites stay live.
     cfg.faults.drop_conn_p = (round % 2 == 0) ? 0.02 : 0.05;

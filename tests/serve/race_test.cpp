@@ -2,7 +2,7 @@
 // primitives, written to run under ThreadSanitizer (the `tsan` preset /
 // the test-tsan CI job) as well as plain builds:
 //
-//   * RequestQueue::close() racing blocked pop()/pop_until() waiters --
+//   * RequestQueue::close() racing blocked pop() waiters --
 //     every waiter must wake exactly once and the queue must still drain
 //     what was admitted before the close;
 //   * concurrent bounded producers racing close() -- the depth bound and
@@ -74,27 +74,6 @@ TEST(RequestQueueRace, CloseWakesEveryBlockedPopper) {
   }
 }
 
-TEST(RequestQueueRace, PopUntilRacingClose) {
-  for (int iter = 0; iter < 50; ++iter) {
-    RequestQueue q;
-    std::atomic<int> exits{0};
-    std::vector<std::thread> waiters;
-    for (int i = 0; i < 3; ++i) {
-      waiters.emplace_back([&] {
-        Request r;
-        const auto deadline = Clock::now() + std::chrono::seconds(10);
-        while (q.pop_until(r, deadline)) {
-        }
-        ++exits;
-      });
-    }
-    q.push(make_request(1));
-    q.close();
-    for (auto& t : waiters) t.join();
-    EXPECT_EQ(exits.load(), 3);
-  }
-}
-
 TEST(RequestQueueRace, BoundedProducersRacingCloseNeverOvershoot) {
   for (int iter = 0; iter < 20; ++iter) {
     RequestQueue q;
@@ -144,8 +123,7 @@ TEST(RequestQueueRace, BoundedProducersRacingCloseNeverOvershoot) {
 TEST(MicroBatcherRace, CloseWhileFlushingLosesNothing) {
   for (int iter = 0; iter < 50; ++iter) {
     RequestQueue q;
-    MicroBatcher batcher(q, BatcherConfig{/*max_batch=*/3,
-                                          /*max_wait_us=*/500});
+    MicroBatcher batcher(q, BatcherConfig{/*max_batch=*/3});
     constexpr std::int64_t kN = 32;
 
     std::set<std::int64_t> seen;
@@ -187,7 +165,7 @@ TEST(MicroBatcherRace, TwoWorkersOneQueueDisjointBatches) {
     std::vector<std::thread> workers;
     for (int w = 0; w < 2; ++w) {
       workers.emplace_back([&] {
-        MicroBatcher batcher(q, BatcherConfig{4, 200});
+        MicroBatcher batcher(q, BatcherConfig{4});
         std::vector<Request> batch;
         while (batcher.next_batch(batch)) {
           std::lock_guard<std::mutex> lock(seen_mu);
@@ -376,7 +354,6 @@ TEST(ModelRegistryRace, ReloadRacingGracefulDrain) {
 
     NetConfig cfg;
     cfg.tcp_port = 0;
-    cfg.engine.max_wait_us = 100;
     cfg.drain_timeout_ms = 2'000;
     EpollServer server(reg, cfg);
     std::thread runner([&] { (void)server.run(); });

@@ -319,7 +319,6 @@ TEST(ReloadChaos, ReloadUnderSaturationRoutesAndAccountsExactly) {
   NetConfig cfg;
   cfg.tcp_port = 0;
   cfg.engine.max_batch = 4;
-  cfg.engine.max_wait_us = 200;
   cfg.queue_depth = 1024;
   cfg.drain_timeout_ms = 10'000;
   // Stretch every validate->swap window so traffic actually lands inside
@@ -480,7 +479,6 @@ TEST(ReloadChaos, InjectedFaultStormLeavesServingIntact) {
 
   NetConfig cfg;
   cfg.tcp_port = 0;
-  cfg.engine.max_wait_us = 200;
   // Half the reloads lose their image mid-read, half fail validation;
   // deterministic seed so a failure replays.
   cfg.faults.seed = 7;

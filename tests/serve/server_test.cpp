@@ -95,7 +95,6 @@ TEST(StreamServer, RoundTripBitExactWithRunPlanned) {
   ServeConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 200;
   StreamServer server(net, cfg);
   const ServeStats stats = server.serve(in, out);
 
@@ -134,7 +133,6 @@ TEST(StreamServer, ShutdownCmdDrainsInFlightRequests) {
   std::ostringstream out;
   ServeConfig cfg;
   cfg.max_batch = 3;
-  cfg.max_wait_us = 50'000;
   StreamServer server(net, cfg);
   const ServeStats stats = server.serve(in, out);
 
@@ -199,7 +197,6 @@ TEST(StreamServer, TiedInputStreamDoesNotFlushOutsideTheWriterLock) {
   ServeConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 1;
-  cfg.max_wait_us = 0;
   StreamServer server(net, cfg);
   server.serve(in, out);
   out.flush();
@@ -280,7 +277,6 @@ TEST(StreamServer, MalformedRequestFuzzNeverKillsTheDaemon) {
   std::ostringstream out;
   ServeConfig cfg;
   cfg.max_batch = 2;
-  cfg.max_wait_us = 100;
   StreamServer server(net, cfg);
   const ServeStats stats = server.serve(in, out);
 
@@ -351,7 +347,7 @@ TEST(RegistryInferBatch, ConcurrentClientsBitExactWithSerialPlanned) {
   const auto samples = make_samples(net, kClients * kPerClient, 21);
 
   RequestQueue queue;
-  MicroBatcher batcher(queue, {/*max_batch=*/5, /*max_wait_us=*/500});
+  MicroBatcher batcher(queue, {/*max_batch=*/5});
   ModelRegistry reg(/*threads=*/3);
   reg.add_model("default", net);
   const auto model = reg.default_model();
@@ -417,7 +413,6 @@ TEST(EpollServer, UnixSocketRoundTripAndShutdown) {
     try {
       NetConfig cfg;
       cfg.engine.max_batch = 2;
-      cfg.engine.max_wait_us = 500;
       cfg.unix_path = path;
       EpollServer epoll(net, cfg);
       stats = epoll.run(nullptr).engine;
@@ -537,7 +532,6 @@ TEST(TransportParity, StdioAndUnixSocketAnswerAlike) {
   ServeConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 2;
-  cfg.max_wait_us = 500;
 
   std::string text;
   for (const auto& line : script) text += line + "\n";

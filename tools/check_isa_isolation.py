@@ -15,12 +15,18 @@ even though a flagged object defines it: an inline or template function
 that a flagged unit instantiates gets a weak copy compiled with the unit's
 ISA flags, and the linker may keep that copy for every caller.
 
+The same hazard is also caught where it is made, before the copy holds any
+vector code: an object that contains VEX/EVEX code must define no weak
+symbol (`W`/`V` in nm) at all. Optimized builds usually inline such copies
+away, so this is what makes an unoptimized (Debug) build fail on them too.
+
 Usage:
   check_isa_isolation.py --binary BIN --objects OBJ [OBJ ...]
                          [--nm NM] [--objdump OBJDUMP]
 
-Exit status: 0 clean, 1 a stray VEX/EVEX function, 2 a missing input
-file, 77 skipped (nm or objdump is not installed; the reason is printed).
+Exit status: 0 clean, 1 a stray VEX/EVEX function or a weak symbol in a
+vector object, 2 a missing input file, 77 skipped (nm or objdump is not
+installed; the reason is printed).
 """
 
 import argparse
@@ -47,13 +53,14 @@ def resolve_tool(name, given):
     return path if path and os.path.exists(path) else shutil.which(name)
 
 
-def strong_text_symbols(nm, obj):
+def defined_symbols(nm, obj, types):
+    """Names of the symbols `obj` defines with an nm type in `types`."""
     out = subprocess.run([nm, "--defined-only", obj], check=True,
                          capture_output=True, text=True).stdout
     names = set()
     for line in out.splitlines():
         parts = line.split()
-        if len(parts) == 3 and parts[1] in ("t", "T"):
+        if len(parts) == 3 and parts[1] in types:
             names.add(parts[2])
     return names
 
@@ -116,13 +123,17 @@ def main():
             return 2
 
     allowed = set()
+    weak = {}
     for obj in args.objects:
-        allowed |= strong_text_symbols(nm, obj)
+        allowed |= defined_symbols(nm, obj, ("t", "T"))
+        if vex_functions(objdump, obj):
+            weak[obj] = sorted(defined_symbols(nm, obj, ("W", "V")))
     vex = vex_functions(objdump, args.binary)
     strays = sorted(vex - allowed)
     print(f"isa isolation: {len(vex)} functions in {args.binary} contain "
           f"VEX/EVEX instructions; {len(allowed)} strong text symbols "
           f"allowed from {len(args.objects)} objects")
+    failed = False
     if strays:
         names = demangle(strays)
         print(f"isa isolation: FAILED: {len(strays)} functions outside the "
@@ -130,6 +141,18 @@ def main():
               f"binary may fault on a host without AVX:")
         for s in strays:
             print(f"  {names[s]}  [{s}]")
+        failed = True
+    for obj, syms in weak.items():
+        if not syms:
+            continue
+        names = demangle(syms)
+        print(f"isa isolation: FAILED: {obj} contains VEX/EVEX code and "
+              f"defines {len(syms)} weak symbols; the linker may keep its "
+              f"copy for a baseline caller:")
+        for s in syms:
+            print(f"  {names[s]}  [{s}]")
+        failed = True
+    if failed:
         return 1
     print("isa isolation: OK")
     return 0

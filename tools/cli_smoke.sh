@@ -129,12 +129,12 @@ cmp "$DIR/run_plain.ndjson" "$DIR/run_mmap.ndjson"
 cmp "$DIR/run_plain.ndjson" "$DIR/run_mmap_v1.ndjson"
 
 echo "== serve (stdio daemon): responses must be byte-identical to run"
-"$MIXQ" serve "$DIR/model.img" --max-batch 4 --max-wait-us 500 --quiet \
+"$MIXQ" serve "$DIR/model.img" --max-batch 4 --quiet \
   < "$DIR/requests.ndjson" > "$DIR/serve.ndjson"
 cmp "$DIR/run.ndjson" "$DIR/serve.ndjson"
 
 echo "== serve with a different batching config: still byte-identical"
-"$MIXQ" serve "$DIR/model.img" --max-batch 1 --max-wait-us 0 --threads 2 \
+"$MIXQ" serve "$DIR/model.img" --max-batch 1 --threads 2 \
   --quiet < "$DIR/requests.ndjson" > "$DIR/serve_b1.ndjson"
 cmp "$DIR/run.ndjson" "$DIR/serve_b1.ndjson"
 
@@ -180,19 +180,24 @@ wait_server() {
   return 1
 }
 
-if command -v python3 >/dev/null 2>&1; then
-  echo "== serve --tcp (epoll front-end): round trip byte-identical to run"
-  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 --max-wait-us 500 \
-    2> "$DIR/tcp1.log" &
-  SRV=$!
+# Set PORT to the TCP port background server log $1 reports listening on,
+# waiting up to 10 s for the line; fail the smoke if it never appears.
+tcp_port_of() {
   PORT=""
   for _ in $(seq 1 100); do
     PORT=$(sed -n 's/.*listening on tcp 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$DIR/tcp1.log" | head -n 1)
+      "$1" | head -n 1)
     [ -n "$PORT" ] && break
     sleep 0.1
   done
   test -n "$PORT"
+}
+
+if command -v python3 >/dev/null 2>&1; then
+  echo "== serve --tcp (epoll front-end): round trip byte-identical to run"
+  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 2> "$DIR/tcp1.log" &
+  SRV=$!
+  tcp_port_of "$DIR/tcp1.log"
   PY_RC=0
   python3 - "$PORT" "$DIR/requests.ndjson" "$DIR/tcp.ndjson" <<'PYEOF' || PY_RC=$?
 import socket, sys
@@ -223,17 +228,9 @@ PYEOF
   cmp "$DIR/run.ndjson" "$DIR/tcp.ndjson"
 
   echo "== serve --tcp: SIGTERM mid-stream drains admitted work, exit 0"
-  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 --max-wait-us 500 \
-    2> "$DIR/tcp2.log" &
+  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 2> "$DIR/tcp2.log" &
   SRV=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT=$(sed -n 's/.*listening on tcp 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$DIR/tcp2.log" | head -n 1)
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  test -n "$PORT"
+  tcp_port_of "$DIR/tcp2.log"
   PY_RC=0
   python3 - "$PORT" "$SRV" "$DIR/requests.ndjson" "$DIR/tcp_term.ndjson" \
     <<'PYEOF' || PY_RC=$?
@@ -277,10 +274,46 @@ PYEOF
   wait_server "$SRV" "$DIR/tcp2.log"
   cmp "$DIR/run.ndjson" "$DIR/tcp_term.ndjson"
 
+  echo "== serve --tcp: --max-wait-us is accepted and holds no lone request"
+  # A 60 s value: were it still a batch window, each lone request below
+  # would wait it out and miss the client's 10 s timeout.
+  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 8 \
+    --max-wait-us 60000000 2> "$DIR/tcp3.log" &
+  SRV=$!
+  tcp_port_of "$DIR/tcp3.log"
+  PY_RC=0
+  python3 - "$PORT" "$DIR/requests.ndjson" "$DIR/tcp_lone.ndjson" \
+    <<'PYEOF' || PY_RC=$?
+import socket, sys
+port, req_path, out_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+reqs = open(req_path, "rb").read().splitlines()[:3]
+s = socket.create_connection(("127.0.0.1", port), timeout=10)
+f = s.makefile("rwb")
+with open(out_path, "wb") as out:
+    for r in reqs:  # one at a time: each is alone in the queue
+        f.write(r + b"\n")
+        f.flush()
+        line = f.readline()
+        assert b'"predicted"' in line, line
+        out.write(line)
+f.write(b'{"cmd":"shutdown"}\n')
+f.flush()
+ack = f.readline()
+assert ack == b'{"ok":"shutdown"}\n', ack
+s.close()
+PYEOF
+  if [ "$PY_RC" -ne 0 ]; then
+    kill "$SRV" 2>/dev/null || true
+    wait_server "$SRV" "$DIR/tcp3.log" || true
+    exit "$PY_RC"
+  fi
+  wait_server "$SRV" "$DIR/tcp3.log"
+  head -n 3 "$DIR/run.ndjson" | cmp - "$DIR/tcp_lone.ndjson"
+
   echo "== serve --socket (unix socket, epoll loop): byte-identical to run"
   SOCK="$DIR/serve.sock"
   "$MIXQ" serve "$DIR/model.img" --socket "$SOCK" --max-batch 4 \
-    --max-wait-us 500 2> "$DIR/unix.log" &
+    2> "$DIR/unix.log" &
   SRV=$!
   for _ in $(seq 1 100); do
     grep -qF "listening on unix $SOCK" "$DIR/unix.log" && break
@@ -345,7 +378,7 @@ echo "== serve: hot-swap reload mid-stream (A answers, swap, B answers)"
   tail -n 4 "$DIR/requests.ndjson"
   echo '{"cmd":"health"}'
   echo '{"cmd":"shutdown"}'
-} | "$MIXQ" serve "$DIR/model.img" --max-batch 4 --max-wait-us 500 --quiet \
+} | "$MIXQ" serve "$DIR/model.img" --max-batch 4 --quiet \
   > "$DIR/hotswap.ndjson"
 grep '"predicted"' "$DIR/hotswap.ndjson" > "$DIR/hotswap_results.ndjson"
 { head -n 4 "$DIR/run.ndjson"; tail -n 4 "$DIR/run_b.ndjson"; } \
