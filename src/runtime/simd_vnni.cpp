@@ -63,9 +63,13 @@ namespace {
   return (k / 4) * 64 + j * 4 + k % 4;
 }
 
-/// std::min's choice for int64, local so no weak std::min is emitted here.
-inline std::int64_t min64(std::int64_t a, std::int64_t b) {
-  return b < a ? b : a;
+/// std::min for int64, written as libstdc++ writes it (references and an
+/// early return, so the optimized code does not change) but local: no weak
+/// copy is emitted.
+inline const std::int64_t& min64(const std::int64_t& a,
+                                 const std::int64_t& b) {
+  if (b < a) return b;
+  return a;
 }
 
 }  // namespace
