@@ -75,8 +75,8 @@ int cmd_serve(Args& args) {
   serve::ServeConfig cfg;
   cfg.threads = static_cast<int>(args.int_opt_or("--threads", 1));
   cfg.max_batch = static_cast<int>(args.int_opt_or("--max-batch", 8));
-  // Still parsed and validated, so existing command lines keep working;
-  // the batcher no longer has a window for it to set.
+  // Parsed and validated so existing command lines (the benchmark
+  // package's among them) keep working; nothing reads the value.
   const std::int64_t max_wait_us = args.int_opt_or("--max-wait-us", 0);
   cfg.max_conns = static_cast<int>(args.int_opt_or("--max-conns", 256));
   cfg.default_deadline_ms = args.int_opt_or("--deadline-default", 0);
